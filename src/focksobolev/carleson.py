@@ -26,12 +26,11 @@ from scipy.spatial import cKDTree
 
 from .funcspace import Params, fock_sobolev_norm, log_abs, probe_family
 from .geometry import Lattice, make_lattice
+from .grid import cube_axis, grid_points, to_real
 from .measures import (
     AtomicMeasure,
-    DensityMeasure,
     Measure,
-    _grid_axes,
-    _to_real,
+    _gauss_transform,
     averaging_sequence,
     ball_mass_many,
     discretize,
@@ -52,8 +51,6 @@ __all__ = [
 
 _ATOM_CAP = 3000
 _SCAN_STEP = {1: 0.25, 2: 1.0}
-_DENSE_ATOM_LIMIT = 20_000
-_STAGE_CELLS = {1: 96, 2: 10}  # cells per unit-radius... scaled below per stage
 
 
 @dataclass(frozen=True)
@@ -113,80 +110,12 @@ def _stage_lattice(T: float, r: float, n: int) -> Lattice:
     return _lattice_cache[key]
 
 
-def _capped_atoms(mu: Measure) -> Optional[np.ndarray]:
-    if not isinstance(mu, AtomicMeasure) or len(mu) == 0:
-        return None
-    if len(mu) <= _ATOM_CAP:
-        return mu.locations
+def _capped_atoms(mu: Measure) -> np.ndarray:
+    """Locations of the heaviest atoms, at most _ATOM_CAP; none for a density."""
+    if not isinstance(mu, AtomicMeasure):
+        return np.empty((0, mu.n), dtype=complex)
     order = np.argsort(-mu.weights, kind="stable")[:_ATOM_CAP]
     return mu.locations[np.sort(order)]
-
-
-def _ball_grid(T: float, step: float, n: int) -> np.ndarray:
-    ax = _grid_axes(T, step)
-    mesh = np.meshgrid(*([ax] * (2 * n)), indexing="ij")
-    real = np.stack([m.ravel() for m in mesh], axis=1)
-    pts = real[:, 0::2] + 1j * real[:, 1::2]
-    return pts[np.linalg.norm(pts, axis=1) <= T]
-
-
-def _atomic_transform(atoms: AtomicMeasure, w_pts: np.ndarray, t: float, s: float,
-                      alpha: float) -> np.ndarray:
-    out = np.zeros(w_pts.shape[0])
-    if len(atoms) == 0:
-        return out
-    damp = atoms.weights * (1.0 + np.linalg.norm(atoms.locations, axis=1)) ** (-s)
-    chunk = max(1, 4_000_000 // max(len(atoms), 1))
-    for lo in range(0, w_pts.shape[0], chunk):
-        w = w_pts[lo:lo + chunk]
-        d2 = np.zeros((w.shape[0], len(atoms)))
-        for j in range(atoms.locations.shape[1]):
-            d2 += np.abs(w[:, j:j + 1] - atoms.locations[None, :, j]) ** 2
-        out[lo:lo + chunk] = np.exp(-t * alpha * d2 / 2.0) @ damp
-    return out
-
-
-def _mass_grid(mu: DensityMeasure, T: float, h: float, s: float) -> tuple:
-    n = mu.n
-    ax = _grid_axes(T, h)
-    mesh = np.meshgrid(*([ax] * (2 * n)), indexing="ij")
-    real = np.stack([m.ravel() for m in mesh], axis=1)
-    pts = real[:, 0::2] + 1j * real[:, 1::2]
-    r = np.linalg.norm(pts, axis=1)
-    vals = mu.density(pts) * (1.0 + r) ** (-s) * h ** (2 * n)
-    shape = (ax.size,) * (2 * n)
-    return ax, pts, vals.reshape(shape)
-
-
-def _separable_transform(mass: np.ndarray, ax: np.ndarray, c: float) -> np.ndarray:
-    # Gaussian kernel factorises over the real axes, so the transform is
-    # one small matrix contraction per axis instead of an all-pairs sum.
-    M = np.exp(-c * (ax[:, None] - ax[None, :]) ** 2)
-    out = mass
-    for j in range(out.ndim):
-        out = np.moveaxis(np.tensordot(M, np.moveaxis(out, j, 0), axes=(1, 0)), 0, j)
-    return out
-
-
-def _binned_transform_grid(atoms: AtomicMeasure, T: float, h: float, s: float,
-                           t: float, alpha: float) -> tuple:
-    """Separable transform of a large atom set snapped to the stage grid.
-
-    The damping weight is evaluated at the true atom location before
-    binning, so only the Gaussian factor sees the sub-cell displacement.
-    """
-    n = atoms.n
-    ax = _grid_axes(T, h)
-    real = _to_real(atoms.locations)
-    idx = np.clip(np.round((real - ax[0]) / h).astype(int), 0, ax.size - 1)
-    damp = atoms.weights * (1.0 + np.linalg.norm(atoms.locations, axis=1)) ** (-s)
-    mass = np.zeros((ax.size,) * (2 * n))
-    np.add.at(mass, tuple(idx.T), damp)
-    t_grid = _separable_transform(mass, ax, t * alpha / 2.0)
-    mesh = np.meshgrid(*([ax] * (2 * n)), indexing="ij")
-    realg = np.stack([m.ravel() for m in mesh], axis=1)
-    pts = realg[:, 0::2] + 1j * realg[:, 1::2]
-    return pts, t_grid.ravel()
 
 
 def _overlap_ball_values(atoms: AtomicMeasure, centers: np.ndarray, r: float) -> np.ndarray:
@@ -199,13 +128,13 @@ def _overlap_ball_values(atoms: AtomicMeasure, centers: np.ndarray, r: float) ->
     out = np.zeros(centers.shape[0])
     if len(atoms) == 0 or centers.shape[0] == 0:
         return out
-    tree = cKDTree(_to_real(centers))
+    tree = cKDTree(to_real(centers))
     kmax = min(32, centers.shape[0])
     chunk = 100_000
     for lo in range(0, len(atoms), chunk):
         loc = atoms.locations[lo:lo + chunk]
         wts = atoms.weights[lo:lo + chunk]
-        dist, idx = tree.query(_to_real(loc), k=kmax,
+        dist, idx = tree.query(to_real(loc), k=kmax,
                                distance_upper_bound=r * (1.0 + 1e-12))
         dist = np.atleast_2d(dist.reshape(loc.shape[0], -1))
         idx = np.atleast_2d(idx.reshape(loc.shape[0], -1))
@@ -219,19 +148,18 @@ def _overlap_ball_values(atoms: AtomicMeasure, centers: np.ndarray, r: float) ->
 
 def _local_refine(fn, start: np.ndarray, radius: float, n: int, steps: int = 13,
                   rounds: int = 2) -> float:
+    """Refine a maximum of fn (of points or of grid axes) on shrinking grids."""
     best_pt = start
     best = float(fn(start.reshape(1, n))[0])
     rad = radius
     for _ in range(rounds):
         offs = np.linspace(-rad, rad, steps)
-        mesh = np.meshgrid(*([offs] * (2 * n)), indexing="ij")
-        real = np.stack([m.ravel() for m in mesh], axis=1)
-        pts = best_pt[None, :] + (real[:, 0::2] + 1j * real[:, 1::2])
-        vals = fn(pts)
+        axes = [x + offs for x in to_real(best_pt[None, :])[0]]
+        vals = fn(axes).ravel()
         i = int(np.argmax(vals))
         if vals[i] > best:
             best = float(vals[i])
-            best_pt = pts[i]
+            best_pt = grid_points(axes)[i]
         rad = 2.0 * rad / (steps - 1)
     return best
 
@@ -243,7 +171,7 @@ def _stage_values(mu: Measure, params: Params, t: float, s: float, r: float,
     Returns (values dict, (scan radii, scan transform values)) where the
     scan pair feeds the vanishing profile.
     """
-    n, alpha, q = params.n, params.alpha, params.q
+    n, alpha = params.n, params.alpha
     lat = _stage_lattice(T, r, n)
     centers = lat.as_complex()
     cnorm = np.linalg.norm(centers, axis=1)
@@ -260,68 +188,42 @@ def _stage_values(mu: Measure, params: Params, t: float, s: float, r: float,
         seq_vals = averaging_sequence(mu, lat, r, s)[seq_keep]
 
     values: dict = {}
-    if isinstance(mu, AtomicMeasure) and len(atoms_T) > _DENSE_ATOM_LIMIT:
-        # pair sums against this many atoms would swamp the stage; snap
-        # them to the grid and reuse the separable density machinery
-        grid_pts, t_flat = _binned_transform_grid(atoms_T, T, h, s, t, alpha)
-        rad = np.linalg.norm(grid_pts, axis=1)
-        inball = rad <= T
-        scan = (rad[inball], t_flat[inball])
-        if regime == "sup":
-            values["transform"] = float(np.max(t_flat)) if t_flat.size else 0.0
-        else:
-            values["transform"] = float(
-                np.sum(t_flat[inball] ** k) * h ** (2 * n)
-            ) ** (1.0 / k) if t_flat.size else 0.0
-    elif isinstance(mu, AtomicMeasure):
-        atoms = atoms_T
-        w_step = 2.0 * h if n == 1 else max(2.0 * h, 0.8)
-        w_pts = _ball_grid(T, w_step, n)
-        t_vals = _atomic_transform(atoms, w_pts, t, s, alpha)
-        scan = (np.linalg.norm(w_pts, axis=1), t_vals)
-        if regime == "sup":
-            cand = w_pts
-            extra = _capped_atoms(mu)
-            if extra is not None:
-                cand = np.concatenate([cand, extra], axis=0)
-            cv = _atomic_transform(atoms, cand, t, s, alpha)
-            i = int(np.argmax(cv)) if cv.size else 0
-            if cv.size:
-                fn = lambda pts: _atomic_transform(atoms, pts, t, s, alpha)
-                values["transform"] = _local_refine(fn, cand[i], w_step, n)
-            else:
-                values["transform"] = 0.0
-        else:
-            values["transform"] = float(
-                np.sum(t_vals ** k) * w_step ** (2 * n)
-            ) ** (1.0 / k) if t_vals.size else 0.0
+    extra = _capped_atoms(mu)
+    # a density is read on its own discretisation grid, atoms on a coarser
+    # one whose maxima are then refined off the grid
+    atomic = isinstance(mu, AtomicMeasure)
+    w_step = (2.0 * h if n == 1 else max(2.0 * h, 0.8)) if atomic else h
+    axes = [cube_axis(T, w_step)] * (2 * n)
+    transform = lambda where: _gauss_transform(atoms_T, t * alpha / 2.0, s, where)
+    t_grid = transform(axes).ravel()
+    w_pts = grid_points(axes)
+    rad = np.linalg.norm(w_pts, axis=1)
+    inball = rad <= T
+    scan = (rad[inball], t_grid[inball])
+    if regime != "sup":
+        values["transform"] = float(
+            np.sum(scan[1] ** k) * w_step ** (2 * n)
+        ) ** (1.0 / k) if scan[1].size else 0.0
+    elif not atomic:
+        values["transform"] = float(np.max(t_grid)) if t_grid.size else 0.0
     else:
-        ax, grid_pts, mass = _mass_grid(mu, T, h, s)
-        t_grid = _separable_transform(mass, ax, t * alpha / 2.0)
-        t_flat = t_grid.ravel()
-        rad = np.linalg.norm(grid_pts, axis=1)
-        inball = rad <= T
-        scan = (rad[inball], t_flat[inball])
-        if regime == "sup":
-            values["transform"] = float(np.max(t_flat)) if t_flat.size else 0.0
-        else:
-            values["transform"] = float(
-                np.sum(t_flat[inball] ** k) * h ** (2 * n)
-            ) ** (1.0 / k) if t_flat.size else 0.0
+        cand = np.concatenate([w_pts[inball], extra])
+        cv = np.concatenate([scan[1], transform(extra)])
+        values["transform"] = _local_refine(
+            transform, cand[int(np.argmax(cv))], w_step, n) if cv.size else 0.0
 
     # averaging criterion
+    if n == 1:
+        avg_pts = grid_points([cube_axis(T, _SCAN_STEP[1])] * 2)
+        avg_pts = avg_pts[np.linalg.norm(avg_pts, axis=1) <= T]
     if regime == "sup":
         if n == 1:
-            cand = _ball_grid(T, _SCAN_STEP[1], 1)
-            extra = _capped_atoms(mu)
-            if extra is not None:
-                cand = np.concatenate([cand, extra], axis=0)
+            cand = np.concatenate([avg_pts, extra])
             mass_vals = ball_mass_many(mu, cand, r)
             avg = mass_vals / (1.0 + np.linalg.norm(cand, axis=1)) ** s
         else:
             avg = center_avg[cnorm <= T]
-            extra = _capped_atoms(mu)
-            if extra is not None and extra.shape[0]:
+            if extra.shape[0]:
                 mass_extra = ball_mass_many(mu, extra, r)
                 avg_extra = mass_extra / (1.0 + np.linalg.norm(extra, axis=1)) ** s
                 avg = np.concatenate([avg, avg_extra])
@@ -329,9 +231,8 @@ def _stage_values(mu: Measure, params: Params, t: float, s: float, r: float,
         values["sequence"] = float(np.max(seq_vals)) if seq_vals.size else 0.0
     else:
         if n == 1:
-            w_pts = _ball_grid(T, _SCAN_STEP[1], 1)
-            mass_vals = ball_mass_many(mu, w_pts, r)
-            avg = mass_vals / (1.0 + np.linalg.norm(w_pts, axis=1)) ** s
+            mass_vals = ball_mass_many(mu, avg_pts, r)
+            avg = mass_vals / (1.0 + np.linalg.norm(avg_pts, axis=1)) ** s
             values["averaging"] = float(
                 np.sum(avg ** k) * _SCAN_STEP[1] ** 2
             ) ** (1.0 / k) if avg.size else 0.0
@@ -339,8 +240,8 @@ def _stage_values(mu: Measure, params: Params, t: float, s: float, r: float,
             # partition masses over lattice cells stand in for overlapping
             # ball masses; comparable at band level and grid-friendly
             if len(atoms_T) and centers.size:
-                tree = cKDTree(_to_real(centers))
-                idx = tree.query(_to_real(atoms_T.locations), k=1)[1]
+                tree = cKDTree(to_real(centers))
+                idx = tree.query(to_real(atoms_T.locations), k=1)[1]
                 sums = np.zeros(centers.shape[0])
                 np.add.at(sums, idx, atoms_T.weights)
                 vals = sums / (1.0 + cnorm) ** s

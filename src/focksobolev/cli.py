@@ -274,6 +274,9 @@ def _clean(obj):
         return {str(k): _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
+    if isinstance(obj, (np.bool_, bool)):
+        # before int: bool is a subclass of int
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
         if math.isnan(x):
@@ -283,8 +286,6 @@ def _clean(obj):
         return x
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     if isinstance(obj, np.ndarray):
         return [_clean(v) for v in obj.tolist()]
     return obj
@@ -467,8 +468,7 @@ def _cmd_verify_norms(args) -> tuple:
     params = parse_params(args.params)
     rows = _norm_rows(params, args.cells)
     config = {"command": "verify-norms", "params": dataclasses.asdict(params),
-              "cells": args.cells, "tail_tol": args.tail_tol,
-              "version": __version__}
+              "cells": args.cells, "version": __version__}
     return rows, config
 
 
@@ -560,7 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--params", required=True)
     p.add_argument("--cells", type=int, default=None)
-    p.add_argument("--tail-tol", type=float, default=None)
     p.set_defaults(func=_cmd_verify_norms)
 
     p = sub.add_parser("suite", help="run the scenario suites against expectations")

@@ -43,6 +43,7 @@ from .funcspace import (
     polynomial,
     probe_family,
 )
+from .grid import centred_grid
 from .measures import AtomicMeasure
 from .quadrature import DEFAULT_EPS_TAIL, truncation_radius
 
@@ -193,14 +194,6 @@ def _u_degree(sym: SymbolPair) -> int:
     return sym.u.degree if isinstance(sym.u, Polynomial) else 0
 
 
-def _cube_offsets(radius: float, cells: int, n: int) -> tuple:
-    h = 2.0 * radius / cells
-    ax = (np.arange(cells) - cells / 2.0 + 0.5) * h
-    mesh = np.meshgrid(*([ax] * (2 * n)), indexing="ij")
-    real = np.stack([m.ravel() for m in mesh], axis=1)
-    return real[:, 0::2] + 1j * real[:, 1::2], h
-
-
 def _log_integrand(sym: SymbolPair, params: Params, q: float, w: np.ndarray,
                    pts: np.ndarray, include_discount: bool = True) -> np.ndarray:
     a, m = params.alpha, params.m
@@ -249,6 +242,35 @@ def _pullback_geometry(sym: SymbolPair, n: int) -> tuple:
     return max(2.0, min(rad, 12.0 if n == 1 else 7.0)), step
 
 
+def _log_transform_at(sym: SymbolPair, params: Params, q: float, staged: bool,
+                      z_radius: Optional[float] = None, z_cells: Optional[int] = None,
+                      include_discount: bool = True):
+    """w -> log of the composition transform at w, one value per z-grid.
+
+    The z-grid, plus the one enlarged by half at the same step when
+    staged, is built once and re-centred for each w.
+    """
+    n = params.n
+    radius = _z_radius(sym, params, q) if z_radius is None else z_radius
+    cells = _Z_CELLS[n] if z_cells is None else z_cells
+    grids = [centred_grid(radius, cells, n)]
+    if staged:
+        grids.append(centred_grid(1.5 * radius, int(round(1.5 * cells)), n))
+    shift, _ = _u_kernel_shift(sym)
+
+    def at(w) -> list:
+        wv = np.asarray(w, dtype=complex).reshape(n)
+        center = sym.psi.adjoint(wv) + shift if sym.is_affine else np.zeros(n, dtype=complex)
+        out = []
+        for offs, h in grids:
+            L = _log_integrand(sym, params, q, wv, offs + center[None, :], include_discount)
+            with np.errstate(over="ignore"):
+                out.append(float(logsumexp(L)) + 2 * n * math.log(h))
+        return out
+
+    return at
+
+
 def log_berezin_compop(
     sym: SymbolPair,
     params: Params,
@@ -268,29 +290,9 @@ def log_berezin_compop(
     q = params.q if q is None else float(q)
     if math.isinf(q):
         raise ValueError("the transform needs a finite exponent q")
-    n = params.n
-    wv = np.asarray(w, dtype=complex).reshape(n)
-    radius = _z_radius(sym, params, q) if z_radius is None else z_radius
-    cells = _Z_CELLS[n] if z_cells is None else z_cells
-    if sym.is_affine:
-        shift, _ = _u_kernel_shift(sym)
-        center = sym.psi.adjoint(wv) + shift
-    else:
-        center = np.zeros(n, dtype=complex)
-
-    def _value(rad: float, cls: int) -> float:
-        offs, h = _cube_offsets(rad, cls, n)
-        pts = offs + center[None, :]
-        L = _log_integrand(sym, params, q, wv, pts, include_discount)
-        with np.errstate(over="ignore"):
-            val = float(logsumexp(L)) + 2 * n * math.log(h)
-        return val
-
-    base = _value(radius, cells)
-    if not staged:
-        return base
-    grown = _value(1.5 * radius, int(round(1.5 * cells)))
-    return base, grown
+    vals = _log_transform_at(sym, params, q, staged, z_radius, z_cells,
+                             include_discount)(w)
+    return tuple(vals) if staged else vals[0]
 
 
 def berezin_compop(sym: SymbolPair, params: Params, w, q: Optional[float] = None,
@@ -332,21 +334,16 @@ def transform_profile(
     radii = np.linspace(0.0, W, count)
     staged = (not sym.is_affine) if staged_z is None else staged_z
     dirs = _directions(n)
+    transform_at = _log_transform_at(sym, params, q, staged)
     out = np.full(count, -math.inf)
     z_divergent = False
     for i, rho in enumerate(radii):
         cand = dirs if rho > 0 else dirs[:1]
         for d in cand:
-            w = rho * d
-            if staged:
-                b1, b2 = log_berezin_compop(sym, params, w, q=q, staged=True)
-                if b2 > b1 + math.log1p(0.05) and b2 > -600.0:
-                    z_divergent = True
-                val = b2
-            else:
-                val = log_berezin_compop(sym, params, w, q=q)
-            if val > out[i]:
-                out[i] = val
+            vals = transform_at(rho * d)
+            if staged and vals[1] > vals[0] + math.log1p(0.05) and vals[1] > -600.0:
+                z_divergent = True
+            out[i] = max(out[i], vals[-1])
     return radii, out, z_divergent
 
 
@@ -391,7 +388,7 @@ def pullback_measure(sym: SymbolPair, params: Params, q: Optional[float] = None,
     if step is None:
         step = default_step
     cells = max(2, int(math.ceil(2.0 * radius / step)))
-    offs, h = _cube_offsets(radius, cells, n)
+    offs, h = centred_grid(radius, cells, n)
     psi_v = sym.psi.apply(offs)
     la_u = log_abs(sym.u, offs, params)
     r2 = np.sum(np.abs(offs) ** 2, axis=1)
@@ -587,7 +584,7 @@ def _compose_log_norm(sym: SymbolPair, f: EntireFunction, params: Params,
     bit-identical results.
     """
     a, m, n = params.alpha, params.m, params.n
-    offs, h = _cube_offsets(radius, cells, n)
+    offs, h = centred_grid(radius, cells, n)
     psi_v = sym.psi.apply(offs)
     la = log_abs(sym.u, offs, params) + log_abs(f, psi_v, params)
     r2 = np.sum(np.abs(offs) ** 2, axis=1)

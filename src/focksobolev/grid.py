@@ -1,0 +1,43 @@
+"""Tensor grids on C^n = R^{2n}, real coordinates interleaved as
+(Re z1, Im z1, Re z2, Im z2). A grid is given by its 2n real axes and its
+points are laid out in ij order, the last axis varying fastest.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+
+def cell_axis(cells: int, step: float) -> np.ndarray:
+    """Centres of ``cells`` cells of width ``step``, symmetric about zero."""
+    return (np.arange(cells) - cells / 2.0 + 0.5) * step
+
+
+def cube_axis(radius: float, step: float) -> np.ndarray:
+    """Cell centres covering [-radius, radius] with whole cells of width step."""
+    return cell_axis(2 * math.ceil(radius / step), step)
+
+
+def to_real(pts: np.ndarray) -> np.ndarray:
+    """Complex points (N, n) as interleaved real coordinates (N, 2n)."""
+    return np.stack([pts.real, pts.imag], axis=-1).reshape(pts.shape[0], 2 * pts.shape[1])
+
+
+def to_complex(xy: np.ndarray) -> np.ndarray:
+    """Interleaved real coordinates (..., 2n) as complex points (..., n)."""
+    return xy[..., 0::2] + 1j * xy[..., 1::2]
+
+
+def grid_points(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Complex points (N, n) of the tensor grid on the 2n real axes, ij order."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return to_complex(np.stack([m.ravel() for m in mesh], axis=1))
+
+
+def centred_grid(radius: float, cells: int, n: int) -> tuple:
+    """Points (cells^{2n}, n) of the cube of half-width radius, and the step."""
+    step = 2.0 * radius / cells
+    return grid_points([cell_axis(cells, step)] * (2 * n)), step

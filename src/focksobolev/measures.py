@@ -19,6 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .grid import cube_axis, grid_points, to_real
 from .quadrature import (
     QuasiNormError,
     ScalarField,
@@ -171,20 +172,6 @@ def effective_radius(mu: Measure, eps: float = 1e-12) -> Optional[float]:
     return None
 
 
-def _grid_axes(radius: float, step: float) -> np.ndarray:
-    """Cell-center coordinates covering [-radius, radius] with spacing step."""
-    half = int(math.ceil(radius / step))
-    return (np.arange(2 * half) - half + 0.5) * step
-
-
-def _grid_points(center: np.ndarray, radius: float, step: float, n: int):
-    """Cell-center grid on the cube of the given radius around center (2n real)."""
-    axes = [center[k] + _grid_axes(radius, step) for k in range(2 * n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    real = np.stack([m.ravel() for m in mesh], axis=1)
-    return real[:, 0::2] + 1j * real[:, 1::2]
-
-
 def discretize(mu: Measure, radius: float, step: float) -> AtomicMeasure:
     """Cell-center point-mass approximation of a measure on a centred cube.
 
@@ -193,12 +180,10 @@ def discretize(mu: Measure, radius: float, step: float) -> AtomicMeasure:
     dropped.
     """
     if isinstance(mu, AtomicMeasure):
-        if len(mu) == 0:
-            return mu
-        keep = np.max(np.abs(mu.locations.view(float).reshape(len(mu), -1)), axis=1) <= radius
+        keep = np.max(np.abs(to_real(mu.locations)), axis=1) <= radius
         return AtomicMeasure(mu.locations[keep], mu.weights[keep], mu.n)
     n = mu.n
-    pts = _grid_points(np.zeros(2 * n), radius, step, n)
+    pts = grid_points([cube_axis(radius, step)] * (2 * n))
     wts = mu.density(pts) * step ** (2 * n)
     keep = wts > 0
     return AtomicMeasure(locations=pts[keep], weights=wts[keep], n=n)
@@ -235,10 +220,7 @@ def ball_mass(
         return float(mu.weights[d < radius].sum())
     n = mu.n
     h = _ball_step(radius, n, step_cap, mu)
-    creal = np.empty(2 * n)
-    creal[0::2] = c.real
-    creal[1::2] = c.imag
-    pts = _grid_points(creal, radius, h, n)
+    pts = grid_points([x + cube_axis(radius, h) for x in to_real(c[None, :])[0]])
     dist = np.linalg.norm(pts - c[None, :], axis=1)
     frac = np.clip((radius - dist) / h + 0.5, 0.0, 1.0)
     keep = frac > 0.0
@@ -254,12 +236,12 @@ def ball_mass_many(
     step_cap: Optional[float] = None,
 ) -> np.ndarray:
     """Ball masses at a batch of centers (N, n) complex."""
-    cs = np.asarray(centers, dtype=complex).reshape(-1, _measure_dim(mu))
+    cs = np.asarray(centers, dtype=complex).reshape(-1, mu.n)
     if isinstance(mu, AtomicMeasure):
         if len(mu) == 0:
             return np.zeros(cs.shape[0])
-        tree = cKDTree(_to_real(mu.locations))
-        hits = tree.query_ball_point(_to_real(cs), r=radius)
+        tree = cKDTree(to_real(mu.locations))
+        hits = tree.query_ball_point(to_real(cs), r=radius)
         out = np.empty(cs.shape[0])
         for i, idx in enumerate(hits):
             if not idx:
@@ -269,17 +251,6 @@ def ball_mass_many(
             out[i] = mu.weights[idx][d < radius].sum()
         return out
     return np.array([ball_mass(mu, c, radius, step_cap) for c in cs])
-
-
-def _measure_dim(mu: Measure) -> int:
-    return mu.n
-
-
-def _to_real(pts: np.ndarray) -> np.ndarray:
-    out = np.empty((pts.shape[0], 2 * pts.shape[1]))
-    out[:, 0::2] = pts.real
-    out[:, 1::2] = pts.imag
-    return out
 
 
 def averaging_field(
@@ -296,13 +267,13 @@ def averaging_field(
     decay certificate.
     """
     if isinstance(mu, AtomicMeasure) and len(mu) > 0:
-        tree = cKDTree(_to_real(mu.locations))
+        tree = cKDTree(to_real(mu.locations))
     else:
         tree = None
 
     def _eval(pts: np.ndarray) -> np.ndarray:
         if tree is not None:
-            hits = tree.query_ball_point(_to_real(pts), r=r)
+            hits = tree.query_ball_point(to_real(pts), r=r)
             mass = np.empty(pts.shape[0])
             for i, idx in enumerate(hits):
                 if not idx:
@@ -340,18 +311,80 @@ def averaging_sequence(mu: Measure, lat, r: float, s: float) -> np.ndarray:
     return mass / (1.0 + np.linalg.norm(centers, axis=1)) ** s
 
 
-def _kernel_sum_radius(t: float, alpha: float) -> float:
-    return math.sqrt(-2.0 * math.log(_SUM_CUTOFF) / (t * alpha))
+def _gaussian(x: np.ndarray, r: np.ndarray, c: float) -> np.ndarray:
+    """exp(-c |x_i - r_j|^2) between real coordinate rows x (P, d) and r (N, d)."""
+    d2 = np.zeros((x.shape[0], r.shape[0]))
+    diff = np.empty_like(d2)
+    for k in range(x.shape[1]):
+        np.subtract.outer(x[:, k], r[:, k], out=diff)
+        d2 += np.square(diff, out=diff)
+    return np.exp(np.multiply(d2, -c, out=d2), out=d2)
+
+
+def _khatri_rao(factors: list) -> np.ndarray:
+    """Row-wise Khatri-Rao product (L_1 ... L_k, N) of factors (L_i, N), ij order."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = (out[:, None, :] * f[None, :, :]).reshape(-1, f.shape[1])
+    return out
+
+
+def _node_index(axes, real: np.ndarray) -> Optional[np.ndarray]:
+    """Flat grid index of every atom if all sit on grid nodes, else None."""
+    idx = []
+    for k, ax in enumerate(axes):
+        i = np.minimum(np.searchsorted(ax, real[:, k]), ax.size - 1)
+        if not np.array_equal(ax[i], real[:, k]):
+            return None
+        idx.append(i)
+    return np.ravel_multi_index(tuple(idx), [ax.size for ax in axes])
+
+
+def _gauss_transform(mu: AtomicMeasure, c: float, s: float, where) -> np.ndarray:
+    """Exact transform w -> sum_j mu_j (1 + |z_j|)^{-s} exp(-c |w - z_j|^2).
+
+    ``where`` is either a complex (P, n) array of points, giving P values,
+    or the 2n real axes of a tensor grid, giving values in the grid's
+    shape, ij-ordered like ``grid.grid_points``. On a grid the Gaussian
+    factors over the real axes. Atoms that all sit on the grid's nodes (a
+    discretised density) are contracted axis by axis; any others go
+    through the matrix product (A_1 .. A_n) diag(mu) (A_n+1 .. A_2n)^T of
+    the per-axis factors A_k[i, j] = exp(-c (x_k,i - z_j,k)^2), with each
+    group of n combined by a row-wise Khatri-Rao product.
+    """
+    n = mu.n
+    real = to_real(mu.locations)
+    dw = mu.weights * (1.0 + np.linalg.norm(mu.locations, axis=1)) ** (-s)
+    budget = 4_000_000  # elements in one temporary pair block
+    if isinstance(where, np.ndarray):
+        x = to_real(where.reshape(-1, n))
+        out = np.zeros(x.shape[0])
+        chunk = max(1, budget // max(len(mu), 1))
+        for lo in range(0, x.shape[0], chunk):
+            out[lo:lo + chunk] = _gaussian(x[lo:lo + chunk], real, c) @ dw
+        return out
+    shape = tuple(ax.size for ax in where)
+    nodes = _node_index(where, real)
+    if nodes is not None:
+        out = np.bincount(nodes, weights=dw, minlength=math.prod(shape)).reshape(shape)
+        for k, ax in enumerate(where):
+            factor = _gaussian(ax[:, None], ax[:, None], c)
+            out = np.moveaxis(np.tensordot(factor, out, axes=(1, k)), 0, k)
+        return out
+    rows = (math.prod(shape[:n]), math.prod(shape[n:]))
+    out = np.zeros(rows)
+    chunk = max(1, budget // max(rows))
+    for lo in range(0, len(mu), chunk):
+        part = slice(lo, lo + chunk)
+        fac = [_gaussian(ax[:, None], real[part, k:k + 1], c) for k, ax in enumerate(where)]
+        out += (_khatri_rao(fac[:n]) * dw[part]) @ _khatri_rao(fac[n:]).T
+    return out.reshape(shape)
 
 
 def berezin_value(mu: AtomicMeasure, w, t: float, s: float, alpha: float) -> float:
     """int exp(-t alpha |z - w|^2 / 2) (1 + |z|)^{-s} dmu(z), atomic mu."""
-    wv = np.asarray(w, dtype=complex).reshape(-1)
-    if len(mu) == 0:
-        return 0.0
-    d2 = np.sum(np.abs(mu.locations - wv[None, :]) ** 2, axis=1)
-    damp = (1.0 + np.linalg.norm(mu.locations, axis=1)) ** (-s)
-    return float(np.sum(mu.weights * damp * np.exp(-t * alpha * d2 / 2.0)))
+    wv = np.asarray(w, dtype=complex).reshape(1, mu.n)
+    return float(_gauss_transform(mu, t * alpha / 2.0, s, wv)[0])
 
 
 def berezin_field(
@@ -363,36 +396,17 @@ def berezin_field(
 ) -> ScalarField:
     """Kernel transform of an atomic (or pre-discretised) measure as a field.
 
-    Pruned atom sums: only atoms within the distance where the Gaussian
-    factor clears 1e-14 contribute at each evaluation point.
+    Values are exact atom sums. Without ``support_radius`` the field is
+    tagged compact out to where the Gaussian factor falls below 1e-14.
     """
     if not isinstance(mu, AtomicMeasure):
         raise TypeError("berezin_field expects atoms; discretize densities first")
-    cutoff = _kernel_sum_radius(t, alpha)
-    if len(mu) > 0:
-        tree = cKDTree(_to_real(mu.locations))
-        damp = mu.weights * (1.0 + np.linalg.norm(mu.locations, axis=1)) ** (-s)
-    else:
-        tree = None
-        damp = None
-
-    def _eval(pts: np.ndarray) -> np.ndarray:
-        out = np.zeros(pts.shape[0])
-        if tree is None:
-            return out
-        hits = tree.query_ball_point(_to_real(pts), r=cutoff)
-        for i, idx in enumerate(hits):
-            if not idx:
-                continue
-            d2 = np.sum(np.abs(mu.locations[idx] - pts[i][None, :]) ** 2, axis=1)
-            out[i] = np.sum(damp[idx] * np.exp(-t * alpha * d2 / 2.0))
-        return out
-
     compact = support_radius
     if compact is None and len(mu) > 0:
-        compact = mu.extent + cutoff
+        compact = mu.extent + math.sqrt(-2.0 * math.log(_SUM_CUTOFF) / (t * alpha))
     return scalar_field(
-        _eval, n=mu.n, decay=t * alpha / 4.0, growth=0.0, compact_radius=compact
+        lambda pts: _gauss_transform(mu, t * alpha / 2.0, s, pts),
+        n=mu.n, decay=t * alpha / 4.0, growth=0.0, compact_radius=compact,
     )
 
 
@@ -410,20 +424,15 @@ def sequence_lp(values: np.ndarray, k: float) -> float:
 
 def total_weighted_mass(mu: Measure, s: float, radius: float,
                         step_cap: Optional[float] = None) -> float:
-    """int_{|z| <= radius} (1 + |z|)^{-s} dmu(z), truncated at the radius."""
-    if isinstance(mu, AtomicMeasure):
-        if len(mu) == 0:
-            return 0.0
-        r = np.linalg.norm(mu.locations, axis=1)
-        keep = r <= radius
-        return float(np.sum(mu.weights[keep] * (1.0 + r[keep]) ** (-s)))
-    n = mu.n
-    h = _ball_step(radius, n, step_cap, mu)
-    pts = _grid_points(np.zeros(2 * n), radius, h, n)
-    r = np.linalg.norm(pts, axis=1)
+    """int_{|z| <= radius} (1 + |z|)^{-s} dmu(z), truncated at the radius.
+
+    A density is summed over its discretisation on the cube of the radius.
+    """
+    if isinstance(mu, DensityMeasure):
+        mu = discretize(mu, radius, _ball_step(radius, mu.n, step_cap, mu))
+    r = np.linalg.norm(mu.locations, axis=1)
     keep = r <= radius
-    vals = mu.density(pts[keep]) * (1.0 + r[keep]) ** (-s)
-    return float(vals.sum() * h ** (2 * n))
+    return float(np.sum(mu.weights[keep] * (1.0 + r[keep]) ** (-s)))
 
 
 def weighted_mass_divergent(mu: Measure, s: float) -> bool:

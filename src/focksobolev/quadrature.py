@@ -26,6 +26,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import gammaincc
 
+from .grid import to_complex, to_real
+
 __all__ = [
     "QuadratureError",
     "QuasiNormError",
@@ -157,12 +159,9 @@ class ScalarField:
 
     def center_coords(self) -> np.ndarray:
         """Real coordinates (2n,) of the declared center."""
-        out = np.zeros(2 * self.n)
-        if self.center is not None:
-            w = np.asarray(self.center, dtype=complex).reshape(self.n)
-            out[0::2] = w.real
-            out[1::2] = w.imag
-        return out
+        if self.center is None:
+            return np.zeros(2 * self.n)
+        return to_real(np.asarray(self.center, dtype=complex).reshape(1, self.n))[0]
 
 
 def scalar_field(
@@ -205,10 +204,6 @@ def _ring_directions(n: int) -> np.ndarray:
     return np.stack(base, axis=0)
 
 
-def _coords_to_complex(xy: np.ndarray, n: int) -> np.ndarray:
-    return xy[..., 0::2] + 1j * xy[..., 1::2]
-
-
 def _fit_envelope_const(field: ScalarField) -> float:
     if field.decay <= 0 and field.compact_radius is None:
         return 1.0
@@ -220,7 +215,7 @@ def _fit_envelope_const(field: ScalarField) -> float:
     dirs = _ring_directions(field.n)
     ctr = field.center_coords()
     pts = (radii[:, None, None] * dirs[None, :, :] + ctr).reshape(-1, 2 * field.n)
-    z = _coords_to_complex(pts, field.n)
+    z = to_complex(pts)
     vals = np.asarray(field.evaluate(z), dtype=float)
     rel = np.linalg.norm(pts - ctr, axis=1)
     env = (1.0 + rel) ** field.growth * np.exp(-max(field.decay, 0.0) * rel ** 2)
@@ -253,11 +248,6 @@ class QuadratureScheme:
 
     def refined(self) -> "QuadratureScheme":
         return replace(self, cells=2 * self.cells)
-
-    def with_cube(self, cube_radius: float) -> "QuadratureScheme":
-        """Resize the cube, keeping the step fixed."""
-        cells = max(2, int(round(2.0 * cube_radius / self.step)))
-        return replace(self, cube_radius=cells * self.step / 2.0, cells=cells)
 
 
 def scheme_for(
@@ -454,9 +444,7 @@ def sup_field_norm(
     local_cells = 16
     half = step
     for _ in range(4):
-        ctr = np.empty(2 * n)
-        ctr[0::2] = best_pt.real
-        ctr[1::2] = best_pt.imag
+        ctr = to_real(best_pt[None, :])[0]
         axes = [_axis(ctr[k], half, local_cells) for k in range(2 * n)]
         for i in range(local_cells):
             pts = _slab_points(n, axes, i)

@@ -105,6 +105,26 @@ def test_verdict_matches_analytic_rule_n1():
         assert got == want, (mu.kind, p, q, m)
 
 
+def test_large_atomic_transform_is_exact():
+    """A 38,416-atom contraction pullback at n=2: the transform supremum is
+    the composition transform at w = 0, which is pi^2."""
+    P = params(2.0, 2.0, n=2)
+    lam = fs.pullback_measure(fs.affine_symbol(0.5 * np.eye(2)), P, radius=3.5, step=0.5)
+    assert len(lam) == 38_416
+    v = fs.classify_carleson(lam, P)
+    assert v.criterion_values["transform"] == pytest.approx(math.pi ** 2, rel=1e-3)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p", [2.0, 4.0, math.inf])
+def test_measure_suite_expectations_follow_rule(n, p):
+    """Fixed expectations of the measure suite agree with the analytic rule."""
+    P = params(p, 2.0, n=n)
+    for sc in fs.measure_suite(n):
+        if sc.expect_carleson is not None:
+            assert sc.expect_carleson == fs.expected_measure_verdict(sc.measure, P), sc.name
+
+
 def test_three_way_values_comparable(lattice_atoms):
     P = params(2.0, 2.0)
     vals = fs.three_way_values(lattice_atoms, P, t=2.0, r=1.0)

@@ -75,6 +75,7 @@ def test_compop_row(cli, params_file, tmp_path):
     _, rows = parse_jsonl(out.read_text())
     assert rows[0]["bounded"] == 1
     assert rows[0]["compact"] == 1
+    assert '"bounded":true' in out.read_text().splitlines()[1]
 
 
 def test_csv_format(cli, params_file, tmp_path):

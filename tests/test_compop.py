@@ -157,6 +157,26 @@ def test_suite_expectations_match(params_m0):
         assert v.compact == sc.expect_compact, sc.name
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p", [2.0, 4.0, math.inf])
+def test_suite_expectations_follow_affine_rule(n, p):
+    """Expected verdicts of the affine scenarios against linear_symbol_check.
+
+    At or above the diagonal the admissibility flags decide; below it,
+    a sup-norm source included, bounded and compact coincide and need
+    operator norm below one. The zero weight gives the zero operator.
+    """
+    P = fs.Params(n=n, alpha=1.0, m=0, p=p, q=2.0)
+    for sc in fs.composition_suite(P):
+        if not sc.symbol.is_affine:
+            continue
+        chk = fs.linear_symbol_check(sc.symbol.psi.matrix, sc.symbol.psi.offset)
+        zero = isinstance(sc.symbol.u, fs.Polynomial) and sc.symbol.u.is_zero()
+        compact = zero or chk["admissible_compact"]
+        bounded = compact if p > P.q else zero or chk["admissible_bounded"]
+        assert (sc.expect_bounded, sc.expect_compact) == (bounded, compact), sc.name
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     a=st.floats(min_value=-1.5, max_value=1.5),

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import focksobolev as fs
+from focksobolev.grid import cube_axis, grid_points
+from focksobolev.measures import _gauss_transform
 
 
 def delta(w=0.0 + 0.0j, weight=1.0):
@@ -78,6 +80,36 @@ def test_berezin_field_matches_value():
     vals = field.evaluate(pts)
     assert vals[0] == pytest.approx(1.0)
     assert vals[1] == pytest.approx(math.exp(-1.0))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("on_nodes", [False, True])
+def test_gauss_transform_matches_brute_force(n, on_nodes):
+    """Grid and scattered values of the transform kernel against a plain
+    sum over atoms, for atoms off the grid and for a discretised density
+    whose atoms sit on the grid's nodes."""
+    radius, step, c, s = 2.0, 0.5, 0.8, 1.5
+    rng = np.random.default_rng(11)
+    if on_nodes:
+        mu = fs.discretize(fs.gaussian(1.0, n), radius, step)
+    else:
+        loc = rng.normal(scale=1.2, size=(40, 2 * n))
+        mu = fs.AtomicMeasure(loc[:, :n] + 1j * loc[:, n:], rng.uniform(0.1, 2.0, 40), n)
+    damp = mu.weights * (1.0 + np.linalg.norm(mu.locations, axis=1)) ** (-s)
+
+    def brute(pts):
+        return np.array([
+            np.sum(damp * np.exp(-c * np.sum(np.abs(mu.locations - w) ** 2, axis=1)))
+            for w in pts
+        ])
+
+    axes = [cube_axis(radius, step)] * (2 * n)
+    on_grid = _gauss_transform(mu, c, s, axes)
+    assert on_grid.shape == (axes[0].size,) * (2 * n)
+    np.testing.assert_allclose(on_grid.ravel(), brute(grid_points(axes)), rtol=1e-12)
+    xy = rng.uniform(-radius, radius, size=(50, 2 * n))
+    pts = xy[:, :n] + 1j * xy[:, n:]
+    np.testing.assert_allclose(_gauss_transform(mu, c, s, pts), brute(pts), rtol=1e-12)
 
 
 def test_averaging_field_lebesgue_flat():
