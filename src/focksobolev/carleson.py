@@ -118,34 +118,6 @@ def _capped_atoms(mu: Measure) -> np.ndarray:
     return mu.locations[np.sort(order)]
 
 
-def _overlap_ball_values(atoms: AtomicMeasure, centers: np.ndarray, r: float) -> np.ndarray:
-    """Ball masses mu(B(c, r)) at centers that are pairwise >= r apart.
-
-    Separated centers bound how many balls can hold one atom, so a
-    k-nearest query from the atom side accumulates every overlap without
-    per-center loops.
-    """
-    out = np.zeros(centers.shape[0])
-    if len(atoms) == 0 or centers.shape[0] == 0:
-        return out
-    tree = cKDTree(to_real(centers))
-    kmax = min(32, centers.shape[0])
-    chunk = 100_000
-    for lo in range(0, len(atoms), chunk):
-        loc = atoms.locations[lo:lo + chunk]
-        wts = atoms.weights[lo:lo + chunk]
-        dist, idx = tree.query(to_real(loc), k=kmax,
-                               distance_upper_bound=r * (1.0 + 1e-12))
-        dist = np.atleast_2d(dist.reshape(loc.shape[0], -1))
-        idx = np.atleast_2d(idx.reshape(loc.shape[0], -1))
-        valid = dist < r
-        if kmax < centers.shape[0] and np.any(np.all(valid, axis=1)):
-            raise RuntimeError("ball overlap exceeded the separation bound")
-        w2d = np.broadcast_to(wts[:, None], valid.shape)
-        np.add.at(out, idx[valid], w2d[valid])
-    return out
-
-
 def _local_refine(fn, start: np.ndarray, radius: float, n: int, steps: int = 13,
                   rounds: int = 2) -> float:
     """Refine a maximum of fn (of points or of grid axes) on shrinking grids."""
@@ -178,10 +150,9 @@ def _stage_values(mu: Measure, params: Params, t: float, s: float, r: float,
     seq_keep = cnorm <= T - r
     atoms_T = discretize(mu, T, h)
     if n == 2:
-        # one k-nearest pass gives every center its ball mass; per-center
-        # local grids would be far too slow at this many centers
-        center_mass = _overlap_ball_values(atoms_T, centers, r)
-        center_avg = center_mass / (1.0 + cnorm) ** s
+        # ball masses of the stage's discretised measure; a density's own
+        # ball stencils would be far too slow at this many centers
+        center_avg = ball_mass_many(atoms_T, centers, r) / (1.0 + cnorm) ** s
         seq_vals = center_avg[seq_keep]
     else:
         center_avg = None

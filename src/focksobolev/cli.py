@@ -511,7 +511,7 @@ def _cmd_suite(args) -> tuple:
                 )
             rows.append(row)
     config = {"command": "suite", "params": dataclasses.asdict(params),
-              "seed": args.seed, "version": __version__}
+              "version": __version__}
     return rows, config
 
 
@@ -565,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run the scenario suites against expectations")
     common(p)
     p.add_argument("--params", required=True)
-    p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=_cmd_suite)
     return ap
 

@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .grid import cube_axis, grid_points, to_real
+from .grid import cube_axis, grid_points, to_complex, to_real
 from .quadrature import (
     QuasiNormError,
     ScalarField,
@@ -205,28 +205,15 @@ def ball_mass(
     radius: float,
     step_cap: Optional[float] = None,
 ) -> float:
-    """mu(B(center, radius)), the strict Euclidean ball.
+    """mu(B(center, radius)), the strict Euclidean ball; see ``ball_mass_many``."""
+    return float(ball_mass_many(mu, center, radius, step_cap)[0])
 
-    Atomic measures are summed exactly. Densities are integrated on a
-    local cell-center grid over the bounding cube; cells crossing the
-    boundary sphere contribute fractionally, with the covered fraction
-    taken linear in the signed distance across one cell width.
-    """
-    c = np.asarray(center, dtype=complex).reshape(-1)
-    if isinstance(mu, AtomicMeasure):
-        if len(mu) == 0:
-            return 0.0
-        d = np.linalg.norm(mu.locations - c[None, :], axis=1)
-        return float(mu.weights[d < radius].sum())
-    n = mu.n
-    h = _ball_step(radius, n, step_cap, mu)
-    pts = grid_points([x + cube_axis(radius, h) for x in to_real(c[None, :])[0]])
-    dist = np.linalg.norm(pts - c[None, :], axis=1)
-    frac = np.clip((radius - dist) / h + 0.5, 0.0, 1.0)
-    keep = frac > 0.0
-    if not np.any(keep):
-        return 0.0
-    return float((mu.density(pts[keep]) * frac[keep]).sum() * h ** (2 * n))
+
+# Block sizes bound the temporaries, and with them peak memory: candidate
+# (centre, atom) pairs per atom block, and stencil points per centre block.
+_PAIR_BUDGET = 250_000
+_ATOM_BLOCK = (1_000, 100_000)
+_STENCIL_BUDGET = 20_000
 
 
 def ball_mass_many(
@@ -235,22 +222,49 @@ def ball_mass_many(
     radius: float,
     step_cap: Optional[float] = None,
 ) -> np.ndarray:
-    """Ball masses at a batch of centers (N, n) complex."""
+    """Ball masses mu(B(c, radius)) of strict Euclidean balls at centers (N, n).
+
+    Atomic measures are summed exactly: the atoms are walked in blocks
+    whose candidate (centre, atom) pairs come from a kd-tree over the
+    centres. Densities are integrated on a cell-centre stencil over the
+    bounding cube of each ball, with step from ``_ball_step``; cells
+    crossing the boundary sphere contribute fractionally, with the covered
+    fraction taken linear in the signed distance across one cell width.
+    """
     cs = np.asarray(centers, dtype=complex).reshape(-1, mu.n)
-    if isinstance(mu, AtomicMeasure):
-        if len(mu) == 0:
-            return np.zeros(cs.shape[0])
-        tree = cKDTree(to_real(mu.locations))
-        hits = tree.query_ball_point(to_real(cs), r=radius)
-        out = np.empty(cs.shape[0])
-        for i, idx in enumerate(hits):
-            if not idx:
-                out[i] = 0.0
-                continue
-            d = np.linalg.norm(mu.locations[idx] - cs[i][None, :], axis=1)
-            out[i] = mu.weights[idx][d < radius].sum()
+    out = np.zeros(cs.shape[0])
+    if cs.shape[0] == 0:
         return out
-    return np.array([ball_mass(mu, c, radius, step_cap) for c in cs])
+    if isinstance(mu, AtomicMeasure):
+        tree = cKDTree(to_real(cs))
+        real = to_real(mu.locations)
+        lo, block = 0, _ATOM_BLOCK[0]
+        while lo < len(mu):
+            # the padded radius keeps every pair the strict test below accepts
+            pairs = cKDTree(real[lo:lo + block]).sparse_distance_matrix(
+                tree, radius * (1.0 + 1e-12), output_type="ndarray")
+            i, j = pairs["i"] + lo, pairs["j"]
+            inside = np.linalg.norm(mu.locations[i] - cs[j], axis=1) < radius
+            out += np.bincount(j[inside], weights=mu.weights[i[inside]],
+                               minlength=out.size)
+            lo += block
+            # size the next block from this block's pairs per atom
+            block = int(np.clip(_PAIR_BUDGET * block // max(pairs.size, 1), *_ATOM_BLOCK))
+        return out
+    n = mu.n
+    h = _ball_step(radius, n, step_cap, mu)
+    off = to_real(grid_points([cube_axis(radius, h)] * (2 * n)))
+    # cells at distance radius + h/2 or more have a covered fraction of 0
+    off = off[np.linalg.norm(off, axis=1) < radius + h]
+    chunk = max(1, _STENCIL_BUDGET // off.shape[0])
+    for lo in range(0, cs.shape[0], chunk):
+        c = cs[lo:lo + chunk]
+        pts = to_complex(to_real(c)[:, None, :] + off)
+        frac = np.clip((radius - np.linalg.norm(pts - c[:, None, :], axis=2)) / h + 0.5,
+                       0.0, 1.0)
+        dens = mu.density(pts.reshape(-1, n)).reshape(frac.shape)
+        out[lo:lo + chunk] = (dens * frac).sum(axis=1) * h ** (2 * n)
+    return out
 
 
 def averaging_field(
@@ -266,25 +280,9 @@ def averaging_field(
     which is how staged truncation comparisons integrate it without a
     decay certificate.
     """
-    if isinstance(mu, AtomicMeasure) and len(mu) > 0:
-        tree = cKDTree(to_real(mu.locations))
-    else:
-        tree = None
 
     def _eval(pts: np.ndarray) -> np.ndarray:
-        if tree is not None:
-            hits = tree.query_ball_point(to_real(pts), r=r)
-            mass = np.empty(pts.shape[0])
-            for i, idx in enumerate(hits):
-                if not idx:
-                    mass[i] = 0.0
-                    continue
-                d = np.linalg.norm(mu.locations[idx] - pts[i][None, :], axis=1)
-                mass[i] = mu.weights[idx][d < r].sum()
-        elif isinstance(mu, AtomicMeasure):
-            mass = np.zeros(pts.shape[0])
-        else:
-            mass = ball_mass_many(mu, pts, r, step_cap)
+        mass = ball_mass_many(mu, pts, r, step_cap)
         return mass / (1.0 + np.linalg.norm(pts, axis=1)) ** s
 
     decay = 1.0

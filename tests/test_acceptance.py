@@ -209,7 +209,7 @@ def test_report_determinism(tmp_path):
     outs = []
     for name, threads in [("a", 1), ("b", 1), ("c", 4)]:
         out = tmp_path / f"{name}.jsonl"
-        res = run_cli(["suite", "--params", "@" + str(params), "--seed", "7",
+        res = run_cli(["suite", "--params", "@" + str(params),
                        "--threads", str(threads), "--out", str(out)])
         assert res.returncode == 0, res.stderr
         outs.append(out.read_bytes())
