@@ -43,6 +43,7 @@ from .funcspace import (
     fock_sobolev_norm,
     kernel,
     log_abs,
+    log_weight,
     norm_constant,
     norm_integrand_field,
     pointwise_bound_ratio,
@@ -70,7 +71,6 @@ from .measures import (
     ring,
     sequence_lp,
     total_weighted_mass,
-    weighted_mass_divergent,
 )
 from .quadrature import (
     DivergentIntegral,
@@ -79,7 +79,6 @@ from .quadrature import (
     QuasiNormError,
     ScalarField,
     integrate_gaussian,
-    lp_field_norm,
     scalar_field,
     scheme_for,
     set_worker_count,

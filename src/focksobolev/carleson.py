@@ -18,13 +18,20 @@ the identical grid step and flagging relative growth beyond tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .funcspace import Params, fock_sobolev_norm, log_abs, probe_family
+from .funcspace import (
+    Params,
+    fock_sobolev_norm,
+    log_abs,
+    log_weight,
+    norm_integrand_field,
+    probe_family,
+)
 from .geometry import Lattice, make_lattice
 from .grid import cube_axis, grid_points, to_real
 from .measures import (
@@ -38,7 +45,7 @@ from .measures import (
     sequence_lp,
     total_weighted_mass,
 )
-from .quadrature import integrate_gaussian, scheme_for
+from .quadrature import integrate_gaussian, scalar_field, scheme_for
 
 __all__ = [
     "CarlesonVerdict",
@@ -50,6 +57,7 @@ __all__ = [
 ]
 
 _ATOM_CAP = 3000
+_LOG_NOTHING = math.log(1e-300)
 _SCAN_STEP = {1: 0.25, 2: 1.0}
 
 
@@ -231,26 +239,27 @@ def _growth_ratio(v1: float, v2: float) -> float:
     return v2 / v1 - 1.0
 
 
-def _staged_divergent(v0: float, v1: float, v2: float, tol: float) -> bool:
-    """Trend decision from criterion values at three nested stages.
+def growth_divergent(l0: float, l1: float, l2: float, tol: float) -> bool:
+    """Trend decision from the logs of a quantity at three nested stages.
 
-    Sub-tolerance growth between the middle and outer stages reads as
-    convergence. Larger growth is judged by the log-increment trend:
-    a transient approaching a finite value shrinks its increments by
-    the expansion factor per stage, while power-or-faster growth keeps
+    A log at or below log(1e-300) means nothing is there. Nothing at the
+    outer stage, or growth from the middle to the outer stage below the
+    tolerance, reads as convergence; something appearing where an inner
+    stage had nothing reads as divergence. Otherwise the increment trend
+    decides: a transient approaching a finite value shrinks its increments
+    by the expansion factor per stage, while power-or-faster growth keeps
     them at least steady.
     """
-    if v1 <= 1e-300:
-        return v2 > 1e-300
-    if not v2 > v1 * (1.0 + tol):
+    if l2 <= _LOG_NOTHING or (l1 > _LOG_NOTHING and not l2 > l1 + math.log1p(tol)):
         return False
-    if v0 <= 1e-300:
+    if min(l0, l1) <= _LOG_NOTHING:
         return True
-    g01 = math.log(v1 / v0)
-    g12 = math.log(v2 / v1)
-    if g01 <= 0.0:
-        return True
-    return g12 > 0.8 * g01
+    g01 = l1 - l0
+    return g01 <= 0.0 or l2 - l1 > 0.8 * g01
+
+
+def _log(v: float) -> float:
+    return math.log(v) if v > 0.0 else -math.inf
 
 
 def _profile(scan_r: np.ndarray, scan_v: np.ndarray, T: float) -> tuple:
@@ -316,7 +325,8 @@ def classify_carleson(
 
     growth = {key: _growth_ratio(vals1[key], vals2[key]) for key in vals1}
     divergent = any(
-        _staged_divergent(vals0.get(key, 0.0), vals1[key], vals2[key], growth_tol)
+        growth_divergent(_log(vals0.get(key, 0.0)), _log(vals1[key]), _log(vals2[key]),
+                         growth_tol)
         for key in vals1
     )
     is_carleson = not divergent
@@ -399,7 +409,6 @@ def embedding_ratio(f, mu: Measure, params: Params, scheme=None) -> float:
     q = params.q
     if math.isinf(q):
         raise ValueError("embedding ratio needs a finite target exponent")
-    alpha = params.alpha
     denom = fock_sobolev_norm(f, params)
     if denom == 0.0:
         raise ValueError("embedding ratio is undefined for the zero function")
@@ -407,20 +416,16 @@ def embedding_ratio(f, mu: Measure, params: Params, scheme=None) -> float:
         if len(mu) == 0:
             return 0.0
         la = log_abs(f, mu.locations, params)
-        rr = np.linalg.norm(mu.locations, axis=1)
-        num_q = float(np.sum(mu.weights * np.exp(q * la - q * alpha * rr ** 2 / 2.0)))
+        num_q = float(np.sum(mu.weights * np.exp(
+            log_weight(la, mu.locations, replace(params, m=0), q))))
     else:
-        from .funcspace import norm_integrand_field  # local: avoids cycle at import
-
-        base = norm_integrand_field(f, _strip_m(params), q)
+        base = norm_integrand_field(f, replace(params, m=0), q)
 
         def _eval(pts: np.ndarray) -> np.ndarray:
             return base.evaluate(pts) * mu.density(pts)
 
         extra_decay = mu.rate if mu.kind == "gaussian" else 0.0
         extra_growth = mu.power if mu.kind == "polygrowth" else 0.0
-        from .quadrature import scalar_field
-
         fld = scalar_field(
             _eval,
             n=params.n,
@@ -436,12 +441,6 @@ def embedding_ratio(f, mu: Measure, params: Params, scheme=None) -> float:
     if num_q <= 0.0:
         return 0.0
     return num_q ** (1.0 / q) / denom
-
-
-def _strip_m(params: Params) -> Params:
-    from dataclasses import replace
-
-    return replace(params, m=0)
 
 
 def carleson_lower_bound(mu: Measure, params: Params, family=None,

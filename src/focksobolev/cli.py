@@ -40,8 +40,6 @@ from .compop import (
     one,
 )
 from .funcspace import (
-    KernelCombo,
-    KernelTerm,
     Params,
     Polynomial,
     fock_sobolev_norm,
@@ -49,6 +47,7 @@ from .funcspace import (
     polynomial,
 )
 from .geometry import make_lattice, verify_lattice
+from .grid import to_complex
 from .measures import AtomicMeasure, DensityMeasure
 from .quadrature import DivergentIntegral, set_worker_count
 from .scenarios import (
@@ -128,7 +127,7 @@ def _parse_points(raw, n: int, label: str) -> np.ndarray:
         raise ConfigError(
             f"{label}: each point needs {2 * n} reals (re/im per coordinate)"
         )
-    return arr[:, 0::2] + 1j * arr[:, 1::2]
+    return to_complex(arr)
 
 
 def parse_measure(text: str, n: int):
@@ -402,7 +401,7 @@ def _cmd_compop(args) -> tuple:
 
 
 def _norm_rows(params: Params, cells: Optional[int]) -> list:
-    from .quadrature import DEFAULT_CELLS, scheme_for
+    from .quadrature import scheme_for
 
     rows = []
     n, alpha = params.n, params.alpha

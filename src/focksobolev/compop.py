@@ -31,7 +31,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy.special import logsumexp
 
-from .carleson import CarlesonVerdict, classify_carleson
+from .carleson import CarlesonVerdict, classify_carleson, growth_divergent
 from .funcspace import (
     EntireFunction,
     EvaluationOverflow,
@@ -39,6 +39,7 @@ from .funcspace import (
     Params,
     Polynomial,
     log_abs,
+    log_weight,
     norm_constant,
     polynomial,
     probe_family,
@@ -198,17 +199,11 @@ def _log_integrand(sym: SymbolPair, params: Params, q: float, w: np.ndarray,
                    pts: np.ndarray, include_discount: bool = True) -> np.ndarray:
     a, m = params.alpha, params.m
     psi_v = sym.psi.apply(pts)
-    la_u = log_abs(sym.u, pts, params)
-    r2 = np.sum(np.abs(pts) ** 2, axis=1)
+    L = log_weight(log_abs(sym.u, pts, params), pts, params, q)
     pairing = (psi_v @ np.conj(w)).real
-    L = q * a * pairing - q * a * float(np.vdot(w, w).real) / 2.0
-    L = L + q * la_u - q * a * r2 / 2.0
-    if m > 0:
-        with np.errstate(divide="ignore"):
-            L = L + q * m * 0.5 * np.log(r2)
-            if include_discount:
-                rpsi = np.linalg.norm(psi_v, axis=1)
-                L = L - q * m * np.log1p(rpsi)
+    L = L + q * a * pairing - q * a * float(np.vdot(w, w).real) / 2.0
+    if m > 0 and include_discount:
+        L = L - q * m * np.log1p(np.linalg.norm(psi_v, axis=1))
     return L
 
 
@@ -358,13 +353,10 @@ def weight_profile(sym: SymbolPair, params: Params, z_radius: float,
         cand = dirs if rho > 0 else dirs[:1]
         pts = np.stack([rho * d for d in cand], axis=0)
         psi_v = sym.psi.apply(pts)
-        la_u = log_abs(sym.u, pts, params)
-        rpsi = np.linalg.norm(psi_v, axis=1)
-        L = la_u + (a / 2.0) * (rpsi ** 2 - rho ** 2)
+        L = log_weight(log_abs(sym.u, pts, params), pts, params, 1.0)
+        L = L + a * np.sum(np.abs(psi_v) ** 2, axis=1) / 2.0
         if m > 0:
-            with np.errstate(divide="ignore"):
-                L = L + m * (math.log(rho) if rho > 0 else -math.inf)
-            L = L - m * np.log1p(rpsi)
+            L = L - m * np.log1p(np.linalg.norm(psi_v, axis=1))
         out[i] = float(np.max(L))
     return radii, out
 
@@ -381,7 +373,7 @@ def pullback_measure(sym: SymbolPair, params: Params, q: Optional[float] = None,
     q = params.q if q is None else float(q)
     if math.isinf(q):
         raise ValueError("the pullback construction needs a finite exponent q")
-    n, a, m = params.n, params.alpha, params.m
+    n, a = params.n, params.alpha
     default_radius, default_step = _pullback_geometry(sym, n)
     if radius is None:
         radius = default_radius
@@ -390,13 +382,9 @@ def pullback_measure(sym: SymbolPair, params: Params, q: Optional[float] = None,
     cells = max(2, int(math.ceil(2.0 * radius / step)))
     offs, h = centred_grid(radius, cells, n)
     psi_v = sym.psi.apply(offs)
-    la_u = log_abs(sym.u, offs, params)
-    r2 = np.sum(np.abs(offs) ** 2, axis=1)
     rpsi2 = np.sum(np.abs(psi_v) ** 2, axis=1)
-    log_w = q * la_u - q * a * r2 / 2.0 + q * a * rpsi2 / 2.0 + 2 * n * math.log(h)
-    if m > 0:
-        with np.errstate(divide="ignore"):
-            log_w = log_w + q * m * 0.5 * np.log(r2)
+    log_w = log_weight(log_abs(sym.u, offs, params), offs, params, q)
+    log_w = log_w + q * a * rpsi2 / 2.0 + 2 * n * math.log(h)
     top = float(np.max(log_w)) if log_w.size else -math.inf
     if top > _WEIGHT_LOG_CAP:
         raise EvaluationOverflow(
@@ -454,13 +442,7 @@ def _trend_divergent(radii: np.ndarray, logs: np.ndarray, outer_radius: float,
     s0 = float(np.max(m0)) if m0.size else -math.inf
     s1 = float(np.max(m1)) if m1.size else -math.inf
     s2 = float(np.max(logs))
-    if not (s2 > s1 + math.log1p(growth_tol) and s2 > -600.0):
-        return False
-    g01 = s1 - s0
-    g12 = s2 - s1
-    if not math.isfinite(g01) or g01 <= 0.0:
-        return True
-    return g12 > 0.8 * g01
+    return growth_divergent(s0, s1, s2, growth_tol)
 
 
 def classify_compop(
@@ -585,19 +567,10 @@ def _compose_log_norm(sym: SymbolPair, f: EntireFunction, params: Params,
     """
     a, m, n = params.alpha, params.m, params.n
     offs, h = centred_grid(radius, cells, n)
-    psi_v = sym.psi.apply(offs)
-    la = log_abs(sym.u, offs, params) + log_abs(f, psi_v, params)
-    r2 = np.sum(np.abs(offs) ** 2, axis=1)
+    la = log_abs(sym.u, offs, params) + log_abs(f, sym.psi.apply(offs), params)
     if math.isinf(exponent):
-        L = la - a * r2 / 2.0
-        if m > 0:
-            with np.errstate(divide="ignore"):
-                L = L + m * 0.5 * np.log(r2)
-        return float(np.max(L))
-    L = exponent * la - exponent * a * r2 / 2.0
-    if m > 0:
-        with np.errstate(divide="ignore"):
-            L = L + exponent * m * 0.5 * np.log(r2)
+        return float(np.max(log_weight(la, offs, params, 1.0)))
+    L = log_weight(la, offs, params, exponent)
     with np.errstate(over="ignore"):
         log_int = float(logsumexp(L)) + 2 * n * math.log(h)
     log_c = math.log(norm_constant(exponent, m, n, a))

@@ -35,7 +35,6 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .quadrature import (
-    DEFAULT_CELLS,
     DEFAULT_EPS_TAIL,
     QuadratureScheme,
     ScalarField,
@@ -57,6 +56,7 @@ __all__ = [
     "kernel",
     "evaluate",
     "log_abs",
+    "log_weight",
     "norm_constant",
     "norm_integrand_field",
     "fock_sobolev_norm",
@@ -218,7 +218,11 @@ def _kernel_log_terms(f: KernelCombo, pts: np.ndarray, params: Params) -> np.nda
         if t.sobolev_scaled:
             shift += params.m * math.log1p(float(np.linalg.norm(w)))
         log_c = np.log(complex(t.coeff)) if t.coeff != 0 else complex(-math.inf, 0.0)
-        out[i] = log_c + a * (pts @ np.conj(w)) - shift
+        row = out[i]  # filled in place, as in log_abs
+        np.matmul(pts, np.conj(w), out=row)
+        row *= a
+        row += log_c
+        row -= shift
     return out
 
 
@@ -258,9 +262,11 @@ def log_abs(f: EntireFunction, pts: np.ndarray, params: Params) -> np.ndarray:
     logs = _kernel_log_terms(f, pts, params)
     peak = np.max(logs.real, axis=0)
     peak = np.where(np.isfinite(peak), peak, 0.0)
-    total = np.exp(logs - peak[None, :]).sum(axis=0)
+    # in place: on a quadrature slab these arrays set the peak memory
+    logs -= peak[None, :]
+    total = np.abs(np.exp(logs, out=logs).sum(axis=0))
     with np.errstate(divide="ignore"):
-        return peak + np.log(np.abs(total))
+        return peak + np.log(total)
 
 
 def _function_degree(f: EntireFunction) -> int:
@@ -292,29 +298,34 @@ def norm_constant(p: float, m: int, n: int, alpha: float) -> float:
     return math.exp(log_c)
 
 
+def log_weight(la: np.ndarray, pts: np.ndarray, params: Params, q: float) -> np.ndarray:
+    """log of |z|^{qm} |f(z)|^q exp(-q alpha |z|^2 / 2) at points (N, n), from la = log|f|.
+
+    This is the weight that the norm, the measure transforms and the
+    composition transform all integrate. It is -inf where f vanishes, and
+    at the origin when m > 0.
+    """
+    r2 = np.sum(np.abs(pts) ** 2, axis=1)
+    out = q * la - q * params.alpha * r2 / 2.0
+    if params.m > 0:
+        with np.errstate(divide="ignore"):
+            out = out + (q * params.m / 2.0) * np.log(r2)
+    return out
+
+
 def norm_integrand_field(f: EntireFunction, params: Params, p: float) -> ScalarField:
     """Field z -> |z|^{mp} |f(z)|^p exp(-alpha p |z|^2 / 2) with envelope."""
-    m, a, n = params.m, params.alpha, f.n
 
     def _eval(pts: np.ndarray) -> np.ndarray:
-        la = log_abs(f, pts, params)
-        r2 = np.abs(pts[:, 0:1]) ** 2
-        for j in range(1, n):
-            r2 = r2 + np.abs(pts[:, j:j + 1]) ** 2
-        r2 = r2[:, 0]
-        expo = p * la - a * p * r2 / 2.0
-        if m * p > 0:
-            with np.errstate(divide="ignore"):
-                expo = expo + (m * p / 2.0) * np.log(r2)
         with np.errstate(invalid="ignore"):
-            out = np.exp(expo)
+            out = np.exp(log_weight(log_abs(f, pts, params), pts, params, p))
         return np.where(np.isnan(out), 0.0, out)
 
     return scalar_field(
         _eval,
-        n=n,
-        decay=a * p / 2.0,
-        growth=m * p + p * _function_degree(f),
+        n=f.n,
+        decay=params.alpha * p / 2.0,
+        growth=params.m * p + p * _function_degree(f),
         center=_single_center(f),
     )
 
@@ -331,19 +342,7 @@ def _default_norm_scheme(f: EntireFunction, params: Params, p: float) -> Quadrat
 
 def _sup_norm(f: EntireFunction, params: Params) -> float:
     m, a, n = params.m, params.alpha, f.n
-
-    def _eval(pts: np.ndarray) -> np.ndarray:
-        la = log_abs(f, pts, params)
-        r = np.linalg.norm(pts, axis=1)
-        expo = la - a * r ** 2 / 2.0
-        if m > 0:
-            with np.errstate(divide="ignore"):
-                expo = expo + m * np.log(r)
-        with np.errstate(invalid="ignore"):
-            out = np.exp(expo)
-        return np.where(np.isnan(out), 0.0, out)
-
-    field = scalar_field(_eval, n=n, decay=a / 2.0, growth=m + _function_degree(f))
+    field = norm_integrand_field(f, params, 1.0)
     radius = truncation_radius(a / 2.0, m + _function_degree(f), DEFAULT_EPS_TAIL, n)
     radius = 1.1 * radius + _center_pad(f) + 1.0
     step = 2.0 * radius / (256 if n == 1 else 40)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -45,7 +45,6 @@ __all__ = [
     "berezin_value",
     "sequence_lp",
     "total_weighted_mass",
-    "weighted_mass_divergent",
     "effective_radius",
 ]
 
@@ -431,18 +430,3 @@ def total_weighted_mass(mu: Measure, s: float, radius: float,
     r = np.linalg.norm(mu.locations, axis=1)
     keep = r <= radius
     return float(np.sum(mu.weights[keep] * (1.0 + r[keep]) ** (-s)))
-
-
-def weighted_mass_divergent(mu: Measure, s: float) -> bool:
-    """Analytic divergence check for the weighted total mass.
-
-    For the density catalog the integral of (1+|z|)^{power - s} over C^n
-    diverges exactly when power - s >= -2n; compact and Gaussian cases
-    always converge.
-    """
-    if isinstance(mu, AtomicMeasure):
-        return False
-    if mu.kind in ("gaussian", "ring") or mu.scale == 0:
-        return False
-    power = mu.power if mu.kind == "polygrowth" else 0.0
-    return power - s >= -2 * mu.n

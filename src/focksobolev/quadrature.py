@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import gammaincc
 
-from .grid import to_complex, to_real
+from .grid import cell_axis, grid_points, to_complex, to_real
 
 __all__ = [
     "QuadratureError",
@@ -38,7 +38,6 @@ __all__ = [
     "truncation_radius",
     "scheme_for",
     "integrate_gaussian",
-    "lp_field_norm",
     "sup_field_norm",
     "set_worker_count",
 ]
@@ -283,39 +282,32 @@ def _pairwise_sum(values: np.ndarray) -> float:
     return float(s[0]) if s.size else 0.0
 
 
-def _axis(center: float, cube_radius: float, cells: int) -> np.ndarray:
-    h = 2.0 * cube_radius / cells
-    return center - cube_radius + h * (np.arange(cells) + 0.5)
+def _slabs(axes: Sequence[np.ndarray]) -> Callable[[float], np.ndarray]:
+    """x -> the grid points (N, n) of the tensor grid on axes whose first
+    real coordinate is x. The other coordinates are built once per grid."""
+    rest = grid_points([np.zeros(1), *axes[1:]])
 
+    def slab(x: float) -> np.ndarray:
+        pts = rest.copy()
+        pts[:, 0] += x
+        return pts
 
-def _slab_points(field_n: int, axes: Sequence[np.ndarray], i: int) -> np.ndarray:
-    """Complex points (N, n) for slab i of the first real axis."""
-    if field_n == 1:
-        x = axes[0][i]
-        y = axes[1]
-        z = x + 1j * y
-        return z[:, None]
-    x1 = axes[0][i]
-    y1, x2, y2 = np.meshgrid(axes[1], axes[2], axes[3], indexing="ij")
-    z1 = (x1 + 1j * y1).ravel()
-    z2 = (x2 + 1j * y2).ravel()
-    return np.stack([z1, z2], axis=1)
+    return slab
 
 
 def _midpoint(field: ScalarField, center_xy: np.ndarray, cube_radius: float, cells: int) -> float:
-    axes = [_axis(center_xy[k], cube_radius, cells) for k in range(2 * field.n)]
     h = 2.0 * cube_radius / cells
+    axes = [c + cell_axis(cells, h) for c in center_xy]
+    slab = _slabs(axes)
 
-    def slab_sum(i: int) -> float:
-        pts = _slab_points(field.n, axes, i)
-        vals = np.asarray(field.evaluate(pts), dtype=float)
-        return float(np.sum(vals))
+    def slab_sum(x: float) -> float:
+        return float(np.sum(np.asarray(field.evaluate(slab(x)), dtype=float)))
 
     if _worker_count > 1:
         with ThreadPoolExecutor(max_workers=_worker_count) as pool:
-            sums = list(pool.map(slab_sum, range(cells)))
+            sums = list(pool.map(slab_sum, axes[0]))
     else:
-        sums = [slab_sum(i) for i in range(cells)]
+        sums = [slab_sum(x) for x in axes[0]]
     return _pairwise_sum(np.array(sums)) * h ** (2 * field.n)
 
 
@@ -383,28 +375,6 @@ def integrate_gaussian(field: ScalarField, scheme: QuadratureScheme) -> tuple[fl
     return fine, err
 
 
-def lp_field_norm(field: ScalarField, p_exp: float, scheme: QuadratureScheme) -> float:
-    """L^p norm of a field over the truncated domain, p_exp >= 1.
-
-    The p-th power of the field inherits the envelope with decay c*p and
-    growth d*p. Exponents below 1 are rejected; a powered field with no
-    decay and no compact support is flagged divergent.
-    """
-    if p_exp < 1.0:
-        raise QuasiNormError("exponents below 1 are outside the supported norm range")
-    powered = ScalarField(
-        evaluate=lambda z, _f=field.evaluate, _p=p_exp: np.asarray(_f(z), dtype=float) ** _p,
-        n=field.n,
-        decay=field.decay * p_exp,
-        growth=field.growth * p_exp,
-        center=field.center,
-        compact_radius=field.compact_radius,
-        envelope_const=field.envelope_const ** p_exp,
-    )
-    value, _ = integrate_gaussian(powered, scheme)
-    return value ** (1.0 / p_exp)
-
-
 def sup_field_norm(
     field: ScalarField, search_radius: float, step: float
 ) -> tuple[float, np.ndarray]:
@@ -422,39 +392,30 @@ def sup_field_norm(
         raise ValueError("search_radius and step must be positive")
     n = field.n
     cells = max(2, int(math.ceil(2.0 * search_radius / step)))
-    axes = [_axis(0.0, search_radius, cells) for _ in range(2 * n)]
-    best_val = -math.inf
-    best_pt = np.zeros(n, dtype=complex)
-
-    def scan_slab(i):
-        pts = _slab_points(n, axes, i)
-        keep = np.linalg.norm(pts, axis=1) <= search_radius
-        if not keep.any():
-            return None
-        pts = pts[keep]
-        vals = np.asarray(field.evaluate(pts), dtype=float)
-        j = int(np.argmax(vals))
-        return float(vals[j]), pts[j]
-
-    for i in range(cells):
-        hit = scan_slab(i)
-        if hit is not None and hit[0] > best_val:
-            best_val, best_pt = hit[0], hit[1]
-
+    axes = [cell_axis(cells, 2.0 * search_radius / cells)] * (2 * n)
+    best = _grid_max(field, axes, search_radius, (-math.inf, np.zeros(n, dtype=complex)))
     local_cells = 16
     half = step
     for _ in range(4):
-        ctr = to_real(best_pt[None, :])[0]
-        axes = [_axis(ctr[k], half, local_cells) for k in range(2 * n)]
-        for i in range(local_cells):
-            pts = _slab_points(n, axes, i)
-            keep = np.linalg.norm(pts, axis=1) <= search_radius
-            if not keep.any():
-                continue
-            pts = pts[keep]
-            vals = np.asarray(field.evaluate(pts), dtype=float)
-            j = int(np.argmax(vals))
-            if float(vals[j]) > best_val:
-                best_val, best_pt = float(vals[j]), pts[j]
+        axes = [x + cell_axis(local_cells, 2.0 * half / local_cells)
+                for x in to_real(best[1][None, :])[0]]
+        best = _grid_max(field, axes, search_radius, best)
         half /= 8.0
-    return best_val, best_pt
+    return best
+
+
+def _grid_max(field: ScalarField, axes: Sequence[np.ndarray], radius: float,
+              best: tuple) -> tuple:
+    """best, a (value, point) pair, or the field's maximum over the grid
+    points of axes in |z| <= radius if that maximum is larger."""
+    slab = _slabs(axes)
+    for x in axes[0]:
+        pts = slab(x)
+        pts = pts[np.linalg.norm(pts, axis=1) <= radius]
+        if not pts.size:
+            continue
+        vals = np.asarray(field.evaluate(pts), dtype=float)
+        j = int(np.argmax(vals))
+        if vals[j] > best[0]:
+            best = (float(vals[j]), pts[j])
+    return best

@@ -148,7 +148,7 @@ def expected_measure_verdict(mu: Measure, params: Params) -> bool:
     nonpositive growth suffices at or above the diagonal, while below it
     (and for a sup-norm source) the k-th power must be integrable.
     """
-    from .measures import AtomicMeasure, DensityMeasure
+    from .measures import AtomicMeasure
 
     if isinstance(mu, AtomicMeasure):
         return True

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import focksobolev as fs
+from focksobolev.carleson import growth_divergent
 
 
 def params(p, q, m=0, n=1):
@@ -197,6 +198,20 @@ def test_finite_atoms_carleson_at_lattice_window_edge(seed, p):
     v = fs.classify_carleson(fs.AtomicMeasure(locs, wts, 1), params(p, 2.0))
     assert v.is_carleson
     assert not v.divergent
+
+
+@pytest.mark.parametrize("logs,divergent", [
+    ((-math.inf, -math.inf, -math.inf), False),  # nothing at any stage
+    ((0.0, 1.0, math.log(1e-301)), False),       # nothing at the outer stage
+    ((-math.inf, -math.inf, 0.0), True),         # mass appears at the outer stage
+    ((-math.inf, 0.0, 0.5), True),               # ... or at the middle one
+    ((0.0, 1.0, 1.04), False),                   # growth below the tolerance
+    ((0.0, 1.0, 1.5), False),                    # shrinking increments
+    ((0.0, 1.0, 2.0), True),                     # steady increments
+    ((1.0, 0.5, 0.6), True),                     # growth after a decrease
+])
+def test_growth_rule_edge_triples(logs, divergent):
+    assert growth_divergent(*logs, 0.05) is divergent
 
 
 @settings(max_examples=8, deadline=None)

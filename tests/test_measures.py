@@ -237,12 +237,16 @@ def test_total_weighted_mass_delta():
 
 
 def test_weighted_mass_divergence_rule():
-    # net power - s >= -2n marks a divergent discounted mass integral
-    assert fs.weighted_mass_divergent(fs.lebesgue(1), 0.0)
-    assert not fs.weighted_mass_divergent(fs.lebesgue(1), 3.0)
-    assert fs.weighted_mass_divergent(fs.polygrowth(2.0, 1), 4.0)
-    assert not fs.weighted_mass_divergent(fs.polygrowth(2.0, 1), 4.5)
-    assert not fs.weighted_mass_divergent(fs.gaussian(1.0, 1), 0.0)
+    # p = inf: net power - s >= -2n, with s = mq, marks a divergent
+    # discounted mass integral
+    def bounded(mu, m, q):
+        return fs.expected_measure_verdict(mu, fs.Params(1, 1.0, m, math.inf, q))
+
+    assert not bounded(fs.lebesgue(1), 0, 2.0)
+    assert bounded(fs.lebesgue(1), 1, 3.0)
+    assert not bounded(fs.polygrowth(2.0, 1), 2, 2.0)
+    assert bounded(fs.polygrowth(2.0, 1), 1, 4.5)
+    assert bounded(fs.gaussian(1.0, 1), 0, 2.0)
 
 
 def test_ring_mass():

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import focksobolev as fs
+from focksobolev.grid import cell_axis
+from focksobolev.quadrature import _slabs
 
 
 def gaussian_field(c, w, n):
@@ -86,10 +88,41 @@ def test_truncation_radius_tail_bound(c, d, eps):
 
 def test_lp_field_norm_matches_direct():
     field = gaussian_field(1.0, [0.0 + 0.0j], 1)
+    squared = fs.scalar_field(lambda z: field.evaluate(z) ** 2, 1, decay=2.0, growth=0.0)
     scheme = fs.scheme_for(1, decay=2.0, growth=0.0)
     # integral of e^{-2|z|^2} is pi/2, so the L^2 norm is sqrt(pi/2)
-    val = fs.lp_field_norm(field, 2.0, scheme)
-    assert abs(val - math.sqrt(math.pi / 2.0)) < 1e-8
+    val, _ = fs.integrate_gaussian(squared, scheme)
+    assert abs(math.sqrt(val) - math.sqrt(math.pi / 2.0)) < 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_slab_points_are_the_grid_points(n):
+    """Each slab is the points x + i y of the meshgrid of the other axes."""
+    rng = np.random.default_rng(n)
+    axes = [c + cell_axis(cells, h) for c, cells, h in
+            zip(rng.normal(size=2 * n), (5, 4, 3, 6), rng.uniform(0.1, 1.0, 2 * n))]
+    slab = _slabs(axes)
+    for x in axes[0]:
+        if n == 1:
+            expect = (x + 1j * axes[1])[:, None]
+        else:
+            y1, x2, y2 = np.meshgrid(axes[1], axes[2], axes[3], indexing="ij")
+            expect = np.stack([(x + 1j * y1).ravel(), (x2 + 1j * y2).ravel()], axis=1)
+        assert np.array_equal(slab(x), expect)
+
+
+@pytest.mark.parametrize("n,cells", [(1, 16), (2, 6)])
+def test_integral_independent_of_worker_count(n, cells):
+    field = gaussian_field(1.0, [0.5 - 0.25j] + [0.3j] * (n - 1), n)
+    scheme = fs.scheme_for(n, decay=1.0, growth=0.0, cells=cells)
+    results = []
+    for workers in (1, 2):
+        fs.set_worker_count(workers)
+        try:
+            results.append(fs.integrate_gaussian(field, scheme))
+        finally:
+            fs.set_worker_count(1)
+    assert results[0] == results[1]
 
 
 def test_sup_field_norm_finds_offcenter_peak():
