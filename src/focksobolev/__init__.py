@@ -46,6 +46,7 @@ from .funcspace import (
     log_weight,
     norm_constant,
     norm_integrand_field,
+    norm_with_error,
     pointwise_bound_ratio,
     polynomial,
     probe_family,
@@ -74,6 +75,7 @@ from .measures import (
 )
 from .quadrature import (
     DivergentIntegral,
+    Integral,
     QuadratureError,
     QuadratureScheme,
     QuasiNormError,

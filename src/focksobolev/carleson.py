@@ -239,18 +239,27 @@ def _growth_ratio(v1: float, v2: float) -> float:
     return v2 / v1 - 1.0
 
 
+def stage_grew(l1: float, l2: float, tol: float) -> bool:
+    """Whether a quantity grew beyond tol from one stage to the next, given
+    the logs l1 and l2 of its two values.
+
+    A log at or below log(1e-300) means nothing is there: nothing at the
+    later stage is no growth, and something there after nothing is.
+    """
+    return l2 > _LOG_NOTHING and (l1 <= _LOG_NOTHING or l2 > l1 + math.log1p(tol))
+
+
 def growth_divergent(l0: float, l1: float, l2: float, tol: float) -> bool:
     """Trend decision from the logs of a quantity at three nested stages.
 
-    A log at or below log(1e-300) means nothing is there. Nothing at the
-    outer stage, or growth from the middle to the outer stage below the
-    tolerance, reads as convergence; something appearing where an inner
-    stage had nothing reads as divergence. Otherwise the increment trend
-    decides: a transient approaching a finite value shrinks its increments
-    by the expansion factor per stage, while power-or-faster growth keeps
-    them at least steady.
+    No growth beyond the tolerance from the middle to the outer stage
+    (:func:`stage_grew`) reads as convergence; something appearing where
+    an inner stage had nothing reads as divergence. Otherwise the
+    increment trend decides: a transient approaching a finite value
+    shrinks its increments by the expansion factor per stage, while
+    power-or-faster growth keeps them at least steady.
     """
-    if l2 <= _LOG_NOTHING or (l1 > _LOG_NOTHING and not l2 > l1 + math.log1p(tol)):
+    if not stage_grew(l1, l2, tol):
         return False
     if min(l0, l1) <= _LOG_NOTHING:
         return True
@@ -437,7 +446,7 @@ def embedding_ratio(f, mu: Measure, params: Params, scheme=None) -> float:
             raise ValueError("mu-side integral lacks decay; embedding ratio diverges")
         if scheme is None:
             scheme = scheme_for(params.n, fld.decay, fld.growth)
-        num_q, _ = integrate_gaussian(fld, scheme)
+        num_q = integrate_gaussian(fld, scheme).value
     if num_q <= 0.0:
         return 0.0
     return num_q ** (1.0 / q) / denom

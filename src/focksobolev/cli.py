@@ -42,8 +42,8 @@ from .compop import (
 from .funcspace import (
     Params,
     Polynomial,
-    fock_sobolev_norm,
     kernel,
+    norm_with_error,
     polynomial,
 )
 from .geometry import make_lattice, verify_lattice
@@ -411,31 +411,33 @@ def _norm_rows(params: Params, cells: Optional[int]) -> list:
         scheme = scheme_for(n, alpha * p_eff / 2.0, params.m * p_eff,
                             cells=cells)
 
-    def add(check: str, value: float, expected: float, tol: float) -> None:
+    def add(check: str, estimate: tuple, expected: float, tol: float) -> None:
+        value, error_estimate, grid_cells = estimate
         err = abs(value - expected)
         rows.append({
             "command": "verify-norms", "check": check, "value": value,
             "expected": expected, "abs_error": err, "tol": tol,
-            "passed": bool(err <= tol),
+            "passed": bool(err <= tol), "error_estimate": error_estimate,
+            "cells": grid_cells,
         })
 
     unit = one(n)
-    add("unit-norm", fock_sobolev_norm(unit, params, scheme), _unit_norm_closed(params),
+    add("unit-norm", norm_with_error(unit, params, scheme), _unit_norm_closed(params),
         1e-5)
     w0 = np.zeros(n, dtype=complex)
     w0[0] = 1.0
     flat = replace(params, m=0)
-    add("kernel-unit-norm", fock_sobolev_norm(kernel(w0, n=n), flat, None), 1.0, 1e-5)
+    add("kernel-unit-norm", norm_with_error(kernel(w0, n=n), flat, None), 1.0, 1e-5)
     add(
         "kernel-growth-norm",
-        fock_sobolev_norm(kernel(w0, n=n, normalized=False), flat, None),
+        norm_with_error(kernel(w0, n=n, normalized=False), flat, None),
         math.exp(alpha * 0.5),
         1e-4,
     )
     if n == 1:
         add(
             "monomial-norm",
-            fock_sobolev_norm(polynomial({(2,): 1.0}, 1), params, scheme),
+            norm_with_error(polynomial({(2,): 1.0}, 1), params, scheme),
             _monomial_norm_closed(2, params),
             2e-4,
         )

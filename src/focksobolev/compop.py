@@ -31,7 +31,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy.special import logsumexp
 
-from .carleson import CarlesonVerdict, classify_carleson, growth_divergent
+from .carleson import CarlesonVerdict, classify_carleson, growth_divergent, stage_grew
 from .funcspace import (
     EntireFunction,
     EvaluationOverflow,
@@ -44,7 +44,7 @@ from .funcspace import (
     polynomial,
     probe_family,
 )
-from .grid import centred_grid
+from .grid import centred_grid, resolve_cells
 from .measures import AtomicMeasure
 from .quadrature import DEFAULT_EPS_TAIL, truncation_radius
 
@@ -67,7 +67,11 @@ __all__ = [
     "linear_symbol_check",
 ]
 
+# z-grid cells per axis of the transform, and the cap of a profile's
+# cell doubling
 _Z_CELLS = {1: 128, 2: 16}
+_PROFILE_START_CELLS = {1: 16, 2: 4}
+_PROFILE_LOG_TOL = 1e-6
 _POLY_Z_RADIUS = {1: 4.0, 2: 3.0}
 _W_RADIUS = {1: 6.0, 2: 4.0}
 _COMPOSE_CELLS = {1: 192, 2: 24}
@@ -243,7 +247,8 @@ def _log_transform_at(sym: SymbolPair, params: Params, q: float, staged: bool,
     """w -> log of the composition transform at w, one value per z-grid.
 
     The z-grid, plus the one enlarged by half at the same step when
-    staged, is built once and re-centred for each w.
+    staged, is built once and re-centred for each w. Values already known
+    on the leading grids are passed in ``known`` and not recomputed.
     """
     n = params.n
     radius = _z_radius(sym, params, q) if z_radius is None else z_radius
@@ -253,11 +258,11 @@ def _log_transform_at(sym: SymbolPair, params: Params, q: float, staged: bool,
         grids.append(centred_grid(1.5 * radius, int(round(1.5 * cells)), n))
     shift, _ = _u_kernel_shift(sym)
 
-    def at(w) -> list:
+    def at(w, known: tuple = ()) -> list:
         wv = np.asarray(w, dtype=complex).reshape(n)
         center = sym.psi.adjoint(wv) + shift if sym.is_affine else np.zeros(n, dtype=complex)
-        out = []
-        for offs, h in grids:
+        out = list(known)
+        for offs, h in grids[len(out):]:
             L = _log_integrand(sym, params, q, wv, offs + center[None, :], include_discount)
             with np.errstate(over="ignore"):
                 out.append(float(logsumexp(L)) + 2 * n * math.log(h))
@@ -310,6 +315,13 @@ def _directions(n: int) -> list:
     return [np.array(d, dtype=complex) for d in raw]
 
 
+def _log_gap(coarse: np.ndarray, fine: np.ndarray) -> float:
+    """Largest difference of two arrays of logs; -inf in both agrees."""
+    with np.errstate(invalid="ignore"):
+        gap = np.abs(coarse - fine)
+    return float(np.max(np.where((coarse == -math.inf) & (fine == -math.inf), 0.0, gap)))
+
+
 def transform_profile(
     sym: SymbolPair,
     params: Params,
@@ -317,11 +329,16 @@ def transform_profile(
     w_radius: Optional[float] = None,
     count: int = 21,
     staged_z: Optional[bool] = None,
+    growth_tol: float = 0.05,
 ) -> tuple:
     """Directional maxima of log B over shells |w| = rho.
 
-    Returns (radii, log values, z-divergence flag). The z-staging runs
-    only for non-affine symbols unless forced.
+    Returns (radii, log values, z-divergence flag). The z-grid's cells are
+    chosen once per profile: they double from ``_PROFILE_START_CELLS`` up
+    to ``_Z_CELLS`` until the logs at w = 0 and at the outer radius along
+    every direction agree to ``_PROFILE_LOG_TOL`` on two successive grids.
+    The z-staging runs only for non-affine symbols unless forced; it flags
+    a z-integral that grows beyond growth_tol on the grid enlarged by half.
     """
     q = params.q if q is None else float(q)
     n = params.n
@@ -329,14 +346,24 @@ def transform_profile(
     radii = np.linspace(0.0, W, count)
     staged = (not sym.is_affine) if staged_z is None else staged_z
     dirs = _directions(n)
-    transform_at = _log_transform_at(sym, params, q, staged)
+    probes = {(0, 0): radii[0] * dirs[0]}
+    probes.update({(count - 1, k): radii[-1] * d for k, d in enumerate(dirs)})
+
+    def probe_logs(cells: int) -> np.ndarray:
+        at = _log_transform_at(sym, params, q, False, z_cells=cells)
+        return np.array([at(w)[0] for w in probes.values()])
+
+    logs, _, cells = resolve_cells(probe_logs, _PROFILE_START_CELLS[n], _Z_CELLS[n],
+                                   _log_gap, lambda _: _PROFILE_LOG_TOL)
+    known = {key: (float(v),) for key, v in zip(probes, logs)}
+    transform_at = _log_transform_at(sym, params, q, staged, z_cells=cells)
     out = np.full(count, -math.inf)
     z_divergent = False
     for i, rho in enumerate(radii):
         cand = dirs if rho > 0 else dirs[:1]
-        for d in cand:
-            vals = transform_at(rho * d)
-            if staged and vals[1] > vals[0] + math.log1p(0.05) and vals[1] > -600.0:
+        for k, d in enumerate(cand):
+            vals = transform_at(rho * d, known.get((i, k), ()))
+            if staged and stage_grew(vals[0], vals[1], growth_tol):
                 z_divergent = True
             out[i] = max(out[i], vals[-1])
     return radii, out, z_divergent
@@ -496,7 +523,7 @@ def classify_compop(
         W2 = expansion * W1
         count = 31 if n == 1 else 21
         radii, logs, z_div = transform_profile(sym, params, q=q, w_radius=W2,
-                                               count=count)
+                                               count=count, growth_tol=growth_tol)
         sup1 = float(np.max(logs[radii <= W1]))
         sup2 = float(np.max(logs))
         w_div = _trend_divergent(radii, logs, W2, expansion, growth_tol)

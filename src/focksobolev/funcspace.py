@@ -36,6 +36,7 @@ import numpy as np
 
 from .quadrature import (
     DEFAULT_EPS_TAIL,
+    ERROR_FLOOR,
     QuadratureScheme,
     ScalarField,
     integrate_gaussian,
@@ -60,6 +61,7 @@ __all__ = [
     "norm_constant",
     "norm_integrand_field",
     "fock_sobolev_norm",
+    "norm_with_error",
     "derivative_norm",
     "tail_projection",
     "pointwise_bound_ratio",
@@ -197,11 +199,14 @@ def _as_points(z, n: int) -> tuple[np.ndarray, bool]:
 
 def _poly_values(f: Polynomial, pts: np.ndarray) -> np.ndarray:
     out = np.zeros(pts.shape[0], dtype=complex)
+    # one term buffer for every coefficient; a first power of 1 is read
+    # from pts in place, higher powers need a temporary
+    term = np.empty_like(out)
     for beta, c in f.coeffs:
-        term = np.full(pts.shape[0], c, dtype=complex)
+        term.fill(c)
         for j, b in enumerate(beta):
             if b:
-                term = term * pts[:, j] ** b
+                term *= pts[:, j] if b == 1 else pts[:, j] ** b
         out += term
     return out
 
@@ -359,19 +364,34 @@ def fock_sobolev_norm(
     with C from :func:`norm_constant`; for p infinite it is the supremum of
     ``|z|^m |f(z)| e^{-alpha |z|^2 / 2}``.
     """
+    return norm_with_error(f, params, scheme)[0]
+
+
+def norm_with_error(
+    f: EntireFunction, params: Params, scheme: Optional[QuadratureScheme] = None
+) -> tuple:
+    """(norm, error estimate, cells) of :func:`fock_sobolev_norm`.
+
+    For finite p the error bounds how far the norm moves when the integral
+    moves by the quadrature's error estimate, floored, like that estimate,
+    at ERROR_FLOOR times the value for the rounding of the last steps; cells
+    is the quadrature grid's cells per axis. A sup norm has neither: both
+    are None.
+    """
     if f.n != params.n:
         raise ValueError("function and parameter dimensions disagree")
     p = params.p
     if math.isinf(p):
-        return _sup_norm(f, params)
+        return _sup_norm(f, params), None, None
     field = norm_integrand_field(f, params, p)
     if scheme is None:
         scheme = _default_norm_scheme(f, params, p)
-    value, _ = integrate_gaussian(field, scheme)
-    if value <= 0.0:
-        return 0.0
+    value, err, cells = integrate_gaussian(field, scheme)
     c = norm_constant(p, params.m, params.n, params.alpha)
-    return (c * value) ** (1.0 / p)
+    norm = (c * value) ** (1.0 / p) if value > 0.0 else 0.0
+    low = (c * max(value - err, 0.0)) ** (1.0 / p)
+    high = (c * (value + err)) ** (1.0 / p)
+    return norm, max(high - norm, norm - low, ERROR_FLOOR * norm), cells
 
 
 def _partial(f: Polynomial, j: int) -> Polynomial:

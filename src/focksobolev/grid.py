@@ -1,14 +1,18 @@
 """Tensor grids on C^n = R^{2n}, real coordinates interleaved as
 (Re z1, Im z1, Re z2, Im z2). A grid is given by its 2n real axes and its
 points are laid out in ij order, the last axis varying fastest.
+``resolve_cells`` picks a grid's cells per axis by doubling until two
+successive grids agree.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
+
+T = TypeVar("T")
 
 
 def cell_axis(cells: int, step: float) -> np.ndarray:
@@ -41,3 +45,31 @@ def centred_grid(radius: float, cells: int, n: int) -> tuple:
     """Points (cells^{2n}, n) of the cube of half-width radius, and the step."""
     step = 2.0 * radius / cells
     return grid_points([cell_axis(cells, step)] * (2 * n)), step
+
+
+def resolve_cells(evaluate: Callable[[int], T], start: int, cap: int,
+                  error: Callable[[T, T], float],
+                  tol: Callable[[T], float]) -> tuple:
+    """evaluate(cells) on the first grid that agrees with the one of half its cells.
+
+    The levels are cap, cap/2, cap/4, ..., down to the coarsest whole count
+    of at least start. They are evaluated once each, coarsest first, so the
+    fine value of one pair is the coarse value of the next. The doubling
+    stops at the first pair with error(coarse, fine) <= tol(fine), or at
+    the cap.
+
+    Returns (fine value, error(coarse, fine), fine cells).
+    """
+    levels = [cap]
+    while levels[-1] % 2 == 0 and levels[-1] // 2 >= start:
+        levels.append(levels[-1] // 2)
+    if len(levels) < 2:
+        raise ValueError("the cap must be at least twice the start")
+    coarse = evaluate(levels.pop())
+    while True:
+        cells = levels.pop()
+        fine = evaluate(cells)
+        err = error(coarse, fine)
+        if err <= tol(fine) or not levels:
+            return fine, err, cells
+        coarse = fine

@@ -10,10 +10,12 @@ truncation radius through a closed-form radial tail bound, and the tail
 contribution is folded into the reported error estimate.
 
 The integration rule is a tensor midpoint rule on a cube, re-centred at the
-field's peak when one is declared. One Richardson refinement (step h versus
-h/2) supplies the error estimate; the refined value is returned. Cell sums
-are combined through a fixed pairwise tree so the result does not depend on
-how the work is chunked across worker threads.
+field's peak when one is declared. The cell count doubles from a quarter
+of the scheme's cells until two successive grids agree to REL_TOL, at
+most up to the pair (cells, 2 cells); their difference is the error
+estimate and the finer value is returned. Cell sums are combined through
+a fixed pairwise tree so the result does not depend on how the work is
+chunked across worker threads.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.special import gammaincc
 
-from .grid import cell_axis, grid_points, to_complex, to_real
+from .grid import cell_axis, grid_points, resolve_cells, to_complex, to_real
 
 __all__ = [
     "QuadratureError",
@@ -34,6 +36,7 @@ __all__ = [
     "DivergentIntegral",
     "ScalarField",
     "QuadratureScheme",
+    "Integral",
     "scalar_field",
     "truncation_radius",
     "scheme_for",
@@ -44,7 +47,11 @@ __all__ = [
 
 TAIL_GRID = 0.25
 DEFAULT_EPS_TAIL = 1e-12
+# The scheme's cells per axis: the finer grid of the last pair the
+# doubling may reach is twice this.
 DEFAULT_CELLS = {1: 256, 2: 32}
+# Two grids whose values agree to this relative difference end the doubling.
+REL_TOL = 1e-6
 # Reported error estimates never drop below this relative floor; differences
 # between refinement stages at machine precision are otherwise meaningless.
 ERROR_FLOOR = 2.0 ** -50
@@ -226,7 +233,8 @@ def _fit_envelope_const(field: ScalarField) -> float:
 
 @dataclass(frozen=True)
 class QuadratureScheme:
-    """Midpoint rule configuration: a cube half-width and a cell count per axis."""
+    """Midpoint rule configuration: a cube half-width and a cell count per
+    axis, which sets the finest pair of grids the doubling may reach."""
 
     n: int
     cube_radius: float
@@ -244,9 +252,6 @@ class QuadratureScheme:
     @property
     def step(self) -> float:
         return 2.0 * self.cube_radius / self.cells
-
-    def refined(self) -> "QuadratureScheme":
-        return replace(self, cells=2 * self.cells)
 
 
 def scheme_for(
@@ -332,7 +337,15 @@ def _tail_bound(field: ScalarField, radius: float) -> float:
     return math.exp(min(log_tail, 700.0))
 
 
-def integrate_gaussian(field: ScalarField, scheme: QuadratureScheme) -> tuple[float, float]:
+class Integral(NamedTuple):
+    """An integral, its error estimate and the cells per axis of its grid."""
+
+    value: float
+    error: float
+    cells: int
+
+
+def integrate_gaussian(field: ScalarField, scheme: QuadratureScheme) -> Integral:
     """Integrate a nonnegative field over the scheme's (re-centred) cube.
 
     Parameters
@@ -341,15 +354,18 @@ def integrate_gaussian(field: ScalarField, scheme: QuadratureScheme) -> tuple[fl
         Integrand with envelope metadata. Must either decay (c > 0) or be
         compactly supported.
     scheme : QuadratureScheme
-        Cube half-width and base resolution.
+        Cube half-width and the resolution cap.
 
     Returns
     -------
-    (value, error_estimate) : tuple of float
-        ``value`` is the midpoint value at step h/2 after one Richardson
-        refinement. ``error_estimate`` is |value(h) - value(h/2)| plus the
-        envelope tail bound outside the cube, floored at a small multiple
-        of machine epsilon times the value.
+    Integral
+        ``value`` is the midpoint value on the finer grid of the first
+        pair of successive grids (cells c and 2c, c doubling from a
+        quarter of the scheme's cells) that agree to ``REL_TOL``
+        relative, or of the pair (cells, 2 cells) if none does before it.
+        ``error`` is that pair's difference, floored at a small multiple
+        of machine epsilon times the value, plus the envelope tail bound
+        outside the cube. ``cells`` is the finer grid's cell count.
     """
     if field.n != scheme.n:
         raise ValueError("field and scheme dimensions disagree")
@@ -367,12 +383,12 @@ def integrate_gaussian(field: ScalarField, scheme: QuadratureScheme) -> tuple[fl
         cube = cells * scheme.step / 2.0
     else:
         cells = scheme.cells
-    coarse = _midpoint(field, center_xy, cube, cells)
-    fine = _midpoint(field, center_xy, cube, 2 * cells)
-    err = abs(coarse - fine)
-    err = max(err, ERROR_FLOOR * abs(fine))
+    fine, diff, fine_cells = resolve_cells(
+        lambda c: _midpoint(field, center_xy, cube, c), max(2, cells // 4), 2 * cells,
+        lambda coarse, fine: abs(coarse - fine), lambda fine: REL_TOL * abs(fine))
+    err = max(diff, ERROR_FLOOR * abs(fine))
     err += _tail_bound(field, cube)
-    return fine, err
+    return Integral(fine, err, fine_cells)
 
 
 def sup_field_norm(

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import focksobolev as fs
-from focksobolev.grid import cell_axis
+from focksobolev import quadrature
+from focksobolev.grid import cell_axis, resolve_cells
 from focksobolev.quadrature import _slabs
 
 
@@ -30,7 +31,7 @@ def gaussian_field(c, w, n):
 def test_centered_gaussian_n1():
     field = gaussian_field(1.0, [0.0 + 0.0j], 1)
     scheme = fs.scheme_for(1, decay=1.0, growth=0.0)
-    val, err = fs.integrate_gaussian(field, scheme)
+    val, err, _ = fs.integrate_gaussian(field, scheme)
     assert abs(val - math.pi) / math.pi < 1e-6
     assert err < 1e-4
 
@@ -38,14 +39,14 @@ def test_centered_gaussian_n1():
 def test_shifted_gaussian_n1():
     field = gaussian_field(0.5, [2.0 + 0.0j], 1)
     scheme = fs.scheme_for(1, decay=0.5, growth=0.0)
-    val, _ = fs.integrate_gaussian(field, scheme)
+    val, _, _ = fs.integrate_gaussian(field, scheme)
     assert abs(val - 2.0 * math.pi) / (2.0 * math.pi) < 1e-6
 
 
 def test_centered_gaussian_n2():
     field = gaussian_field(2.0, [0.0 + 0.0j, 0.0 + 0.0j], 2)
     scheme = fs.scheme_for(2, decay=2.0, growth=0.0)
-    val, _ = fs.integrate_gaussian(field, scheme)
+    val, _, _ = fs.integrate_gaussian(field, scheme)
     expect = (math.pi / 2.0) ** 2
     assert abs(val - expect) / expect < 1e-4
 
@@ -55,7 +56,7 @@ def test_centered_gaussian_n2():
 def test_gaussian_scale_property(c):
     field = gaussian_field(c, [0.0 + 0.0j], 1)
     scheme = fs.scheme_for(1, decay=c, growth=0.0)
-    val, _ = fs.integrate_gaussian(field, scheme)
+    val, _, _ = fs.integrate_gaussian(field, scheme)
     expect = math.pi / c
     assert abs(val - expect) / expect < 1e-6
 
@@ -91,7 +92,7 @@ def test_lp_field_norm_matches_direct():
     squared = fs.scalar_field(lambda z: field.evaluate(z) ** 2, 1, decay=2.0, growth=0.0)
     scheme = fs.scheme_for(1, decay=2.0, growth=0.0)
     # integral of e^{-2|z|^2} is pi/2, so the L^2 norm is sqrt(pi/2)
-    val, _ = fs.integrate_gaussian(squared, scheme)
+    val, _, _ = fs.integrate_gaussian(squared, scheme)
     assert abs(math.sqrt(val) - math.sqrt(math.pi / 2.0)) < 1e-8
 
 
@@ -142,7 +143,94 @@ def test_worker_count_roundtrip():
     try:
         field = gaussian_field(1.0, [0.0 + 0.0j], 1)
         scheme = fs.scheme_for(1, decay=1.0, growth=0.0)
-        val, _ = fs.integrate_gaussian(field, scheme)
+        val, _, _ = fs.integrate_gaussian(field, scheme)
         assert abs(val - math.pi) / math.pi < 1e-6
     finally:
         fs.set_worker_count(1)
+
+
+def test_resolve_cells_evaluates_each_level_once():
+    """Levels halve down from the cap to the start; each is evaluated once,
+    coarsest first, and the first agreeing pair returns its finer value."""
+    seen = []
+
+    def evaluate(cells):
+        seen.append(cells)
+        return 1.0 / cells
+
+    value, err, cells = resolve_cells(evaluate, 3, 24, lambda c, f: abs(c - f),
+                                      lambda f: 0.1)
+    assert seen == [3, 6, 12] and cells == 12
+    assert value == 1.0 / 12 and err == 1.0 / 6 - 1.0 / 12
+    seen.clear()
+    assert resolve_cells(evaluate, 3, 24, lambda c, f: abs(c - f), lambda f: 0.0)[2] == 24
+    assert seen == [3, 6, 12, 24]
+    with pytest.raises(ValueError):
+        resolve_cells(evaluate, 4, 6, lambda c, f: 0.0, lambda f: 0.0)
+
+
+def _monomial_norm(k, m, p):
+    """Norm of z^k at n = 1, alpha = 1."""
+    return (2.0 / p) ** (k / 2.0) * math.exp(
+        (math.lgamma((m + k) * p / 2.0 + 1.0) - math.lgamma(m * p / 2.0 + 1.0)) / p)
+
+
+ERROR_CASES = (
+    [(fs.one(1), 1, m, p, 1.0) for m in (0, 1, 2) for p in (1.0, 2.0, 4.0)]
+    + [(fs.polynomial({(k,): 1.0}, 1), 1, m, p, _monomial_norm(k, m, p))
+       for k in (1, 3) for m in (0, 1) for p in (1.0, 2.0)]
+    + [(fs.kernel([1.5 - 0.5j], n=1, normalized=False), 1, 0, 2.0, math.exp(1.25)),
+       (fs.one(2), 2, 0, 2.0, 1.0),
+       (fs.one(2), 2, 1, 1.0, 1.0),  # the cone |z| e^{-|z|^2/2}
+       (fs.one(2), 2, 2, 2.0, 1.0),
+       (fs.kernel([0.6, -0.3j], n=2), 2, 0, 2.0, 1.0)]
+)
+
+
+@pytest.mark.parametrize("f,n,m,p,exact", ERROR_CASES)
+def test_norm_error_estimate_bounds_true_error(f, n, m, p, exact):
+    P = fs.Params(n=n, alpha=1.0, m=m, p=p, q=p)
+    value, err, cells = fs.norm_with_error(f, P)
+    assert abs(value - exact) <= err
+    assert cells <= 2 * quadrature.DEFAULT_CELLS[n]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("c,shift", [(0.5, 0.0), (1.0, 2.0), (2.0, 0.3)])
+def test_integral_error_estimate_bounds_true_error(n, c, shift):
+    center = [shift] + [0.0] * (n - 1)
+    value, err, _ = fs.integrate_gaussian(gaussian_field(c, center, n),
+                                          fs.scheme_for(n, decay=c, growth=0.0))
+    assert abs(value - (math.pi / c) ** n) <= err
+
+
+def _spy_midpoint(monkeypatch):
+    seen = []
+    real = quadrature._midpoint
+
+    def spy(field, center_xy, cube_radius, cells):
+        seen.append(cells)
+        return real(field, center_xy, cube_radius, cells)
+
+    monkeypatch.setattr(quadrature, "_midpoint", spy)
+    return seen
+
+
+@pytest.mark.parametrize("n,cells", [(1, 32), (2, 8)])
+def test_cone_doubles_up_to_the_cap_and_no_further(monkeypatch, n, cells):
+    """|z| at m = 1, p = 1 is not smooth at the origin: the doubling runs
+    from cells/4 to the cap 2 cells, each level once."""
+    seen = _spy_midpoint(monkeypatch)
+    P = fs.Params(n=n, alpha=1.0, m=1, p=1.0, q=1.0)
+    _, _, chosen = fs.norm_with_error(fs.one(n), P, fs.scheme_for(n, 0.5, 1.0, cells=cells))
+    assert seen == [cells // 4, cells // 2, cells, 2 * cells]
+    assert chosen == 2 * cells
+
+
+def test_smooth_n2_norm_stops_below_the_cap(monkeypatch):
+    seen = _spy_midpoint(monkeypatch)
+    P = fs.Params(n=2, alpha=1.0, m=0, p=2.0, q=2.0)
+    value, _, cells = fs.norm_with_error(fs.one(2), P)
+    cap = 2 * quadrature.DEFAULT_CELLS[2]
+    assert cells < cap and max(seen) == cells
+    assert abs(value - 1.0) <= 1e-12
