@@ -10,9 +10,20 @@ damping s = m * t:
 
 For p <= q the three are measured in sup norm, for q < p in the mixed
 norm with exponent p / (p - q), and for p infinite in total-mass form
-with the weighted mass ``int (1+|z|)^{-s} dmu`` alongside. Divergence is
-detected by rerunning every criterion on a cube enlarged by half with
-the identical grid step and flagging relative growth beyond tolerance.
+with the weighted mass ``int (1+|z|)^{-s} dmu`` alongside. Each
+criterion is evaluated at three nested stages, cubes of radius T1/1.5,
+T1 and 1.5 T1 sharing one grid step, and :func:`growth_divergent` reads
+its three values to decide divergence.
+
+Each stage of radius T reads all of its ball masses in one call: at the
+lattice centres, at n = 1 on a scan grid of step 0.25, and in the sup
+regime at the heaviest atoms. The sequence takes the lattice centres
+with |c| <= T - r. The averaging function takes the scan grid at n = 1
+and the lattice centres at n = 2, plus the heavy atoms in the sup
+regime. At n = 1 the ball masses read mu itself. At n = 2 they read the
+stage's discretised measure, the atoms the transform also sums, since a
+density's own ball stencil would cost seconds per stage at that many
+centres.
 """
 
 from __future__ import annotations
@@ -22,7 +33,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .funcspace import (
     Params,
@@ -38,11 +48,9 @@ from .measures import (
     AtomicMeasure,
     Measure,
     _gauss_transform,
-    averaging_sequence,
     ball_mass_many,
     discretize,
     effective_radius,
-    sequence_lp,
     total_weighted_mass,
 )
 from .quadrature import integrate_gaussian, scalar_field, scheme_for
@@ -58,7 +66,7 @@ __all__ = [
 
 _ATOM_CAP = 3000
 _LOG_NOTHING = math.log(1e-300)
-_SCAN_STEP = {1: 0.25, 2: 1.0}
+_SCAN_STEP = 0.25
 
 
 @dataclass(frozen=True)
@@ -144,6 +152,16 @@ def _local_refine(fn, start: np.ndarray, radius: float, n: int, steps: int = 13,
     return best
 
 
+def _size(v: np.ndarray, k: Optional[float], cell: float) -> float:
+    """Size of a criterion's values: the max in the sup regime (k None),
+    else (sum v^k cell)^(1/k); 0 when there are none."""
+    if v.size == 0:
+        return 0.0
+    if k is None:
+        return float(np.max(v))
+    return float(np.sum(v ** k) * cell) ** (1.0 / k)
+
+
 def _stage_values(mu: Measure, params: Params, t: float, s: float, r: float,
                   regime: str, k: Optional[float], T: float, h: float) -> tuple:
     """Criterion values on the cube of radius T with step h.
@@ -152,22 +170,24 @@ def _stage_values(mu: Measure, params: Params, t: float, s: float, r: float,
     scan pair feeds the vanishing profile.
     """
     n, alpha = params.n, params.alpha
-    lat = _stage_lattice(T, r, n)
-    centers = lat.as_complex()
-    cnorm = np.linalg.norm(centers, axis=1)
-    seq_keep = cnorm <= T - r
     atoms_T = discretize(mu, T, h)
-    if n == 2:
-        # ball masses of the stage's discretised measure; a density's own
-        # ball stencils would be far too slow at this many centers
-        center_avg = ball_mass_many(atoms_T, centers, r) / (1.0 + cnorm) ** s
-        seq_vals = center_avg[seq_keep]
-    else:
-        center_avg = None
-        seq_vals = averaging_sequence(mu, lat, r, s)[seq_keep]
+    extra = _capped_atoms(mu) if regime == "sup" else np.empty((0, n), dtype=complex)
+
+    # every ball mass in one read: the lattice centres, then the n = 1 scan
+    # grid, then the sup regime's heavy-atom candidates. It runs before the
+    # transform's grid is built, so the two peaks in memory do not add up.
+    lattice = _stage_lattice(T, r, n).as_complex()
+    lattice = lattice[np.linalg.norm(lattice, axis=1) <= T]
+    parts = [lattice]
+    if n == 1:
+        scan_pts = grid_points([cube_axis(T, _SCAN_STEP)] * 2)
+        parts.append(scan_pts[np.linalg.norm(scan_pts, axis=1) <= T])
+    centres = np.concatenate(parts + [extra])
+    cnorm = np.linalg.norm(centres, axis=1)
+    avg = ball_mass_many(mu if n == 1 else atoms_T, centres, r) / (1.0 + cnorm) ** s
+    nlat = lattice.shape[0]
 
     values: dict = {}
-    extra = _capped_atoms(mu)
     # a density is read on its own discretisation grid, atoms on a coarser
     # one whose maxima are then refined off the grid
     atomic = isinstance(mu, AtomicMeasure)
@@ -179,55 +199,19 @@ def _stage_values(mu: Measure, params: Params, t: float, s: float, r: float,
     rad = np.linalg.norm(w_pts, axis=1)
     inball = rad <= T
     scan = (rad[inball], t_grid[inball])
-    if regime != "sup":
-        values["transform"] = float(
-            np.sum(scan[1] ** k) * w_step ** (2 * n)
-        ) ** (1.0 / k) if scan[1].size else 0.0
-    elif not atomic:
-        values["transform"] = float(np.max(t_grid)) if t_grid.size else 0.0
-    else:
+    if regime == "sup" and atomic:
         cand = np.concatenate([w_pts[inball], extra])
         cv = np.concatenate([scan[1], transform(extra)])
         values["transform"] = _local_refine(
             transform, cand[int(np.argmax(cv))], w_step, n) if cv.size else 0.0
-
-    # averaging criterion
-    if n == 1:
-        avg_pts = grid_points([cube_axis(T, _SCAN_STEP[1])] * 2)
-        avg_pts = avg_pts[np.linalg.norm(avg_pts, axis=1) <= T]
-    if regime == "sup":
-        if n == 1:
-            cand = np.concatenate([avg_pts, extra])
-            mass_vals = ball_mass_many(mu, cand, r)
-            avg = mass_vals / (1.0 + np.linalg.norm(cand, axis=1)) ** s
-        else:
-            avg = center_avg[cnorm <= T]
-            if extra.shape[0]:
-                mass_extra = ball_mass_many(mu, extra, r)
-                avg_extra = mass_extra / (1.0 + np.linalg.norm(extra, axis=1)) ** s
-                avg = np.concatenate([avg, avg_extra])
-        values["averaging"] = float(np.max(avg)) if avg.size else 0.0
-        values["sequence"] = float(np.max(seq_vals)) if seq_vals.size else 0.0
     else:
-        if n == 1:
-            mass_vals = ball_mass_many(mu, avg_pts, r)
-            avg = mass_vals / (1.0 + np.linalg.norm(avg_pts, axis=1)) ** s
-            values["averaging"] = float(
-                np.sum(avg ** k) * _SCAN_STEP[1] ** 2
-            ) ** (1.0 / k) if avg.size else 0.0
-        else:
-            # partition masses over lattice cells stand in for overlapping
-            # ball masses; comparable at band level and grid-friendly
-            if len(atoms_T) and centers.size:
-                tree = cKDTree(to_real(centers))
-                idx = tree.query(to_real(atoms_T.locations), k=1)[1]
-                sums = np.zeros(centers.shape[0])
-                np.add.at(sums, idx, atoms_T.weights)
-                vals = sums / (1.0 + cnorm) ** s
-                values["averaging"] = sequence_lp(vals, k)
-            else:
-                values["averaging"] = 0.0
-        values["sequence"] = sequence_lp(seq_vals, k)
+        # a sup reads the whole cube, a sum the ball |w| <= T
+        values["transform"] = _size(t_grid if k is None else scan[1], k, w_step ** (2 * n))
+    if n == 1:
+        values["averaging"] = _size(avg[nlat:], k, _SCAN_STEP ** 2)
+    else:
+        values["averaging"] = _size(avg, k, 1.0)
+    values["sequence"] = _size(avg[:nlat][cnorm[:nlat] <= T - r], k, 1.0)
     if regime == "mass":
         values["weighted_mass"] = total_weighted_mass(mu, s, T, step_cap=h)
     return values, scan
@@ -310,9 +294,10 @@ def classify_carleson(
 ) -> CarlesonVerdict:
     """Full staged classification of mu for the (p, q) embedding.
 
-    Criteria are evaluated on the base cube and on the cube enlarged by
-    ``expansion`` with the same step; relative growth beyond
-    ``growth_tol`` on any criterion marks the measure divergent. With a
+    Criteria are evaluated on the base cube, on the cube enlarged by
+    ``expansion`` and on the one shrunk by it, all with the same step;
+    :func:`growth_divergent` with ``growth_tol`` reads each criterion's
+    three values, and divergence of any marks the measure divergent. With a
     positive ``probe_budget`` an empirical lower bound for the embedding
     norm is attached from that many probe functions. ``stage_radius``
     overrides the automatic base-cube choice, which callers need when
@@ -363,8 +348,6 @@ def classify_carleson(
     else:
         is_vanishing = is_carleson
         notes.append("vanishing coincides with boundedness below the diagonal")
-    if regime == "integral" and params.n == 2:
-        notes.append("averaging criterion uses lattice-cell partition masses")
     if isinstance(mu, AtomicMeasure):
         notes.append("atomic sums are exact")
     else:

@@ -74,6 +74,7 @@ _PROFILE_START_CELLS = {1: 16, 2: 4}
 _PROFILE_LOG_TOL = 1e-6
 _POLY_Z_RADIUS = {1: 4.0, 2: 3.0}
 _W_RADIUS = {1: 6.0, 2: 4.0}
+_Z_RADIUS = {1: 7.0, 2: 5.0}
 _COMPOSE_CELLS = {1: 192, 2: 24}
 _LOG_CAP = 709.0
 _WEIGHT_LOG_CAP = 700.0
@@ -490,65 +491,44 @@ def classify_compop(
     else:
         notes.append("polynomial symbol: outside the affine classification")
 
-    if math.isinf(q):
-        Z1 = 7.0 if n == 1 else 5.0
-        Z2 = expansion * Z1
-        radii, logs = weight_profile(sym, params, Z2, count=40)
-        inner = logs[radii <= Z1]
-        sup1 = float(np.max(inner))
+    if math.isinf(q) or p <= q:
+        # a profile in log form, then the same verdict from it: the weight
+        # profile for a sup-norm target, else the composition transform
+        if math.isinf(q):
+            R1 = _Z_RADIUS[n]
+            radii, logs = weight_profile(sym, params, expansion * R1, count=40)
+            z_div, root, key, regime = False, 1.0, "log_sup", "sup-infinity"
+            little_o_note = "sup criterion fails the little-o target"
+        else:
+            R1 = _W_RADIUS[n] if w_radius is None else w_radius
+            radii, logs, z_div = transform_profile(
+                sym, params, q=q, w_radius=expansion * R1,
+                count=31 if n == 1 else 21, growth_tol=growth_tol)
+            root, key, regime = q, "log_transform_sup", "sup"
+            little_o_note = "transform fails the little-o target"
+        R2 = expansion * R1
+        sup1 = float(np.max(logs[radii <= R1]))
         sup2 = float(np.max(logs))
-        divergent = _trend_divergent(radii, logs, Z2, expansion, growth_tol)
-        bounded = not divergent
-        peak = sup2
-        outer = logs[radii >= Z2 - 1.0]
-        vanishing = peak == -math.inf or (
-            float(np.max(outer)) <= peak + math.log(vanish_tol)
-        )
-        compact = bounded and vanishing
-        if little_o_target and not vanishing:
-            bounded = False
-            notes.append("sup criterion fails the little-o target")
-        norm_est = math.inf if divergent else _safe_exp(sup2)
-        return CompOpVerdict(
-            regime="sup-infinity", p=p, q=q, bounded=bounded, compact=compact,
-            divergent=divergent, norm_estimate=norm_est,
-            criterion_values={"log_sup": sup2, "log_sup_base": sup1},
-            profile_radii=tuple(float(r) for r in radii),
-            profile_values=tuple(_safe_exp(v) for v in logs),
-            stage_radii=(Z1, Z2), notes=tuple(notes),
-        )
-
-    if not math.isinf(p) and p <= q:
-        W1 = _W_RADIUS[n] if w_radius is None else w_radius
-        W2 = expansion * W1
-        count = 31 if n == 1 else 21
-        radii, logs, z_div = transform_profile(sym, params, q=q, w_radius=W2,
-                                               count=count, growth_tol=growth_tol)
-        sup1 = float(np.max(logs[radii <= W1]))
-        sup2 = float(np.max(logs))
-        w_div = _trend_divergent(radii, logs, W2, expansion, growth_tol)
-        divergent = w_div or z_div
+        divergent = _trend_divergent(radii, logs, R2, expansion, growth_tol) or z_div
         if z_div:
             notes.append("z-integral grows under truncation expansion")
         bounded = not divergent
-        peak = sup2
-        outer = logs[radii >= W2 - 1.0]
-        vanishing = peak == -math.inf or (
-            float(np.max(outer)) <= peak + math.log(vanish_tol)
+        outer = logs[radii >= R2 - 1.0]
+        vanishing = sup2 == -math.inf or (
+            float(np.max(outer)) <= sup2 + math.log(vanish_tol)
         )
         compact = bounded and vanishing
         if little_o_target and not vanishing:
             bounded = False
-            notes.append("transform fails the little-o target")
-        norm_est = math.inf if divergent else _safe_exp(sup2 / q)
+            notes.append(little_o_note)
+        norm_est = math.inf if divergent else _safe_exp(sup2 / root)
         return CompOpVerdict(
-            regime="sup", p=p, q=q, bounded=bounded, compact=compact,
+            regime=regime, p=p, q=q, bounded=bounded, compact=compact,
             divergent=divergent, norm_estimate=norm_est,
-            criterion_values={"log_transform_sup": sup2,
-                              "log_transform_sup_base": sup1},
+            criterion_values={key: sup2, key + "_base": sup1},
             profile_radii=tuple(float(r) for r in radii),
             profile_values=tuple(_safe_exp(v) for v in logs),
-            stage_radii=(W1, W2), notes=tuple(notes),
+            stage_radii=(R1, R2), notes=tuple(notes),
         )
 
     # below the diagonal, or a sup-norm source: classify the pullback.
@@ -658,7 +638,7 @@ def essential_norm_estimate(sym: SymbolPair, params: Params,
     if p <= 1 or math.isinf(p):
         raise ValueError("essential norm estimate needs 1 < p < inf")
     if math.isinf(q):
-        Z2 = 1.5 * (7.0 if n == 1 else 5.0)
+        Z2 = 1.5 * _Z_RADIUS[n]
         radii, logs = weight_profile(sym, params, Z2, count=40)
         outer = logs[radii >= Z2 - shell_width]
         return _safe_exp(float(np.max(outer)))

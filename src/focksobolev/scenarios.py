@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .compop import AffineMap, PolynomialMap, SymbolPair, one
-from .funcspace import Params, kernel, polynomial
+from .compop import AffineMap, PolynomialMap, SymbolPair, linear_symbol_check, one
+from .funcspace import Params, Polynomial, kernel, polynomial
 from .geometry import make_lattice
 from .measures import (
     Measure,
@@ -50,69 +50,50 @@ def _scale(n: int, factor: complex) -> AffineMap:
     return AffineMap(factor * np.eye(n), np.zeros(n))
 
 
+def _affine_expectation(psi: AffineMap, u, params: Params) -> tuple:
+    """(bounded, compact) of an affine scenario, from linear_symbol_check.
+
+    The zero weight gives the zero operator. Below the diagonal, a
+    sup-norm source included, bounded means compact.
+    """
+    if isinstance(u, Polynomial) and u.is_zero():
+        return True, True
+    chk = linear_symbol_check(psi.matrix, psi.offset)
+    if params.p > params.q:
+        return chk["admissible_compact"], chk["admissible_compact"]
+    return chk["admissible_bounded"], chk["admissible_compact"]
+
+
 def composition_suite(params: Params) -> list:
-    """Eight symbol pairs spanning the boundedness/compactness map."""
+    """Eight symbol pairs spanning the boundedness/compactness map.
+
+    The affine scenarios take their expectations from the affine rule;
+    only the quadratic symbol's are set by hand.
+    """
     n = params.n
-    rot = _scale(n, np.exp(1j * math.pi / 4.0))
-    # below the diagonal (p > q, p = inf included) bounded means compact,
-    # which no isometry is
-    iso_bounded = not params.p > params.q
+    e1 = np.concatenate([[1.0], np.zeros(n - 1)])
+    affine = [
+        ("identity", _scale(n, 1.0), one(n), "unit symbol: the embedding itself"),
+        ("contraction", _scale(n, 0.5), one(n),
+         "strict contraction: operator norm below one"),
+        ("rotation", _scale(n, np.exp(1j * math.pi / 4.0)), one(n),
+         "isometry: never compact"),
+        ("expansion", _scale(n, 2.0), one(n),
+         "expanding symbol: transform grows without bound"),
+        ("translation", AffineMap(np.eye(n), e1), one(n),
+         "unit shift: isometric part moves the offset"),
+        ("zero-weight", _scale(n, 1.0), polynomial({}, n),
+         "vanishing weight: the zero operator"),
+        ("damped-contraction", _scale(n, 0.5), kernel(e1, n=n),
+         "kernel weight over a contraction: still compact"),
+    ]
+    if n == 2:
+        affine.append(("swap", AffineMap(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2)),
+                       one(2), "coordinate swap: a unitary symbol"))
     scenarios = [
-        CompOpScenario(
-            name="identity",
-            symbol=SymbolPair(psi=_scale(n, 1.0), u=one(n)),
-            expect_bounded=iso_bounded,
-            expect_compact=False,
-            description="unit symbol: the embedding itself",
-        ),
-        CompOpScenario(
-            name="contraction",
-            symbol=SymbolPair(psi=_scale(n, 0.5), u=one(n)),
-            expect_bounded=True,
-            expect_compact=True,
-            description="strict contraction: operator norm below one",
-        ),
-        CompOpScenario(
-            name="rotation",
-            symbol=SymbolPair(psi=rot, u=one(n)),
-            expect_bounded=iso_bounded,
-            expect_compact=False,
-            description="isometry: never compact",
-        ),
-        CompOpScenario(
-            name="expansion",
-            symbol=SymbolPair(psi=_scale(n, 2.0), u=one(n)),
-            expect_bounded=False,
-            expect_compact=False,
-            description="expanding symbol: transform grows without bound",
-        ),
-        CompOpScenario(
-            name="translation",
-            symbol=SymbolPair(
-                psi=AffineMap(np.eye(n), np.concatenate([[1.0], np.zeros(n - 1)])),
-                u=one(n),
-            ),
-            expect_bounded=False,
-            expect_compact=False,
-            description="unit shift: isometric part moves the offset",
-        ),
-        CompOpScenario(
-            name="zero-weight",
-            symbol=SymbolPair(psi=_scale(n, 1.0), u=polynomial({}, n)),
-            expect_bounded=True,
-            expect_compact=True,
-            description="vanishing weight: the zero operator",
-        ),
-        CompOpScenario(
-            name="damped-contraction",
-            symbol=SymbolPair(
-                psi=_scale(n, 0.5),
-                u=kernel(np.concatenate([[1.0], np.zeros(n - 1)]), n=n),
-            ),
-            expect_bounded=True,
-            expect_compact=True,
-            description="kernel weight over a contraction: still compact",
-        ),
+        CompOpScenario(name, SymbolPair(psi=psi, u=u),
+                       *_affine_expectation(psi, u, params), description)
+        for name, psi, u, description in affine
     ]
     if n == 1:
         square = PolynomialMap(components=(polynomial({(2,): 1.0}, 1),))
@@ -124,17 +105,6 @@ def composition_suite(params: Params) -> list:
                 expect_compact=False,
                 description="quadratic symbol: diverging z-integral",
                 outside_affine=True,
-            )
-        )
-    else:
-        swap = AffineMap(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2))
-        scenarios.append(
-            CompOpScenario(
-                name="swap",
-                symbol=SymbolPair(psi=swap, u=one(2)),
-                expect_bounded=iso_bounded,
-                expect_compact=False,
-                description="coordinate swap: a unitary symbol",
             )
         )
     return scenarios

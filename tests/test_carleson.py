@@ -106,6 +106,22 @@ def test_verdict_matches_analytic_rule_n1():
         assert got == want, (mu.kind, p, q, m)
 
 
+def test_verdict_matches_analytic_rule_n2():
+    """Below the diagonal at n=2, where the averaging function is the l^k
+    size of the lattice ball masses of the stage's discretised measure."""
+    cases = [
+        (fs.lebesgue(2), 4.0, 2.0, 0),
+        (fs.gaussian(1.0, 2), 4.0, 2.0, 0),
+        (fs.lebesgue(2), math.inf, 2.0, 1),
+        (fs.polygrowth(2.0, 2), math.inf, 2.0, 1),
+    ]
+    for mu, p, q, m in cases:
+        P = params(p, q, m=m, n=2)
+        got = fs.classify_carleson(mu, P).is_carleson
+        want = fs.expected_measure_verdict(mu, P)
+        assert got == want, (mu.kind, p, q, m)
+
+
 def test_large_atomic_transform_is_exact():
     """A 38,416-atom contraction pullback at n=2: the transform supremum is
     the composition transform at w = 0, which is pi^2."""
@@ -157,6 +173,33 @@ def test_stage_radius_override():
     v = fs.classify_carleson(mu, params(2.0, 2.0), stage_radius=4.0)
     assert v.stage_radii == (pytest.approx(4.0), pytest.approx(6.0))
     assert v.is_carleson
+
+
+@pytest.mark.parametrize("n,mu,p,m", [
+    (1, fs.lebesgue(1), 4.0, 1),
+    (1, fs.atoms_on_lattice(fs.make_lattice(6.0, 1.0, 1)), 2.0, 0),
+    (1, fs.atoms_on_lattice(fs.make_lattice(6.0, 1.0, 1)), math.inf, 0),
+    (2, fs.atoms_on_lattice(fs.make_lattice(3.0, 1.0, 2)), 2.0, 0),
+    (2, fs.atoms_on_lattice(fs.make_lattice(3.0, 1.0, 2)), 4.0, 1),
+])
+def test_sequence_is_size_of_averaging_sequence(n, mu, p, m):
+    """The sequence criterion is the size of the averaging sequence over the
+    outer stage's lattice centres |c| <= T2 - r: its max in the sup regime,
+    its l^k norm below it. The n=2 atoms lie inside the stage cube, so the
+    stage's discretised measure is mu itself."""
+    T1, r = 4.0, 1.0
+    P = params(p, 2.0, m=m, n=n)
+    v = fs.classify_carleson(mu, P, r=r, stage_radius=T1)
+    T2 = 1.5 * T1
+    assert v.stage_radii == (pytest.approx(T1), pytest.approx(T2))
+    lat = fs.make_lattice(T2, r, n)
+    keep = np.linalg.norm(lat.as_complex(), axis=1) <= T2 - r
+    vals = fs.averaging_sequence(mu, lat, r, m * P.q)[keep]
+    if v.regime == "sup":
+        want = float(np.max(vals))
+    else:
+        want = fs.sequence_lp(vals, 1.0 if math.isinf(p) else p / (p - P.q))
+    assert v.criterion_values["sequence"] == pytest.approx(want, rel=1e-12)
 
 
 def test_determinism():
