@@ -8,10 +8,13 @@ of the normalised kernel pulled through the symbol pair,
 
 together with its pullback measure, whose atoms sit at psi(z_i) and
 reproduce B as a measure transform. All exponent arithmetic is done in
-log space; affine symbols complete the square exactly, so their
-z-integrals converge for every matrix, and unboundedness shows up only
-in the growth of B along w. Polynomial symbols of higher degree get a
-staged truncation check on the z side instead.
+log space; affine symbols psi(z) = Az + b complete the square exactly,
+so their z-integrals converge for every matrix, and unboundedness shows
+up only in the growth of B along w. At m = 0 with a constant or
+one-kernel weight (centre c, else c = 0), log B(w) - kappa(w) with
+kappa(w) = (q a/2)(|A*w + c|^2 - |w|^2) + q a Re<b, w> is one sum per
+z-grid, taken once; other symbols are integrated at each w. Polynomial
+symbols of higher degree get a staged z truncation check instead.
 
 Boundedness and compactness are decided per exponent regime: sup and
 decay of B at or above the diagonal, pullback measure classification
@@ -200,16 +203,26 @@ def _u_degree(sym: SymbolPair) -> int:
     return sym.u.degree if isinstance(sym.u, Polynomial) else 0
 
 
-def _log_integrand(sym: SymbolPair, params: Params, q: float, w: np.ndarray,
-                   pts: np.ndarray, include_discount: bool = True) -> np.ndarray:
-    a, m = params.alpha, params.m
+def _w_free_terms(sym: SymbolPair, params: Params, q: float, pts: np.ndarray,
+                  include_discount: bool = True) -> tuple:
+    """psi(z), the log weight and the m > 0 discount: the w-free terms."""
     psi_v = sym.psi.apply(pts)
     L = log_weight(log_abs(sym.u, pts, params), pts, params, q)
+    if params.m > 0 and include_discount:
+        return psi_v, L, q * params.m * np.log1p(np.linalg.norm(psi_v, axis=1))
+    return psi_v, L, 0.0
+
+
+def _add_w(terms: tuple, a: float, q: float, w: np.ndarray) -> np.ndarray:
+    """The log integrand at w from its w-free terms."""
+    psi_v, L, discount = terms
     pairing = (psi_v @ np.conj(w)).real
-    L = L + q * a * pairing - q * a * float(np.vdot(w, w).real) / 2.0
-    if m > 0 and include_discount:
-        L = L - q * m * np.log1p(np.linalg.norm(psi_v, axis=1))
-    return L
+    return L + q * a * pairing - q * a * float(np.vdot(w, w).real) / 2.0 - discount
+
+
+def _log_integrand(sym: SymbolPair, params: Params, q: float, w: np.ndarray,
+                   pts: np.ndarray, include_discount: bool = True) -> np.ndarray:
+    return _add_w(_w_free_terms(sym, params, q, pts, include_discount), params.alpha, q, w)
 
 
 def _z_radius(sym: SymbolPair, params: Params, q: float) -> float:
@@ -247,26 +260,43 @@ def _log_transform_at(sym: SymbolPair, params: Params, q: float, staged: bool,
                       include_discount: bool = True):
     """w -> log of the composition transform at w, one value per z-grid.
 
-    The z-grid, plus the one enlarged by half at the same step when
-    staged, is built once and re-centred for each w. Values already known
-    on the leading grids are passed in ``known`` and not recomputed.
+    The z-grid (and when staged the one enlarged by half at the same
+    step) is built once: re-centred for each w when affine, else with its
+    w-free terms kept. Values known on the leading grids come in ``known``;
+    a grid where log B - kappa is fixed (module docstring) is summed once.
     """
-    n = params.n
+    n, a = params.n, params.alpha
     radius = _z_radius(sym, params, q) if z_radius is None else z_radius
     cells = _Z_CELLS[n] if z_cells is None else z_cells
     grids = [centred_grid(radius, cells, n)]
     if staged:
         grids.append(centred_grid(1.5 * radius, int(round(1.5 * cells)), n))
     shift, _ = _u_kernel_shift(sym)
+    rigid = (sym.is_affine and params.m == 0 and _u_degree(sym) == 0
+             and (isinstance(sym.u, Polynomial) or len(sym.u.terms) == 1))
+    terms = None if sym.is_affine else [
+        _w_free_terms(sym, params, q, offs, include_discount) for offs, _ in grids]
+    rest = {}  # grid index -> log B(w) - kappa(w), for a rigid integrand
 
     def at(w, known: tuple = ()) -> list:
         wv = np.asarray(w, dtype=complex).reshape(n)
-        center = sym.psi.adjoint(wv) + shift if sym.is_affine else np.zeros(n, dtype=complex)
         out = list(known)
-        for offs, h in grids[len(out):]:
-            L = _log_integrand(sym, params, q, wv, offs + center[None, :], include_discount)
+        if sym.is_affine:
+            center = sym.psi.adjoint(wv) + shift
+            kappa = q * a * float((np.vdot(center, center) - np.vdot(wv, wv)).real / 2.0
+                                  + np.vdot(wv, sym.psi.offset).real)
+        for j, (offs, h) in enumerate(grids[len(out):], len(out)):
+            if j in rest:
+                out.append(kappa + rest[j])
+                continue
+            if terms is None:
+                L = _log_integrand(sym, params, q, wv, offs + center[None, :], include_discount)
+            else:
+                L = _add_w(terms[j], a, q, wv)
             with np.errstate(over="ignore"):
                 out.append(float(logsumexp(L)) + 2 * n * math.log(h))
+            if rigid:
+                rest[j] = out[-1] - kappa
         return out
 
     return at
