@@ -11,9 +11,12 @@ damping s = m * t:
 For p <= q the three are measured in sup norm, for q < p in the mixed
 norm with exponent p / (p - q), and for p infinite in total-mass form
 with the weighted mass ``int (1+|z|)^{-s} dmu`` alongside. Each
-criterion is evaluated at three nested stages, cubes of radius T1/1.5,
-T1 and 1.5 T1 sharing one grid step, and :func:`growth_divergent` reads
-its three values to decide divergence.
+criterion is evaluated at three nested stages, cubes of radius
+T1 / EXPANSION, T1 and EXPANSION * T1 sharing one grid step, and
+:func:`growth_divergent` reads its three values to decide divergence. T1
+is STAGE_RADIUS for a measure without an effective radius; GROWTH_TOL and
+VANISH_TOL are the growth and vanishing tolerances. These staging
+constants are shared with :mod:`compop` and are not options.
 
 Each stage of radius T reads all of its ball masses in one call: at the
 lattice centres, at n = 1 on a scan grid of step 0.25, and in the sup
@@ -68,6 +71,14 @@ _ATOM_CAP = 3000
 _LOG_NOTHING = math.log(1e-300)
 _SCAN_STEP = 0.25
 
+# The staging constants: the stage expansion factor, the base stage radius
+# per n for a measure without an effective radius, the growth tolerance of
+# growth_divergent and the vanishing tolerance on the outer shell.
+EXPANSION = 1.5
+STAGE_RADIUS = {1: 6.0, 2: 4.0}
+GROWTH_TOL = 0.05
+VANISH_TOL = 1e-3
+
 
 @dataclass(frozen=True)
 class CarlesonVerdict:
@@ -105,15 +116,15 @@ def _stage_geometry(mu: Measure, n: int,
                     override: Optional[float] = None) -> tuple:
     if override is not None:
         base = float(override)
-        return base, base / 96.0 if n == 1 else base / 10.0
-    reff = effective_radius(mu)
-    if n == 1:
-        base = 6.0 if reff is None else max(5.0, min(reff + 1.0, 9.0))
-        h = base / 96.0
     else:
-        base = 4.0 if reff is None else max(3.5, min(reff + 0.5, 4.5))
-        h = base / 10.0
-    return base, h
+        reff = effective_radius(mu)
+        if reff is None:
+            base = STAGE_RADIUS[n]
+        elif n == 1:
+            base = max(5.0, min(reff + 1.0, 9.0))
+        else:
+            base = max(3.5, min(reff + 0.5, 4.5))
+    return base, base / 96.0 if n == 1 else base / 10.0
 
 
 _lattice_cache: dict = {}
@@ -134,13 +145,14 @@ def _capped_atoms(mu: Measure) -> np.ndarray:
     return mu.locations[np.sort(order)]
 
 
-def _local_refine(fn, start: np.ndarray, radius: float, n: int, steps: int = 13,
-                  rounds: int = 2) -> float:
-    """Refine a maximum of fn (of points or of grid axes) on shrinking grids."""
+def _local_refine(fn, start: np.ndarray, radius: float, n: int) -> float:
+    """Refine a maximum of fn (of points or of grid axes) on two shrinking
+    grids of 13 points per axis."""
+    steps = 13
     best_pt = start
     best = float(fn(start.reshape(1, n))[0])
     rad = radius
-    for _ in range(rounds):
+    for _ in range(2):
         offs = np.linspace(-rad, rad, steps)
         axes = [x + offs for x in to_real(best_pt[None, :])[0]]
         vals = fn(axes).ravel()
@@ -269,13 +281,13 @@ def vanishing_profile(mu: Measure, params: Params, t: Optional[float] = None,
     """Shell maxima of the kernel transform out to the expanded radius.
 
     Returns (bin edges, per-shell maxima); trailing shells falling below
-    a thousandth of the peak indicate the vanishing property.
+    VANISH_TOL times the peak indicate the vanishing property.
     """
     t = params.q if t is None else t
     s = params.m * t
     regime, k = _regime_of(params)
     T1, h = _stage_geometry(mu, params.n)
-    T2 = 1.5 * T1
+    T2 = EXPANSION * T1
     _, scan = _stage_values(mu, params, t, s, r, regime, k, T2, h)
     return _profile(scan[0], scan[1], T2)
 
@@ -285,19 +297,15 @@ def classify_carleson(
     params: Params,
     t: Optional[float] = None,
     r: float = 1.0,
-    expansion: float = 1.5,
-    growth_tol: float = 0.05,
-    vanish_tol: float = 1e-3,
     probe_budget: int = 0,
-    seed: int = 7,
     stage_radius: Optional[float] = None,
 ) -> CarlesonVerdict:
     """Full staged classification of mu for the (p, q) embedding.
 
     Criteria are evaluated on the base cube, on the cube enlarged by
-    ``expansion`` and on the one shrunk by it, all with the same step;
-    :func:`growth_divergent` with ``growth_tol`` reads each criterion's
-    three values, and divergence of any marks the measure divergent. With a
+    EXPANSION and on the one shrunk by it, all with the same step;
+    :func:`growth_divergent` with GROWTH_TOL reads each criterion's three
+    values, and divergence of any marks the measure divergent. With a
     positive ``probe_budget`` an empirical lower bound for the embedding
     norm is attached from that many probe functions. ``stage_radius``
     overrides the automatic base-cube choice, which callers need when
@@ -311,8 +319,8 @@ def classify_carleson(
     s = params.m * t
     regime, k = _regime_of(params)
     T1, h = _stage_geometry(mu, params.n, stage_radius)
-    T2 = expansion * T1
-    T0 = T1 / expansion
+    T2 = EXPANSION * T1
+    T0 = T1 / EXPANSION
     vals0, _ = _stage_values(mu, params, t, s, r, regime, k, T0, h)
     vals1, _ = _stage_values(mu, params, t, s, r, regime, k, T1, h)
     vals2, scan = _stage_values(mu, params, t, s, r, regime, k, T2, h)
@@ -320,7 +328,7 @@ def classify_carleson(
     growth = {key: _growth_ratio(vals1[key], vals2[key]) for key in vals1}
     divergent = any(
         growth_divergent(_log(vals0.get(key, 0.0)), _log(vals1[key]), _log(vals2[key]),
-                         growth_tol)
+                         GROWTH_TOL)
         for key in vals1
     )
     is_carleson = not divergent
@@ -343,7 +351,7 @@ def classify_carleson(
         if finite.size == 0 or np.max(finite) <= 0.0:
             vanishing = True
         else:
-            vanishing = bool(finite[-1] <= vanish_tol * np.max(finite))
+            vanishing = bool(finite[-1] <= VANISH_TOL * np.max(finite))
         is_vanishing = is_carleson and vanishing
     else:
         is_vanishing = is_carleson
@@ -355,7 +363,7 @@ def classify_carleson(
 
     lower = None
     if probe_budget > 0:
-        lower = carleson_lower_bound(mu, params, probe_budget=probe_budget, seed=seed)
+        lower = carleson_lower_bound(mu, params, probe_budget=probe_budget)
 
     return CarlesonVerdict(
         regime=regime,
@@ -392,7 +400,7 @@ def three_way_values(mu: Measure, params: Params, t: Optional[float] = None,
     return {kk: float(v) for kk, v in vals.items()}
 
 
-def embedding_ratio(f, mu: Measure, params: Params, scheme=None) -> float:
+def embedding_ratio(f, mu: Measure, params: Params) -> float:
     """Ratio of the mu-side q norm of f against its source-space norm.
 
     The numerator integrates ``|f|^q exp(-q a |z|^2 / 2)`` against mu,
@@ -427,20 +435,17 @@ def embedding_ratio(f, mu: Measure, params: Params, scheme=None) -> float:
         )
         if fld.decay <= 0 and fld.compact_radius is None:
             raise ValueError("mu-side integral lacks decay; embedding ratio diverges")
-        if scheme is None:
-            scheme = scheme_for(params.n, fld.decay, fld.growth)
-        num_q = integrate_gaussian(fld, scheme).value
+        num_q = integrate_gaussian(fld, scheme_for(params.n, fld.decay, fld.growth)).value
     if num_q <= 0.0:
         return 0.0
     return num_q ** (1.0 / q) / denom
 
 
-def carleson_lower_bound(mu: Measure, params: Params, family=None,
-                         probe_budget: int = 20, seed: int = 7) -> float:
+def carleson_lower_bound(mu: Measure, params: Params, probe_budget: int = 20,
+                         seed: int = 7) -> float:
     """Best embedding ratio over a probe family: a certified lower bound."""
-    if family is None:
-        family = probe_family(params, seed=seed, combos=5)
-    family = list(family)[: probe_budget if probe_budget > 0 else len(family)]
+    family = probe_family(params, seed=seed, combos=5)
+    family = family[: probe_budget if probe_budget > 0 else len(family)]
     best = 0.0
     for _, f in family:
         best = max(best, embedding_ratio(f, mu, params))

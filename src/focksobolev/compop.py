@@ -34,20 +34,32 @@ from typing import Optional, Union
 import numpy as np
 from scipy.special import logsumexp
 
-from .carleson import CarlesonVerdict, classify_carleson, growth_divergent, stage_grew
+from .carleson import (
+    EXPANSION,
+    GROWTH_TOL,
+    STAGE_RADIUS,
+    VANISH_TOL,
+    CarlesonVerdict,
+    classify_carleson,
+    growth_divergent,
+    stage_grew,
+)
 from .funcspace import (
     EntireFunction,
     EvaluationOverflow,
     KernelCombo,
     Params,
     Polynomial,
+    _center_pad,
+    _function_degree,
+    _single_center,
     log_abs,
     log_weight,
     norm_constant,
     polynomial,
     probe_family,
 )
-from .grid import centred_grid, resolve_cells
+from .grid import centred_grid, directions, resolve_cells
 from .measures import AtomicMeasure
 from .quadrature import DEFAULT_EPS_TAIL, truncation_radius
 
@@ -76,7 +88,6 @@ _Z_CELLS = {1: 128, 2: 16}
 _PROFILE_START_CELLS = {1: 16, 2: 4}
 _PROFILE_LOG_TOL = 1e-6
 _POLY_Z_RADIUS = {1: 4.0, 2: 3.0}
-_W_RADIUS = {1: 6.0, 2: 4.0}
 _Z_RADIUS = {1: 7.0, 2: 5.0}
 _COMPOSE_CELLS = {1: 192, 2: 24}
 _LOG_CAP = 709.0
@@ -190,25 +201,19 @@ def affine_symbol(matrix, offset=None, u: Optional[EntireFunction] = None) -> Sy
 
 
 def _u_kernel_shift(sym: SymbolPair) -> tuple:
-    """Completion-of-square shift from a single-kernel weight, plus pad."""
-    u = sym.u
-    if isinstance(u, KernelCombo) and len(u.terms) == 1:
-        return np.asarray(u.terms[0].center, dtype=complex), 0.0
-    if isinstance(u, KernelCombo):
-        return np.zeros(sym.n, dtype=complex), u.max_center_norm
-    return np.zeros(sym.n, dtype=complex), 0.0
+    """Completion-of-square shift from a single-kernel weight, plus the pad
+    of the norm quadrature for any other weight."""
+    center = _single_center(sym.u)
+    if center is None:
+        return np.zeros(sym.n, dtype=complex), _center_pad(sym.u)
+    return np.asarray(center, dtype=complex), 0.0
 
 
-def _u_degree(sym: SymbolPair) -> int:
-    return sym.u.degree if isinstance(sym.u, Polynomial) else 0
-
-
-def _w_free_terms(sym: SymbolPair, params: Params, q: float, pts: np.ndarray,
-                  include_discount: bool = True) -> tuple:
+def _w_free_terms(sym: SymbolPair, params: Params, q: float, pts: np.ndarray) -> tuple:
     """psi(z), the log weight and the m > 0 discount: the w-free terms."""
     psi_v = sym.psi.apply(pts)
     L = log_weight(log_abs(sym.u, pts, params), pts, params, q)
-    if params.m > 0 and include_discount:
+    if params.m > 0:
         return psi_v, L, q * params.m * np.log1p(np.linalg.norm(psi_v, axis=1))
     return psi_v, L, 0.0
 
@@ -221,13 +226,13 @@ def _add_w(terms: tuple, a: float, q: float, w: np.ndarray) -> np.ndarray:
 
 
 def _log_integrand(sym: SymbolPair, params: Params, q: float, w: np.ndarray,
-                   pts: np.ndarray, include_discount: bool = True) -> np.ndarray:
-    return _add_w(_w_free_terms(sym, params, q, pts, include_discount), params.alpha, q, w)
+                   pts: np.ndarray) -> np.ndarray:
+    return _add_w(_w_free_terms(sym, params, q, pts), params.alpha, q, w)
 
 
 def _z_radius(sym: SymbolPair, params: Params, q: float) -> float:
     if sym.is_affine:
-        grow = q * (params.m + _u_degree(sym))
+        grow = q * (params.m + _function_degree(sym.u))
         _, pad = _u_kernel_shift(sym)
         return truncation_radius(q * params.alpha / 2.0, grow, DEFAULT_EPS_TAIL,
                                  params.n) + pad
@@ -242,7 +247,7 @@ def _pullback_geometry(sym: SymbolPair, n: int) -> tuple:
     radius scales with the pseudoinverse; a cap keeps the atom count at
     desk scale and only bites where the weights are already negligible.
     """
-    T2 = 1.5 * (6.0 if n == 1 else 4.0)
+    T2 = EXPANSION * STAGE_RADIUS[n]
     step = 0.25 if n == 1 else 0.45
     if not sym.is_affine:
         # tighter than the transform grid: pullback weights live in
@@ -256,8 +261,7 @@ def _pullback_geometry(sym: SymbolPair, n: int) -> tuple:
 
 
 def _log_transform_at(sym: SymbolPair, params: Params, q: float, staged: bool,
-                      z_radius: Optional[float] = None, z_cells: Optional[int] = None,
-                      include_discount: bool = True):
+                      z_cells: Optional[int] = None):
     """w -> log of the composition transform at w, one value per z-grid.
 
     The z-grid (and when staged the one enlarged by half at the same
@@ -266,16 +270,16 @@ def _log_transform_at(sym: SymbolPair, params: Params, q: float, staged: bool,
     a grid where log B - kappa is fixed (module docstring) is summed once.
     """
     n, a = params.n, params.alpha
-    radius = _z_radius(sym, params, q) if z_radius is None else z_radius
+    radius = _z_radius(sym, params, q)
     cells = _Z_CELLS[n] if z_cells is None else z_cells
     grids = [centred_grid(radius, cells, n)]
     if staged:
         grids.append(centred_grid(1.5 * radius, int(round(1.5 * cells)), n))
     shift, _ = _u_kernel_shift(sym)
-    rigid = (sym.is_affine and params.m == 0 and _u_degree(sym) == 0
+    rigid = (sym.is_affine and params.m == 0 and _function_degree(sym.u) == 0
              and (isinstance(sym.u, Polynomial) or len(sym.u.terms) == 1))
     terms = None if sym.is_affine else [
-        _w_free_terms(sym, params, q, offs, include_discount) for offs, _ in grids]
+        _w_free_terms(sym, params, q, offs) for offs, _ in grids]
     rest = {}  # grid index -> log B(w) - kappa(w), for a rigid integrand
 
     def at(w, known: tuple = ()) -> list:
@@ -290,7 +294,7 @@ def _log_transform_at(sym: SymbolPair, params: Params, q: float, staged: bool,
                 out.append(kappa + rest[j])
                 continue
             if terms is None:
-                L = _log_integrand(sym, params, q, wv, offs + center[None, :], include_discount)
+                L = _log_integrand(sym, params, q, wv, offs + center[None, :])
             else:
                 L = _add_w(terms[j], a, q, wv)
             with np.errstate(over="ignore"):
@@ -302,48 +306,20 @@ def _log_transform_at(sym: SymbolPair, params: Params, q: float, staged: bool,
     return at
 
 
-def log_berezin_compop(
-    sym: SymbolPair,
-    params: Params,
-    w,
-    q: Optional[float] = None,
-    z_radius: Optional[float] = None,
-    z_cells: Optional[int] = None,
-    include_discount: bool = True,
-    staged: bool = False,
-):
-    """log of the composition transform at w; optionally a staged pair.
-
-    With ``staged`` the value is recomputed on a cube enlarged by half at
-    the same step, and both logs are returned so callers can detect a
-    divergent z-integral (only polynomial symbols can produce one).
-    """
-    q = params.q if q is None else float(q)
+def log_berezin_compop(sym: SymbolPair, params: Params, w) -> float:
+    """log of the composition transform at w, with exponent params.q."""
+    q = params.q
     if math.isinf(q):
         raise ValueError("the transform needs a finite exponent q")
-    vals = _log_transform_at(sym, params, q, staged, z_radius, z_cells,
-                             include_discount)(w)
-    return tuple(vals) if staged else vals[0]
+    return _log_transform_at(sym, params, q, False)(w)[0]
 
 
-def berezin_compop(sym: SymbolPair, params: Params, w, q: Optional[float] = None,
-                   **kw) -> float:
+def berezin_compop(sym: SymbolPair, params: Params, w) -> float:
     """Composition transform value at w (inf once past the float range)."""
-    log_v = log_berezin_compop(sym, params, w, q=q, **kw)
+    log_v = log_berezin_compop(sym, params, w)
     if log_v > _LOG_CAP:
         return math.inf
     return math.exp(log_v)
-
-
-def _directions(n: int) -> list:
-    if n == 1:
-        return [np.array([np.exp(1j * k * math.pi / 8.0)]) for k in range(16)]
-    s = 1.0 / math.sqrt(2.0)
-    raw = [
-        [1.0, 0.0], [0.0, 1.0], [s, s], [1j, 0.0],
-        [0.0, 1j], [s, s * 1j], [s * 1j, s], [s, -s],
-    ]
-    return [np.array(d, dtype=complex) for d in raw]
 
 
 def _log_gap(coarse: np.ndarray, fine: np.ndarray) -> float:
@@ -353,30 +329,23 @@ def _log_gap(coarse: np.ndarray, fine: np.ndarray) -> float:
     return float(np.max(np.where((coarse == -math.inf) & (fine == -math.inf), 0.0, gap)))
 
 
-def transform_profile(
-    sym: SymbolPair,
-    params: Params,
-    q: Optional[float] = None,
-    w_radius: Optional[float] = None,
-    count: int = 21,
-    staged_z: Optional[bool] = None,
-    growth_tol: float = 0.05,
-) -> tuple:
-    """Directional maxima of log B over shells |w| = rho.
+def transform_profile(sym: SymbolPair, params: Params, w_radius: Optional[float] = None,
+                      count: int = 21) -> tuple:
+    """Directional maxima of log B over shells |w| = rho, with exponent params.q.
 
     Returns (radii, log values, z-divergence flag). The z-grid's cells are
     chosen once per profile: they double from ``_PROFILE_START_CELLS`` up
     to ``_Z_CELLS`` until the logs at w = 0 and at the outer radius along
     every direction agree to ``_PROFILE_LOG_TOL`` on two successive grids.
-    The z-staging runs only for non-affine symbols unless forced; it flags
-    a z-integral that grows beyond growth_tol on the grid enlarged by half.
+    The z-staging runs for non-affine symbols only; it flags a z-integral
+    that grows beyond GROWTH_TOL on the grid enlarged by half.
     """
-    q = params.q if q is None else float(q)
+    q = params.q
     n = params.n
-    W = _W_RADIUS[n] if w_radius is None else w_radius
+    W = STAGE_RADIUS[n] if w_radius is None else w_radius
     radii = np.linspace(0.0, W, count)
-    staged = (not sym.is_affine) if staged_z is None else staged_z
-    dirs = _directions(n)
+    staged = not sym.is_affine
+    dirs = directions(n)
     probes = {(0, 0): radii[0] * dirs[0]}
     probes.update({(count - 1, k): radii[-1] * d for k, d in enumerate(dirs)})
 
@@ -394,7 +363,7 @@ def transform_profile(
         cand = dirs if rho > 0 else dirs[:1]
         for k, d in enumerate(cand):
             vals = transform_at(rho * d, known.get((i, k), ()))
-            if staged and stage_grew(vals[0], vals[1], growth_tol):
+            if staged and stage_grew(vals[0], vals[1], GROWTH_TOL):
                 z_divergent = True
             out[i] = max(out[i], vals[-1])
     return radii, out, z_divergent
@@ -403,32 +372,28 @@ def transform_profile(
 def weight_profile(sym: SymbolPair, params: Params, z_radius: float,
                    count: int = 31) -> tuple:
     """Shell maxima of the sup-target weight function, in log form."""
-    a, m, n = params.alpha, params.m, params.n
     radii = np.linspace(0.0, z_radius, count)
-    dirs = _directions(n)
+    dirs = directions(params.n)
     out = np.full(count, -math.inf)
     for i, rho in enumerate(radii):
         cand = dirs if rho > 0 else dirs[:1]
         pts = np.stack([rho * d for d in cand], axis=0)
-        psi_v = sym.psi.apply(pts)
-        L = log_weight(log_abs(sym.u, pts, params), pts, params, 1.0)
-        L = L + a * np.sum(np.abs(psi_v) ** 2, axis=1) / 2.0
-        if m > 0:
-            L = L - m * np.log1p(np.linalg.norm(psi_v, axis=1))
+        psi_v, L, discount = _w_free_terms(sym, params, 1.0, pts)
+        L = L + params.alpha * np.sum(np.abs(psi_v) ** 2, axis=1) / 2.0 - discount
         out[i] = float(np.max(L))
     return radii, out
 
 
-def pullback_measure(sym: SymbolPair, params: Params, q: Optional[float] = None,
-                     radius: Optional[float] = None,
+def pullback_measure(sym: SymbolPair, params: Params, radius: Optional[float] = None,
                      step: Optional[float] = None) -> AtomicMeasure:
     """Discrete pullback: atoms at psi(z_i) carrying the operator weights.
 
-    Cell weights are ``|u|^q |z|^{qm} exp(-q a |z|^2/2) h^{2n}`` scaled by
-    ``exp(+q a |psi(z)|^2 / 2)`` so that the measure transform of the
-    result reproduces the composition transform with damping s = m q.
+    Cell weights are ``|u|^q |z|^{qm} exp(-q a |z|^2/2) h^{2n}`` with
+    q = params.q, scaled by ``exp(+q a |psi(z)|^2 / 2)`` so that the
+    measure transform of the result reproduces the composition transform
+    with damping s = m q.
     """
-    q = params.q if q is None else float(q)
+    q = params.q
     if math.isinf(q):
         raise ValueError("the pullback construction needs a finite exponent q")
     n, a = params.n, params.alpha
@@ -439,9 +404,8 @@ def pullback_measure(sym: SymbolPair, params: Params, q: Optional[float] = None,
         step = default_step
     cells = max(2, int(math.ceil(2.0 * radius / step)))
     offs, h = centred_grid(radius, cells, n)
-    psi_v = sym.psi.apply(offs)
+    psi_v, log_w, _ = _w_free_terms(sym, params, q, offs)
     rpsi2 = np.sum(np.abs(psi_v) ** 2, axis=1)
-    log_w = log_weight(log_abs(sym.u, offs, params), offs, params, q)
     log_w = log_w + q * a * rpsi2 / 2.0 + 2 * n * math.log(h)
     top = float(np.max(log_w)) if log_w.size else -math.inf
     if top > _WEIGHT_LOG_CAP:
@@ -482,25 +446,24 @@ def _safe_exp(x: float) -> float:
     return math.exp(x)
 
 
-def _trend_divergent(radii: np.ndarray, logs: np.ndarray, outer_radius: float,
-                     expansion: float, growth_tol: float) -> bool:
+def _trend_divergent(radii: np.ndarray, logs: np.ndarray, outer_radius: float) -> bool:
     """Three-stage trend test on shell maxima in log form.
 
     Growth below the tolerance between the middle and outer stages reads
     as convergence. Above it, the increment trend decides: shrinking
     increments signal a transient approaching a finite supremum, steady
     or growing increments signal divergence. A profile converging like
-    C - c/rho shrinks its increments by the expansion factor per stage,
-    while any power-or-faster growth keeps them at least steady.
+    C - c/rho shrinks its increments by EXPANSION per stage, while any
+    power-or-faster growth keeps them at least steady.
     """
-    s_mid = outer_radius / expansion
-    s_lo = outer_radius / expansion ** 2
+    s_mid = outer_radius / EXPANSION
+    s_lo = outer_radius / EXPANSION ** 2
     m0 = logs[radii <= s_lo + 1e-9]
     m1 = logs[radii <= s_mid + 1e-9]
     s0 = float(np.max(m0)) if m0.size else -math.inf
     s1 = float(np.max(m1)) if m1.size else -math.inf
     s2 = float(np.max(logs))
-    return growth_divergent(s0, s1, s2, growth_tol)
+    return growth_divergent(s0, s1, s2, GROWTH_TOL)
 
 
 def classify_compop(
@@ -508,9 +471,6 @@ def classify_compop(
     params: Params,
     little_o_target: bool = False,
     w_radius: Optional[float] = None,
-    expansion: float = 1.5,
-    growth_tol: float = 0.05,
-    vanish_tol: float = 1e-3,
 ) -> CompOpVerdict:
     """Regime dispatch: decide boundedness and compactness of the operator."""
     p, q, n = params.p, params.q, params.n
@@ -526,26 +486,25 @@ def classify_compop(
         # profile for a sup-norm target, else the composition transform
         if math.isinf(q):
             R1 = _Z_RADIUS[n]
-            radii, logs = weight_profile(sym, params, expansion * R1, count=40)
+            radii, logs = weight_profile(sym, params, EXPANSION * R1, count=40)
             z_div, root, key, regime = False, 1.0, "log_sup", "sup-infinity"
             little_o_note = "sup criterion fails the little-o target"
         else:
-            R1 = _W_RADIUS[n] if w_radius is None else w_radius
+            R1 = STAGE_RADIUS[n] if w_radius is None else w_radius
             radii, logs, z_div = transform_profile(
-                sym, params, q=q, w_radius=expansion * R1,
-                count=31 if n == 1 else 21, growth_tol=growth_tol)
+                sym, params, w_radius=EXPANSION * R1, count=31 if n == 1 else 21)
             root, key, regime = q, "log_transform_sup", "sup"
             little_o_note = "transform fails the little-o target"
-        R2 = expansion * R1
+        R2 = EXPANSION * R1
         sup1 = float(np.max(logs[radii <= R1]))
         sup2 = float(np.max(logs))
-        divergent = _trend_divergent(radii, logs, R2, expansion, growth_tol) or z_div
+        divergent = _trend_divergent(radii, logs, R2) or z_div
         if z_div:
             notes.append("z-integral grows under truncation expansion")
         bounded = not divergent
         outer = logs[radii >= R2 - 1.0]
         vanishing = sup2 == -math.inf or (
-            float(np.max(outer)) <= sup2 + math.log(vanish_tol)
+            float(np.max(outer)) <= sup2 + math.log(VANISH_TOL)
         )
         compact = bounded and vanishing
         if little_o_target and not vanishing:
@@ -565,9 +524,8 @@ def classify_compop(
     # The atom cloud must extend past the outer classification stage or
     # the staged growth test would read the truncation as decay, so the
     # stages are fixed first and the z-grid is sized to fill them.
-    T1 = 6.0 if n == 1 else 4.0
     try:
-        lam = pullback_measure(sym, params, q=q)
+        lam = pullback_measure(sym, params)
     except EvaluationOverflow as exc:
         notes.append(f"pullback overflow: {exc}")
         return CompOpVerdict(
@@ -576,9 +534,7 @@ def classify_compop(
             profile_radii=(), profile_values=(), stage_radii=(),
             notes=tuple(notes),
         )
-    verdict = classify_carleson(lam, params, t=q, expansion=expansion,
-                                growth_tol=growth_tol, vanish_tol=vanish_tol,
-                                stage_radius=T1)
+    verdict = classify_carleson(lam, params, t=q, stage_radius=STAGE_RADIUS[n])
     bounded = verdict.is_carleson
     compact = bounded
     notes.append("boundedness and compactness coincide in this regime")
@@ -624,25 +580,21 @@ def _probe_reach(sym: SymbolPair, f: EntireFunction, params: Params) -> float:
     return reach
 
 
-def direct_operator_norm(sym: SymbolPair, params: Params, family=None,
-                         cap: float = 1e3, seed: int = 3) -> float:
-    """Largest norm ratio over a probe family; inf once any ratio tops cap.
+def direct_operator_norm(sym: SymbolPair, params: Params) -> float:
+    """Largest norm ratio over a probe family; inf once any ratio tops 1e3.
 
     Numerator and denominator run through the same log-space integrator
     on the same grid, so the identity symbol scores exactly one.
     """
     p, q, n = params.p, params.q, params.n
-    if family is None:
-        family = probe_family(params, seed=seed, kernel_radius=3.0,
-                              monomial_degree=3, combos=3)
+    family = probe_family(params, seed=3, kernel_radius=3.0, monomial_degree=3, combos=3)
     ident = identity_symbol(n)
     dec = params.alpha * min(p if not math.isinf(p) else q,
                              q if not math.isinf(q) else p) / 2.0
     best = 0.0
     for _, f in family:
-        deg = f.degree if isinstance(f, Polynomial) else 0
-        grow = max(p if not math.isinf(p) else 1.0,
-                   q if not math.isinf(q) else 1.0) * (params.m + deg + _u_degree(sym))
+        grow = max(p if not math.isinf(p) else 1.0, q if not math.isinf(q) else 1.0) * (
+            params.m + _function_degree(f) + _function_degree(sym.u))
         base = truncation_radius(dec, grow, DEFAULT_EPS_TAIL, n)
         radius = base + _probe_reach(sym, f, params)
         cells = _COMPOSE_CELLS[n]
@@ -651,15 +603,15 @@ def direct_operator_norm(sym: SymbolPair, params: Params, family=None,
             continue
         num = _compose_log_norm(sym, f, params, q, radius, cells)
         log_ratio = num - den
-        if log_ratio > math.log(cap):
+        if log_ratio > math.log(1e3):
             return math.inf
         best = max(best, math.exp(log_ratio))
     return best
 
 
-def essential_norm_estimate(sym: SymbolPair, params: Params,
-                            shell_width: float = 1.0) -> float:
-    """Outer-shell estimate of the essential norm.
+def essential_norm_estimate(sym: SymbolPair, params: Params) -> float:
+    """Outer-shell estimate of the essential norm: the profile's maximum
+    over the outer unit shell of the outer stage.
 
     Valid for source exponents strictly between one and infinity with
     p <= q; the sup-target case reads the weight profile instead.
@@ -668,25 +620,27 @@ def essential_norm_estimate(sym: SymbolPair, params: Params,
     if p <= 1 or math.isinf(p):
         raise ValueError("essential norm estimate needs 1 < p < inf")
     if math.isinf(q):
-        Z2 = 1.5 * _Z_RADIUS[n]
+        Z2 = EXPANSION * _Z_RADIUS[n]
         radii, logs = weight_profile(sym, params, Z2, count=40)
-        outer = logs[radii >= Z2 - shell_width]
+        outer = logs[radii >= Z2 - 1.0]
         return _safe_exp(float(np.max(outer)))
     if p > q:
         raise ValueError("essential norm estimate applies at or above the diagonal")
-    W2 = 1.5 * _W_RADIUS[n]
-    radii, logs, _ = transform_profile(sym, params, q=q, w_radius=W2, count=31)
-    outer = logs[radii >= W2 - shell_width]
+    W2 = EXPANSION * STAGE_RADIUS[n]
+    radii, logs, _ = transform_profile(sym, params, w_radius=W2, count=31)
+    outer = logs[radii >= W2 - 1.0]
     return _safe_exp(float(np.max(outer)) / q)
 
 
-def linear_symbol_check(matrix, offset, tol: float = 1e-8) -> dict:
+def linear_symbol_check(matrix, offset) -> dict:
     """Spectral admissibility of an affine symbol.
 
     Boundedness requires operator norm at most one and the offset to be
     orthogonal to every direction the matrix moves isometrically;
-    compactness requires operator norm strictly below one.
+    compactness requires operator norm strictly below one. Both are read
+    to a tolerance of 1e-8.
     """
+    tol = 1e-8
     mat = np.asarray(matrix, dtype=complex)
     if mat.ndim == 0:
         mat = mat.reshape(1, 1)

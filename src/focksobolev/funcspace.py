@@ -34,6 +34,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from .grid import directions
 from .quadrature import (
     DEFAULT_EPS_TAIL,
     ERROR_FLOOR,
@@ -424,16 +425,14 @@ def _partials_up_to(f: Polynomial, m: int) -> Iterable[Polynomial]:
         frontier = nxt
 
 
-def derivative_norm(
-    f: Polynomial, params: Params, scheme: Optional[QuadratureScheme] = None
-) -> float:
+def derivative_norm(f: Polynomial, params: Params) -> float:
     """Derivative-form norm: sum of order-zero norms of all partials up to m."""
     if not isinstance(f, Polynomial):
         raise TypeError("the derivative-form norm is only defined for polynomials here")
     flat = replace(params, m=0)
     total = 0.0
     for g in _partials_up_to(f, params.m):
-        total += fock_sobolev_norm(g, flat, scheme)
+        total += fock_sobolev_norm(g, flat)
     return total
 
 
@@ -445,16 +444,14 @@ def tail_projection(f: Polynomial, j: int) -> Polynomial:
     return polynomial(kept, f.n)
 
 
-def pointwise_bound_ratio(
-    f: EntireFunction, params: Params, samples, scheme: Optional[QuadratureScheme] = None
-) -> float:
+def pointwise_bound_ratio(f: EntireFunction, params: Params, samples) -> float:
     """max over samples of |f(z)| (1+|z|)^m e^{-alpha |z|^2/2} / norm(f).
 
     The pointwise growth bound says this stays below a constant independent
     of f; callers assert an empirical ceiling.
     """
     pts, _ = _as_points(samples, f.n)
-    nrm = fock_sobolev_norm(f, params, scheme)
+    nrm = fock_sobolev_norm(f, params)
     if nrm == 0.0:
         raise ValueError("bound ratio is undefined for the zero function")
     la = log_abs(f, pts, params)
@@ -480,22 +477,8 @@ def _kernel_centers_grid(n: int, radius: float) -> list:
     """Deterministic polar grid of kernel centers with |w| <= radius."""
     centers = [np.zeros(n, dtype=complex)]
     radii = [r for r in (1.0, 2.0, 3.0, 4.0) if r <= radius]
-    dirs = []
-    if n == 1:
-        for k in range(8):
-            ang = k * math.pi / 4.0
-            dirs.append(np.array([math.cos(ang) + 1j * math.sin(ang)]))
-    else:
-        dirs = [
-            np.array([1.0, 0.0], dtype=complex),
-            np.array([0.0, 1.0], dtype=complex),
-            np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
-            np.array([1j, 0.0], dtype=complex),
-            np.array([0.0, 1j], dtype=complex),
-            np.array([1.0, 1j], dtype=complex) / math.sqrt(2.0),
-            np.array([1j, 1.0], dtype=complex) / math.sqrt(2.0),
-            np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0),
-        ]
+    # eight directions: every other one of the 16 at n = 1
+    dirs = directions(n)[::2] if n == 1 else directions(n)
     for r in radii:
         for d in dirs:
             centers.append(r * d)
@@ -505,7 +488,6 @@ def _kernel_centers_grid(n: int, radius: float) -> list:
 def probe_family(
     params: Params,
     seed: int = 0,
-    lattice=None,
     kernel_radius: float = 4.0,
     monomial_degree: int = 6,
     combos: int = 20,
@@ -514,8 +496,8 @@ def probe_family(
 
     Contains normalised kernels on a polar grid of centers, their m-damped
     variants when m >= 1, monomials up to the given total degree, and
-    seeded random kernel combinations placed on lattice centers with
-    square-summable coefficients.
+    seeded random kernel combinations placed on a small grid of sites
+    with square-summable coefficients.
 
     Returns a list of (name, EntireFunction) pairs.
     """
@@ -536,13 +518,10 @@ def probe_family(
         out.append((f"monomial{beta}", polynomial({beta: 1.0}, params.n)))
     if combos > 0:
         rng = np.random.default_rng(seed)
-        if lattice is not None:
-            sites = lattice.as_complex()
-        else:
-            sites = np.array([[complex(x, y)] for x in (-2.0, -1.0, 0.0, 1.0, 2.0)
-                              for y in (-2.0, 0.0, 2.0)])
-            if params.n == 2:
-                sites = np.concatenate([sites, np.zeros_like(sites)], axis=1)
+        sites = np.array([[complex(x, y)] for x in (-2.0, -1.0, 0.0, 1.0, 2.0)
+                          for y in (-2.0, 0.0, 2.0)])
+        if params.n == 2:
+            sites = np.concatenate([sites, np.zeros_like(sites)], axis=1)
         order = np.argsort(np.linalg.norm(sites, axis=1), kind="stable")
         sites = sites[order][:40]
         for draw in range(combos):

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .grid import to_complex
+
 __all__ = ["Lattice", "LatticeReport", "make_lattice", "covering_multiplicity", "verify_lattice"]
 
 # D4 separation overshoot: keeps pairwise distances strictly above r in floats.
@@ -40,7 +42,7 @@ class Lattice:
 
     def as_complex(self) -> np.ndarray:
         """Centers as a complex array of shape (k, n)."""
-        return self.centers[:, 0::2] + 1j * self.centers[:, 1::2]
+        return to_complex(self.centers)
 
     def radii(self) -> np.ndarray:
         return np.linalg.norm(self.centers, axis=1)

@@ -2,7 +2,8 @@
 (Re z1, Im z1, Re z2, Im z2). A grid is given by its 2n real axes and its
 points are laid out in ij order, the last axis varying fastest.
 ``resolve_cells`` picks a grid's cells per axis by doubling until two
-successive grids agree.
+successive grids agree. ``directions`` is the one set of unit directions
+that radial profiles and probe centres scan.
 """
 
 from __future__ import annotations
@@ -33,6 +34,18 @@ def to_real(pts: np.ndarray) -> np.ndarray:
 def to_complex(xy: np.ndarray) -> np.ndarray:
     """Interleaved real coordinates (..., 2n) as complex points (..., n)."""
     return xy[..., 0::2] + 1j * xy[..., 1::2]
+
+
+def directions(n: int) -> list:
+    """Unit vectors (n,): 16 angles k pi/8 at n = 1, eight at n = 2."""
+    if n == 1:
+        return [np.array([np.exp(1j * k * math.pi / 8.0)]) for k in range(16)]
+    s = 1.0 / math.sqrt(2.0)
+    raw = [
+        [1.0, 0.0], [0.0, 1.0], [s, s], [1j, 0.0],
+        [0.0, 1j], [s, s * 1j], [s * 1j, s], [s, -s],
+    ]
+    return [np.array(d, dtype=complex) for d in raw]
 
 
 def grid_points(axes: Sequence[np.ndarray]) -> np.ndarray:

@@ -160,14 +160,14 @@ def atoms_on_lattice(lat, weights=None) -> AtomicMeasure:
     return AtomicMeasure(locations=loc, weights=wts, n=lat.n)
 
 
-def effective_radius(mu: Measure, eps: float = 1e-12) -> Optional[float]:
-    """Radius holding all but an eps fraction of decaying mass, if finite."""
+def effective_radius(mu: Measure) -> Optional[float]:
+    """Radius holding all but a 1e-12 fraction of decaying mass, if finite."""
     if isinstance(mu, AtomicMeasure):
         return mu.extent
     if mu.compact_extent is not None:
         return mu.compact_extent
     if mu.kind == "gaussian":
-        return truncation_radius(mu.rate, 0.0, eps * max(mu.scale, 1e-300), mu.n)
+        return truncation_radius(mu.rate, 0.0, 1e-12 * max(mu.scale, 1e-300), mu.n)
     return None
 
 
@@ -198,14 +198,9 @@ def _ball_step(radius: float, n: int, step_cap: Optional[float],
     return h
 
 
-def ball_mass(
-    mu: Measure,
-    center,
-    radius: float,
-    step_cap: Optional[float] = None,
-) -> float:
+def ball_mass(mu: Measure, center, radius: float) -> float:
     """mu(B(center, radius)), the strict Euclidean ball; see ``ball_mass_many``."""
-    return float(ball_mass_many(mu, center, radius, step_cap)[0])
+    return float(ball_mass_many(mu, center, radius)[0])
 
 
 # Block sizes bound the temporaries, and with them peak memory: candidate
@@ -266,30 +261,22 @@ def ball_mass_many(
     return out
 
 
-def averaging_field(
-    mu: Measure,
-    r: float,
-    s: float,
-    support_radius: Optional[float] = None,
-    step_cap: Optional[float] = None,
-) -> ScalarField:
+def averaging_field(mu: Measure, r: float, s: float) -> ScalarField:
     """Field w -> mu(B(w, r)) / (1 + |w|)^s.
 
-    With ``support_radius`` set the field is tagged compact on that cube,
-    which is how staged truncation comparisons integrate it without a
-    decay certificate.
+    The field is tagged compact out to r past the support of an atomic or
+    compactly supported mu.
     """
 
     def _eval(pts: np.ndarray) -> np.ndarray:
-        mass = ball_mass_many(mu, pts, r, step_cap)
+        mass = ball_mass_many(mu, pts, r)
         return mass / (1.0 + np.linalg.norm(pts, axis=1)) ** s
 
     decay = 1.0
     if isinstance(mu, DensityMeasure) and mu.kind == "gaussian":
         decay = mu.rate / 2.0
-    compact = support_radius if support_radius is not None else _compact_of(mu, r)
     return scalar_field(
-        _eval, n=mu.n, decay=decay, growth=0.0, compact_radius=compact
+        _eval, n=mu.n, decay=decay, growth=0.0, compact_radius=_compact_of(mu, r)
     )
 
 
@@ -384,22 +371,16 @@ def berezin_value(mu: AtomicMeasure, w, t: float, s: float, alpha: float) -> flo
     return float(_gauss_transform(mu, t * alpha / 2.0, s, wv)[0])
 
 
-def berezin_field(
-    mu: AtomicMeasure,
-    t: float,
-    s: float,
-    alpha: float,
-    support_radius: Optional[float] = None,
-) -> ScalarField:
+def berezin_field(mu: AtomicMeasure, t: float, s: float, alpha: float) -> ScalarField:
     """Kernel transform of an atomic (or pre-discretised) measure as a field.
 
-    Values are exact atom sums. Without ``support_radius`` the field is
-    tagged compact out to where the Gaussian factor falls below 1e-14.
+    Values are exact atom sums. The field is tagged compact out to where
+    the Gaussian factor falls below 1e-14.
     """
     if not isinstance(mu, AtomicMeasure):
         raise TypeError("berezin_field expects atoms; discretize densities first")
-    compact = support_radius
-    if compact is None and len(mu) > 0:
+    compact = None
+    if len(mu) > 0:
         compact = mu.extent + math.sqrt(-2.0 * math.log(_SUM_CUTOFF) / (t * alpha))
     return scalar_field(
         lambda pts: _gauss_transform(mu, t * alpha / 2.0, s, pts),

@@ -122,26 +122,32 @@ def truncation_radius(c: float, d: float, eps_tail: float, n: int = 1) -> float:
         raise ValueError("envelope growth degree must be nonnegative")
     if eps_tail <= 0:
         raise ValueError("eps_tail must be positive")
+    log_eps = math.log(eps_tail)
+    r = 1.0
+    while r <= _MAX_TAIL_SCAN:
+        if _log_tail(c, d, n, r) < log_eps:
+            return r
+        r += TAIL_GRID
+    raise QuadratureError("tail bound did not reach tolerance within scan range")
+
+
+def _log_tail(c: float, d: float, n: int, radius: float) -> float:
+    """log of the tail bound of :func:`truncation_radius` at R = radius:
+    (2 pi^n / Gamma(n)) 2^{d-1} c^{-(n+d/2)} Gamma(n + d/2, c R^2), or -inf
+    where the regularised Gamma function underflows to zero."""
     a = n + d / 2.0
-    log_pref = (
+    frac = float(gammaincc(a, c * radius * radius))
+    if frac <= 0.0:
+        return -math.inf
+    return (
         math.log(2.0)
         + n * math.log(math.pi)
         - math.lgamma(n)
         + (d - 1.0) * math.log(2.0)
         - a * math.log(c)
+        + math.log(frac)
+        + math.lgamma(a)
     )
-    log_eps = math.log(eps_tail)
-    r = 1.0
-    while r <= _MAX_TAIL_SCAN:
-        frac = float(gammaincc(a, c * r * r))
-        if frac > 0.0:
-            log_tail = log_pref + math.log(frac) + math.lgamma(a)
-        else:
-            log_tail = -math.inf
-        if log_tail < log_eps:
-            return r
-        r += TAIL_GRID
-    raise QuadratureError("tail bound did not reach tolerance within scan range")
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,7 +245,6 @@ class QuadratureScheme:
     n: int
     cube_radius: float
     cells: int
-    tail_tolerance: float = DEFAULT_EPS_TAIL
 
     def __post_init__(self):
         if self.n not in (1, 2):
@@ -259,11 +264,10 @@ def scheme_for(
     decay: float,
     growth: float,
     *,
-    eps_tail: float = DEFAULT_EPS_TAIL,
     cells: Optional[int] = None,
     pad: float = 0.0,
 ) -> QuadratureScheme:
-    """Scheme sized from an envelope tail bound.
+    """Scheme sized from an envelope tail bound of DEFAULT_EPS_TAIL.
 
     The cube of half-width R contains the ball of radius R, and everything
     outside that ball is already covered by the tail bound, so the cube
@@ -271,10 +275,10 @@ def scheme_for(
     whose peaks sit away from the declared center (kernel combinations
     with several centers).
     """
-    cube = truncation_radius(decay, growth, eps_tail, n) + pad
+    cube = truncation_radius(decay, growth, DEFAULT_EPS_TAIL, n) + pad
     if cells is None:
         cells = DEFAULT_CELLS[n]
-    return QuadratureScheme(n=n, cube_radius=cube, cells=cells, tail_tolerance=eps_tail)
+    return QuadratureScheme(n=n, cube_radius=cube, cells=cells)
 
 
 def _pairwise_sum(values: np.ndarray) -> float:
@@ -319,20 +323,7 @@ def _midpoint(field: ScalarField, center_xy: np.ndarray, cube_radius: float, cel
 def _tail_bound(field: ScalarField, radius: float) -> float:
     if field.compact_radius is not None or field.decay <= 0:
         return 0.0
-    a = field.n + field.growth / 2.0
-    x = field.decay * radius * radius
-    frac = float(gammaincc(a, x))
-    if frac <= 0.0:
-        return 0.0
-    log_tail = (
-        math.log(2.0)
-        + field.n * math.log(math.pi)
-        - math.lgamma(field.n)
-        + (field.growth - 1.0) * math.log(2.0)
-        - a * math.log(field.decay)
-        + math.log(frac)
-        + math.lgamma(a)
-    )
+    log_tail = _log_tail(field.decay, field.growth, field.n, radius)
     log_tail += math.log(field.envelope_const)
     return math.exp(min(log_tail, 700.0))
 

@@ -180,7 +180,7 @@ def test_pullback_consistency():
         P = fs.Params(n=1, alpha=1.0, m=m, p=2.0, q=2.0)
         for sc in fs.composition_suite(P):
             op = fs.classify_compop(sc.symbol, P)
-            lam = fs.pullback_measure(sc.symbol, P, q=P.q)
+            lam = fs.pullback_measure(sc.symbol, P)
             emb = fs.classify_carleson(lam, P, t=P.q, stage_radius=6.0)
             ok &= op.bounded == emb.is_carleson
     elapsed = time.monotonic() - t_start

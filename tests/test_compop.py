@@ -7,6 +7,8 @@ from scipy.special import logsumexp
 
 import focksobolev as fs
 from focksobolev import compop
+from focksobolev.carleson import EXPANSION, STAGE_RADIUS
+from focksobolev.grid import directions, to_real
 
 
 def test_identity_bounded_not_compact(params_m0):
@@ -125,9 +127,35 @@ def test_pullback_transform_identity(params_m0):
 def test_pullback_consistency_contraction(params_m0):
     sym = fs.affine_symbol([[0.5]])
     op = fs.classify_compop(sym, params_m0)
-    lam = fs.pullback_measure(sym, params_m0, q=params_m0.q)
+    lam = fs.pullback_measure(sym, params_m0)
     emb = fs.classify_carleson(lam, params_m0, t=params_m0.q, stage_radius=6.0)
     assert op.bounded == emb.is_carleson
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_pullback_covers_outer_stage(n):
+    """The pullback's z-cube holds the preimage A^-1(w - b) of every point
+    w = EXPANSION * STAGE_RADIUS * d, d a profile direction, on the outer
+    classification stage, for each affine suite symbol with a nonzero
+    weight and no singular value below one; a truncated atom cloud would
+    read as decay there. The tightest cases, the n = 2 identity,
+    translation and swap, reach 6.0 against the radius 7.0."""
+    P = fs.Params(n=n, alpha=1.0, m=1, p=4.0, q=2.0)
+    T2 = EXPANSION * STAGE_RADIUS[n]
+    checked = set()
+    for sc in fs.composition_suite(P):
+        sym = sc.symbol
+        if not sym.is_affine or (isinstance(sym.u, fs.Polynomial) and sym.u.is_zero()):
+            continue
+        A, b = sym.psi.matrix, sym.psi.offset
+        if np.linalg.svd(A, compute_uv=False)[-1] < 1.0 - 1e-12:
+            continue
+        checked.add(sc.name)
+        radius, _ = compop._pullback_geometry(sym, n)
+        pre = np.array([np.linalg.solve(A, T2 * d - b) for d in directions(n)])
+        assert np.max(np.abs(to_real(pre))) <= radius, sc.name
+    expected = {"identity", "rotation", "expansion", "translation"}
+    assert checked == (expected | {"swap"} if n == 2 else expected)
 
 
 def test_probe_family_nonempty(params_m0):
@@ -259,8 +287,8 @@ def test_affine_transform_closed_form(monkeypatch, A, b):
     b = np.asarray(b, dtype=complex)
     P = fs.Params(n=n, alpha=0.7, m=0, p=3.0, q=3.0)
     sym = fs.affine_symbol(A, b)
-    dirs = compop._directions(n)
-    W = 1.5 * compop._W_RADIUS[n]
+    dirs = directions(n)
+    W = 1.5 * STAGE_RADIUS[n]
     for rho in (0.0, 1.0, W):
         for d in dirs:
             exact = _affine_log_transform(A, b, rho * d, 3.0, 0.7)
@@ -281,7 +309,7 @@ def _per_w_profile(sym, params, radii, cells):
     if not sym.is_affine:
         radius, cells = 1.5 * radius, int(round(1.5 * cells))
     offs, h = compop.centred_grid(radius, cells, n)
-    dirs = compop._directions(n)
+    dirs = directions(n)
     out = []
     for rho in radii:
         logs = []
