@@ -24,9 +24,9 @@ regime at the heaviest atoms. The sequence takes the lattice centres
 with |c| <= T - r. The averaging function takes the scan grid at n = 1
 and the lattice centres at n = 2, plus the heavy atoms in the sup
 regime. At n = 1 the ball masses read mu itself. At n = 2 they read the
-stage's discretised measure, the atoms the transform also sums, since a
-density's own ball stencil would cost seconds per stage at that many
-centres.
+stage's discretised measure, which the transform also sums: the atoms in
+the cube, or a density's node grid, whose ball masses are one gather of a
+fixed stencil of node offsets.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .measures import (
     AtomicMeasure,
     Measure,
     _gauss_transform,
+    _node_grid,
     ball_mass_many,
     discretize,
     effective_radius,
@@ -182,12 +183,13 @@ def _stage_values(mu: Measure, params: Params, t: float, s: float, r: float,
     scan pair feeds the vanishing profile.
     """
     n, alpha = params.n, params.alpha
-    atoms_T = discretize(mu, T, h)
+    atomic = isinstance(mu, AtomicMeasure)
+    mu_T = discretize(mu, T, h) if atomic else _node_grid(mu, T, h)
     extra = _capped_atoms(mu) if regime == "sup" else np.empty((0, n), dtype=complex)
 
     # every ball mass in one read: the lattice centres, then the n = 1 scan
     # grid, then the sup regime's heavy-atom candidates. It runs before the
-    # transform's grid is built, so the two peaks in memory do not add up.
+    # transform, so the two peaks in memory do not add up.
     lattice = _stage_lattice(T, r, n).as_complex()
     lattice = lattice[np.linalg.norm(lattice, axis=1) <= T]
     parts = [lattice]
@@ -196,19 +198,18 @@ def _stage_values(mu: Measure, params: Params, t: float, s: float, r: float,
         parts.append(scan_pts[np.linalg.norm(scan_pts, axis=1) <= T])
     centres = np.concatenate(parts + [extra])
     cnorm = np.linalg.norm(centres, axis=1)
-    avg = ball_mass_many(mu if n == 1 else atoms_T, centres, r) / (1.0 + cnorm) ** s
+    avg = ball_mass_many(mu if n == 1 else mu_T, centres, r) / (1.0 + cnorm) ** s
     nlat = lattice.shape[0]
 
     values: dict = {}
-    # a density is read on its own discretisation grid, atoms on a coarser
-    # one whose maxima are then refined off the grid
-    atomic = isinstance(mu, AtomicMeasure)
+    # a density is read on its own node grid, atoms on a coarser one whose
+    # maxima are then refined off the grid
     w_step = (2.0 * h if n == 1 else max(2.0 * h, 0.8)) if atomic else h
     axes = [cube_axis(T, w_step)] * (2 * n)
-    transform = lambda where: _gauss_transform(atoms_T, t * alpha / 2.0, s, where)
+    transform = lambda where: _gauss_transform(mu_T, t * alpha / 2.0, s, where)
     t_grid = transform(axes).ravel()
-    w_pts = grid_points(axes)
-    rad = np.linalg.norm(w_pts, axis=1)
+    w_pts = grid_points(axes) if atomic else None
+    rad = np.linalg.norm(w_pts, axis=1) if atomic else mu_T.norms.ravel()
     inball = rad <= T
     scan = (rad[inball], t_grid[inball])
     if regime == "sup" and atomic:
@@ -441,10 +442,9 @@ def embedding_ratio(f, mu: Measure, params: Params) -> float:
     return num_q ** (1.0 / q) / denom
 
 
-def carleson_lower_bound(mu: Measure, params: Params, probe_budget: int = 20,
-                         seed: int = 7) -> float:
+def carleson_lower_bound(mu: Measure, params: Params, probe_budget: int = 20) -> float:
     """Best embedding ratio over a probe family: a certified lower bound."""
-    family = probe_family(params, seed=seed, combos=5)
+    family = probe_family(params, seed=7, combos=5)
     family = family[: probe_budget if probe_budget > 0 else len(family)]
     best = 0.0
     for _, f in family:

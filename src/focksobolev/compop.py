@@ -404,7 +404,8 @@ def pullback_measure(sym: SymbolPair, params: Params, radius: Optional[float] = 
         step = default_step
     cells = max(2, int(math.ceil(2.0 * radius / step)))
     offs, h = centred_grid(radius, cells, n)
-    psi_v, log_w, _ = _w_free_terms(sym, params, q, offs)
+    psi_v = sym.psi.apply(offs)
+    log_w = log_weight(log_abs(sym.u, offs, params), offs, params, q)
     rpsi2 = np.sum(np.abs(psi_v) ** 2, axis=1)
     log_w = log_w + q * a * rpsi2 / 2.0 + 2 * n * math.log(h)
     top = float(np.max(log_w)) if log_w.size else -math.inf

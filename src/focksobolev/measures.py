@@ -19,7 +19,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .grid import cube_axis, grid_points, to_complex, to_real
+from .grid import cell_axis, cube_axis, grid_points, to_complex, to_real
 from .quadrature import (
     QuasiNormError,
     ScalarField,
@@ -188,6 +188,25 @@ def discretize(mu: Measure, radius: float, step: float) -> AtomicMeasure:
     return AtomicMeasure(locations=pts[keep], weights=wts[keep], n=n)
 
 
+@dataclass(frozen=True)
+class _NodeGrid:
+    """A density's cell masses on the nodes of its cube grid, in the grid's
+    shape (``discretize``'s weights, 0 where it drops an atom), and |z|."""
+
+    weights: np.ndarray
+    norms: np.ndarray
+    step: float
+    n: int
+
+
+def _node_grid(mu: DensityMeasure, radius: float, step: float) -> _NodeGrid:
+    axes = [cube_axis(radius, step)] * (2 * mu.n)
+    pts = grid_points(axes)
+    shape = tuple(ax.size for ax in axes)
+    return _NodeGrid(weights=(mu.density(pts) * step ** (2 * mu.n)).reshape(shape),
+                     norms=np.linalg.norm(pts, axis=1).reshape(shape), step=step, n=mu.n)
+
+
 def _ball_step(radius: float, n: int, step_cap: Optional[float],
                mu: Optional["DensityMeasure"] = None) -> float:
     h = 2.0 * radius / _BALL_CELLS[n]
@@ -204,14 +223,51 @@ def ball_mass(mu: Measure, center, radius: float) -> float:
 
 
 # Block sizes bound the temporaries, and with them peak memory: candidate
-# (centre, atom) pairs per atom block, and stencil points per centre block.
+# (centre, atom or node) pairs per block, and stencil points per centre block.
 _PAIR_BUDGET = 250_000
 _ATOM_BLOCK = (1_000, 100_000)
 _STENCIL_BUDGET = 20_000
 
 
+def _node_ball_masses(grid: _NodeGrid, cs: np.ndarray, radius: float) -> np.ndarray:
+    """Strict ball masses of a node grid, gathered from one stencil of node
+    offsets around each centre's nearest node. |z - c| is summed as
+    ``np.linalg.norm`` sums it, so a node is inside exactly when its atom
+    from ``discretize`` is."""
+    h, n = grid.step, grid.n
+    cells = grid.weights.shape[0]
+    reach = math.ceil(radius / h + 0.5)
+    span = 2 * reach + 1
+    offs = np.indices((span,) * (2 * n)).reshape(2 * n, -1).T
+    # the offsets whose cell can meet the ball, the radius padded like the
+    # kd-tree search's
+    gap = np.linalg.norm(np.maximum(np.abs(offs - reach) - 0.5, 0.0), axis=1) * h
+    offs = offs[gap < radius * (1.0 + 1e-12)]
+    padded = np.pad(grid.weights, reach)
+    xs = cell_axis(cells + 2 * reach, h)
+    real = to_real(cs)
+    # the stencil starts reach nodes below the nearest node; off the grid,
+    # below the edge node, whose stencil still holds the ball
+    first = np.clip(np.rint((real - xs[reach]) / h), 0, cells - 1).astype(int)
+    start = np.ravel_multi_index(tuple(first.T), padded.shape)
+    step = np.ravel_multi_index(tuple(offs.T), padded.shape)
+    pair = (offs[:, 0::2] * span + offs[:, 1::2]).T
+    out = np.empty(cs.shape[0])
+    chunk = max(1, _PAIR_BUDGET // offs.shape[0])
+    for lo in range(0, cs.shape[0], chunk):
+        blk = slice(lo, lo + chunk)
+        # |z_j - c_j|^2 of each complex coordinate over its span x span offsets
+        diff = xs[first[blk, :, None] + np.arange(span)] - real[blk, :, None]
+        zj = diff[:, 0::2, :, None] + 1j * diff[:, 1::2, None, :]
+        sq = (zj.conj() * zj).real.reshape(-1, n, span * span)
+        d2 = sq[:, np.arange(n)[:, None], pair].sum(axis=1)
+        wts = padded.ravel()[start[blk, None] + step]
+        out[blk] = np.where(np.sqrt(d2) < radius, wts, 0.0).sum(axis=1)
+    return out
+
+
 def ball_mass_many(
-    mu: Measure,
+    mu: Union[Measure, _NodeGrid],
     centers: np.ndarray,
     radius: float,
     step_cap: Optional[float] = None,
@@ -220,15 +276,18 @@ def ball_mass_many(
 
     Atomic measures are summed exactly: the atoms are walked in blocks
     whose candidate (centre, atom) pairs come from a kd-tree over the
-    centres. Densities are integrated on a cell-centre stencil over the
-    bounding cube of each ball, with step from ``_ball_step``; cells
-    crossing the boundary sphere contribute fractionally, with the covered
-    fraction taken linear in the signed distance across one cell width.
+    centres, and a density's node grid by a stencil gather. Densities are
+    integrated on a cell-centre stencil over the bounding cube of each
+    ball, with step from ``_ball_step``; cells crossing the boundary
+    sphere contribute fractionally, with the covered fraction taken linear
+    in the signed distance across one cell width.
     """
     cs = np.asarray(centers, dtype=complex).reshape(-1, mu.n)
     out = np.zeros(cs.shape[0])
     if cs.shape[0] == 0:
         return out
+    if isinstance(mu, _NodeGrid):
+        return _node_ball_masses(mu, cs, radius)
     if isinstance(mu, AtomicMeasure):
         tree = cKDTree(to_real(cs))
         real = to_real(mu.locations)
@@ -324,18 +383,23 @@ def _node_index(axes, real: np.ndarray) -> Optional[np.ndarray]:
     return np.ravel_multi_index(tuple(idx), [ax.size for ax in axes])
 
 
-def _gauss_transform(mu: AtomicMeasure, c: float, s: float, where) -> np.ndarray:
+def _gauss_transform(mu: Union[AtomicMeasure, _NodeGrid], c: float, s: float,
+                     where) -> np.ndarray:
     """Exact transform w -> sum_j mu_j (1 + |z_j|)^{-s} exp(-c |w - z_j|^2).
 
     ``where`` is either a complex (P, n) array of points, giving P values,
     or the 2n real axes of a tensor grid, giving values in the grid's
     shape, ij-ordered like ``grid.grid_points``. On a grid the Gaussian
-    factors over the real axes. Atoms that all sit on the grid's nodes (a
-    discretised density) are contracted axis by axis; any others go
-    through the matrix product (A_1 .. A_n) diag(mu) (A_n+1 .. A_2n)^T of
-    the per-axis factors A_k[i, j] = exp(-c (x_k,i - z_j,k)^2), with each
-    group of n combined by a row-wise Khatri-Rao product.
+    factors over the real axes. Weights on the grid's nodes are contracted
+    axis by axis: a node grid (``_node_grid``) read on its own axes, and
+    atoms that all sit on nodes (the pullback through a map that takes
+    its z-grid onto the w-grid). Any other atoms go through the matrix
+    product (A_1 .. A_n) diag(mu) (A_n+1 .. A_2n)^T of the per-axis
+    factors A_k[i, j] = exp(-c (x_k,i - z_j,k)^2), with each group of n
+    combined by a row-wise Khatri-Rao product.
     """
+    if isinstance(mu, _NodeGrid):
+        return _contract(mu.weights * (1.0 + mu.norms) ** (-s), c, where)
     n = mu.n
     real = to_real(mu.locations)
     dw = mu.weights * (1.0 + np.linalg.norm(mu.locations, axis=1)) ** (-s)
@@ -350,11 +414,8 @@ def _gauss_transform(mu: AtomicMeasure, c: float, s: float, where) -> np.ndarray
     shape = tuple(ax.size for ax in where)
     nodes = _node_index(where, real)
     if nodes is not None:
-        out = np.bincount(nodes, weights=dw, minlength=math.prod(shape)).reshape(shape)
-        for k, ax in enumerate(where):
-            factor = _gaussian(ax[:, None], ax[:, None], c)
-            out = np.moveaxis(np.tensordot(factor, out, axes=(1, k)), 0, k)
-        return out
+        dense = np.bincount(nodes, weights=dw, minlength=math.prod(shape))
+        return _contract(dense.reshape(shape), c, where)
     rows = (math.prod(shape[:n]), math.prod(shape[n:]))
     out = np.zeros(rows)
     chunk = max(1, budget // max(rows))
@@ -363,6 +424,14 @@ def _gauss_transform(mu: AtomicMeasure, c: float, s: float, where) -> np.ndarray
         fac = [_gaussian(ax[:, None], real[part, k:k + 1], c) for k, ax in enumerate(where)]
         out += (_khatri_rao(fac[:n]) * dw[part]) @ _khatri_rao(fac[n:]).T
     return out.reshape(shape)
+
+
+def _contract(out: np.ndarray, c: float, axes) -> np.ndarray:
+    """The grid transform of damped weights on the grid's own nodes."""
+    for k, ax in enumerate(axes):
+        factor = _gaussian(ax[:, None], ax[:, None], c)
+        out = np.moveaxis(np.tensordot(factor, out, axes=(1, k)), 0, k)
+    return out
 
 
 def berezin_value(mu: AtomicMeasure, w, t: float, s: float, alpha: float) -> float:
