@@ -77,12 +77,10 @@ from .quadrature import (
     DivergentIntegral,
     Integral,
     QuadratureError,
-    QuadratureScheme,
     QuasiNormError,
     ScalarField,
     integrate_gaussian,
     scalar_field,
-    scheme_for,
     set_worker_count,
     sup_field_norm,
     truncation_radius,

@@ -57,7 +57,7 @@ from .measures import (
     effective_radius,
     total_weighted_mass,
 )
-from .quadrature import integrate_gaussian, scalar_field, scheme_for
+from .quadrature import integrate_gaussian, scalar_field
 
 __all__ = [
     "CarlesonVerdict",
@@ -405,7 +405,9 @@ def embedding_ratio(f, mu: Measure, params: Params) -> float:
     """Ratio of the mu-side q norm of f against its source-space norm.
 
     The numerator integrates ``|f|^q exp(-q a |z|^2 / 2)`` against mu,
-    exactly for atoms and by quadrature for densities.
+    exactly for atoms and by quadrature for densities, whose integrand
+    keeps the probe's envelope: its pad, and its centre moved to where the
+    density's Gaussian factor puts the peak.
     """
     q = params.q
     if math.isinf(q):
@@ -426,17 +428,23 @@ def embedding_ratio(f, mu: Measure, params: Params) -> float:
             return base.evaluate(pts) * mu.density(pts)
 
         extra_decay = mu.rate if mu.kind == "gaussian" else 0.0
-        extra_growth = mu.power if mu.kind == "polygrowth" else 0.0
+        # (1+|z|)^power <= 1 for a decaying power: no extra growth.
+        extra_growth = max(mu.power, 0.0) if mu.kind == "polygrowth" else 0.0
+        decay = base.decay + extra_decay
+        center = base.center
+        if center is not None:
+            # exp(-c|z-w|^2 - b|z|^2) peaks at cw/(c+b): complete the square.
+            center = tuple(base.decay / decay * c for c in center)
         fld = scalar_field(
             _eval,
             n=params.n,
-            decay=base.decay + extra_decay,
+            decay=decay,
             growth=base.growth + extra_growth,
+            center=center,
+            pad=base.pad,
             compact_radius=mu.compact_extent,
         )
-        if fld.decay <= 0 and fld.compact_radius is None:
-            raise ValueError("mu-side integral lacks decay; embedding ratio diverges")
-        num_q = integrate_gaussian(fld, scheme_for(params.n, fld.decay, fld.growth)).value
+        num_q = integrate_gaussian(fld).value
     if num_q <= 0.0:
         return 0.0
     return num_q ** (1.0 / q) / denom

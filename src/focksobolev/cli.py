@@ -401,15 +401,10 @@ def _cmd_compop(args) -> tuple:
 
 
 def _norm_rows(params: Params, cells: Optional[int]) -> list:
-    from .quadrature import scheme_for
-
+    if cells is not None and cells < 2:
+        raise ConfigError("--cells must be at least 2")
     rows = []
     n, alpha = params.n, params.alpha
-    scheme = None
-    if cells is not None:
-        p_eff = params.p if not math.isinf(params.p) else 2.0
-        scheme = scheme_for(n, alpha * p_eff / 2.0, params.m * p_eff,
-                            cells=cells)
 
     def add(check: str, estimate: tuple, expected: float, tol: float) -> None:
         value, error_estimate, grid_cells = estimate
@@ -422,22 +417,22 @@ def _norm_rows(params: Params, cells: Optional[int]) -> list:
         })
 
     unit = one(n)
-    add("unit-norm", norm_with_error(unit, params, scheme), _unit_norm_closed(params),
+    add("unit-norm", norm_with_error(unit, params, cells), _unit_norm_closed(params),
         1e-5)
     w0 = np.zeros(n, dtype=complex)
     w0[0] = 1.0
     flat = replace(params, m=0)
-    add("kernel-unit-norm", norm_with_error(kernel(w0, n=n), flat, None), 1.0, 1e-5)
+    add("kernel-unit-norm", norm_with_error(kernel(w0, n=n), flat, cells), 1.0, 1e-5)
     add(
         "kernel-growth-norm",
-        norm_with_error(kernel(w0, n=n, normalized=False), flat, None),
+        norm_with_error(kernel(w0, n=n, normalized=False), flat, cells),
         math.exp(alpha * 0.5),
         1e-4,
     )
     if n == 1:
         add(
             "monomial-norm",
-            norm_with_error(polynomial({(2,): 1.0}, 1), params, scheme),
+            norm_with_error(polynomial({(2,): 1.0}, 1), params, cells),
             _monomial_norm_closed(2, params),
             2e-4,
         )
@@ -524,11 +519,13 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, threads=False):
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", default="json-lines",
                        choices=["json-lines", "csv"])
-        p.add_argument("--threads", type=int, default=1)
+        if threads:
+            p.add_argument("--threads", type=int, default=1,
+                           help="threads that evaluate quadrature slabs")
 
     p = sub.add_parser("lattice", help="build a lattice and audit separation/covering")
     common(p)
@@ -540,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lattice)
 
     p = sub.add_parser("carleson", help="classify a measure for the (p,q) embedding")
-    common(p)
+    common(p, threads=True)
     p.add_argument("--params", required=True)
     p.add_argument("--measure", required=True)
     p.add_argument("--t", type=float, default=None)
@@ -558,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compop)
 
     p = sub.add_parser("verify-norms", help="check norms against closed forms")
-    common(p)
+    common(p, threads=True)
     p.add_argument("--params", required=True)
     p.add_argument("--cells", type=int, default=None)
     p.set_defaults(func=_cmd_verify_norms)
@@ -574,8 +571,10 @@ def main(argv: Optional[list] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if args.threads != 1:
-            set_worker_count(args.threads)
+        threads = getattr(args, "threads", 1)
+        if threads < 1:
+            raise ConfigError("--threads must be at least 1")
+        set_worker_count(threads)
         records, config = args.func(args)
         emit_report(records, config, args.format, args.out)
     except ConfigError as exc:

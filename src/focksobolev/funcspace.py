@@ -36,15 +36,11 @@ import numpy as np
 
 from .grid import directions
 from .quadrature import (
-    DEFAULT_EPS_TAIL,
     ERROR_FLOOR,
-    QuadratureScheme,
     ScalarField,
     integrate_gaussian,
     scalar_field,
-    scheme_for,
     sup_field_norm,
-    truncation_radius,
 )
 
 __all__ = [
@@ -327,67 +323,43 @@ def norm_integrand_field(f: EntireFunction, params: Params, p: float) -> ScalarF
             out = np.exp(log_weight(log_abs(f, pts, params), pts, params, p))
         return np.where(np.isnan(out), 0.0, out)
 
+    center = _single_center(f)
     return scalar_field(
         _eval,
         n=f.n,
         decay=params.alpha * p / 2.0,
         growth=params.m * p + p * _function_degree(f),
-        center=_single_center(f),
+        center=center,
+        pad=_center_pad(f) if center is None else 0.0,
     )
 
 
-def _default_norm_scheme(f: EntireFunction, params: Params, p: float) -> QuadratureScheme:
-    pad = _center_pad(f) if _single_center(f) is None else 0.0
-    return scheme_for(
-        params.n,
-        params.alpha * p / 2.0,
-        params.m * p + p * _function_degree(f),
-        pad=pad,
-    )
-
-
-def _sup_norm(f: EntireFunction, params: Params) -> float:
-    m, a, n = params.m, params.alpha, f.n
-    field = norm_integrand_field(f, params, 1.0)
-    radius = truncation_radius(a / 2.0, m + _function_degree(f), DEFAULT_EPS_TAIL, n)
-    radius = 1.1 * radius + _center_pad(f) + 1.0
-    step = 2.0 * radius / (256 if n == 1 else 40)
-    value, _ = sup_field_norm(field, radius, step)
-    return value
-
-
-def fock_sobolev_norm(
-    f: EntireFunction, params: Params, scheme: Optional[QuadratureScheme] = None
-) -> float:
+def fock_sobolev_norm(f: EntireFunction, params: Params) -> float:
     """Integral-form norm of order m with exponent params.p.
 
     For finite p this is ``(C int |z|^{mp} |f|^p e^{-alpha p |z|^2/2})^{1/p}``
     with C from :func:`norm_constant`; for p infinite it is the supremum of
     ``|z|^m |f(z)| e^{-alpha |z|^2 / 2}``.
     """
-    return norm_with_error(f, params, scheme)[0]
+    return norm_with_error(f, params)[0]
 
 
-def norm_with_error(
-    f: EntireFunction, params: Params, scheme: Optional[QuadratureScheme] = None
-) -> tuple:
+def norm_with_error(f: EntireFunction, params: Params, cells: Optional[int] = None) -> tuple:
     """(norm, error estimate, cells) of :func:`fock_sobolev_norm`.
 
     For finite p the error bounds how far the norm moves when the integral
     moves by the quadrature's error estimate, floored, like that estimate,
     at ERROR_FLOOR times the value for the rounding of the last steps; cells
-    is the quadrature grid's cells per axis. A sup norm has neither: both
-    are None.
+    is the quadrature grid's cells per axis, doubling up to twice the cap
+    ``cells`` (the quadrature's default when None). A sup norm has neither:
+    both are None.
     """
     if f.n != params.n:
         raise ValueError("function and parameter dimensions disagree")
     p = params.p
     if math.isinf(p):
-        return _sup_norm(f, params), None, None
-    field = norm_integrand_field(f, params, p)
-    if scheme is None:
-        scheme = _default_norm_scheme(f, params, p)
-    value, err, cells = integrate_gaussian(field, scheme)
+        return sup_field_norm(norm_integrand_field(f, params, 1.0))[0], None, None
+    value, err, cells = integrate_gaussian(norm_integrand_field(f, params, p), cells)
     c = norm_constant(p, params.m, params.n, params.alpha)
     norm = (c * value) ** (1.0 / p) if value > 0.0 else 0.0
     low = (c * max(value - err, 0.0)) ** (1.0 / p)

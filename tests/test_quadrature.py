@@ -30,23 +30,20 @@ def gaussian_field(c, w, n):
 
 def test_centered_gaussian_n1():
     field = gaussian_field(1.0, [0.0 + 0.0j], 1)
-    scheme = fs.scheme_for(1, decay=1.0, growth=0.0)
-    val, err, _ = fs.integrate_gaussian(field, scheme)
+    val, err, _ = fs.integrate_gaussian(field)
     assert abs(val - math.pi) / math.pi < 1e-6
     assert err < 1e-4
 
 
 def test_shifted_gaussian_n1():
     field = gaussian_field(0.5, [2.0 + 0.0j], 1)
-    scheme = fs.scheme_for(1, decay=0.5, growth=0.0)
-    val, _, _ = fs.integrate_gaussian(field, scheme)
+    val, _, _ = fs.integrate_gaussian(field)
     assert abs(val - 2.0 * math.pi) / (2.0 * math.pi) < 1e-6
 
 
 def test_centered_gaussian_n2():
     field = gaussian_field(2.0, [0.0 + 0.0j, 0.0 + 0.0j], 2)
-    scheme = fs.scheme_for(2, decay=2.0, growth=0.0)
-    val, _, _ = fs.integrate_gaussian(field, scheme)
+    val, _, _ = fs.integrate_gaussian(field)
     expect = (math.pi / 2.0) ** 2
     assert abs(val - expect) / expect < 1e-4
 
@@ -55,8 +52,7 @@ def test_centered_gaussian_n2():
 @given(c=st.floats(min_value=0.4, max_value=3.0))
 def test_gaussian_scale_property(c):
     field = gaussian_field(c, [0.0 + 0.0j], 1)
-    scheme = fs.scheme_for(1, decay=c, growth=0.0)
-    val, _, _ = fs.integrate_gaussian(field, scheme)
+    val, _, _ = fs.integrate_gaussian(field)
     expect = math.pi / c
     assert abs(val - expect) / expect < 1e-6
 
@@ -90,9 +86,8 @@ def test_truncation_radius_tail_bound(c, d, eps):
 def test_lp_field_norm_matches_direct():
     field = gaussian_field(1.0, [0.0 + 0.0j], 1)
     squared = fs.scalar_field(lambda z: field.evaluate(z) ** 2, 1, decay=2.0, growth=0.0)
-    scheme = fs.scheme_for(1, decay=2.0, growth=0.0)
     # integral of e^{-2|z|^2} is pi/2, so the L^2 norm is sqrt(pi/2)
-    val, _, _ = fs.integrate_gaussian(squared, scheme)
+    val, _, _ = fs.integrate_gaussian(squared)
     assert abs(math.sqrt(val) - math.sqrt(math.pi / 2.0)) < 1e-8
 
 
@@ -115,12 +110,11 @@ def test_slab_points_are_the_grid_points(n):
 @pytest.mark.parametrize("n,cells", [(1, 16), (2, 6)])
 def test_integral_independent_of_worker_count(n, cells):
     field = gaussian_field(1.0, [0.5 - 0.25j] + [0.3j] * (n - 1), n)
-    scheme = fs.scheme_for(n, decay=1.0, growth=0.0, cells=cells)
     results = []
     for workers in (1, 2):
         fs.set_worker_count(workers)
         try:
-            results.append(fs.integrate_gaussian(field, scheme))
+            results.append(fs.integrate_gaussian(field, cells=cells))
         finally:
             fs.set_worker_count(1)
     assert results[0] == results[1]
@@ -128,22 +122,22 @@ def test_integral_independent_of_worker_count(n, cells):
 
 def test_sup_field_norm_finds_offcenter_peak():
     field = gaussian_field(1.0, [1.5 + 0.5j], 1)
-    val, loc = fs.sup_field_norm(field, search_radius=5.0, step=0.25)
+    val, loc = fs.sup_field_norm(field)
     assert abs(val - 1.0) < 1e-7
     assert abs(complex(loc[0]) - (1.5 + 0.5j)) < 1e-2
 
 
-def test_scheme_for_rejects_nonpositive_decay():
-    with pytest.raises(Exception):
-        fs.scheme_for(1, decay=0.0, growth=0.0)
+def test_integrate_gaussian_rejects_a_field_without_decay_or_support():
+    field = fs.scalar_field(lambda z: np.ones(len(z)), 1, decay=0.0, growth=0.0)
+    with pytest.raises(fs.DivergentIntegral):
+        fs.integrate_gaussian(field)
 
 
 def test_worker_count_roundtrip():
     fs.set_worker_count(2)
     try:
         field = gaussian_field(1.0, [0.0 + 0.0j], 1)
-        scheme = fs.scheme_for(1, decay=1.0, growth=0.0)
-        val, _, _ = fs.integrate_gaussian(field, scheme)
+        val, _, _ = fs.integrate_gaussian(field)
         assert abs(val - math.pi) / math.pi < 1e-6
     finally:
         fs.set_worker_count(1)
@@ -199,8 +193,7 @@ def test_norm_error_estimate_bounds_true_error(f, n, m, p, exact):
 @pytest.mark.parametrize("c,shift", [(0.5, 0.0), (1.0, 2.0), (2.0, 0.3)])
 def test_integral_error_estimate_bounds_true_error(n, c, shift):
     center = [shift] + [0.0] * (n - 1)
-    value, err, _ = fs.integrate_gaussian(gaussian_field(c, center, n),
-                                          fs.scheme_for(n, decay=c, growth=0.0))
+    value, err, _ = fs.integrate_gaussian(gaussian_field(c, center, n))
     assert abs(value - (math.pi / c) ** n) <= err
 
 
@@ -222,7 +215,7 @@ def test_cone_doubles_up_to_the_cap_and_no_further(monkeypatch, n, cells):
     from cells/4 to the cap 2 cells, each level once."""
     seen = _spy_midpoint(monkeypatch)
     P = fs.Params(n=n, alpha=1.0, m=1, p=1.0, q=1.0)
-    _, _, chosen = fs.norm_with_error(fs.one(n), P, fs.scheme_for(n, 0.5, 1.0, cells=cells))
+    _, _, chosen = fs.norm_with_error(fs.one(n), P, cells=cells)
     assert seen == [cells // 4, cells // 2, cells, 2 * cells]
     assert chosen == 2 * cells
 
