@@ -383,10 +383,7 @@ def _cmd_compop(args) -> tuple:
             raise ConfigError(f"--radii: expected comma-separated floats, got {args.radii!r}")
         if not radii or any(r < 0.0 for r in radii):
             raise ConfigError("--radii: need at least one nonnegative radius")
-    scan = radii[-1] if radii and radii[-1] > 0.0 else None
-    verdict = classify_compop(
-        sym, params, little_o_target=args.little_o, w_radius=scan
-    )
+    verdict = classify_compop(sym, params, little_o_target=args.little_o)
     recs = [{"command": "compop", **dataclasses.asdict(verdict)}]
     for rho in radii or ():
         w = np.zeros(params.n, dtype=complex)
@@ -403,6 +400,9 @@ def _cmd_compop(args) -> tuple:
 def _norm_rows(params: Params, cells: Optional[int]) -> list:
     if cells is not None and cells < 2:
         raise ConfigError("--cells must be at least 2")
+    if cells is not None and math.isinf(params.p):
+        raise ConfigError("--cells caps the quadrature, which a sup norm (p = inf) "
+                          "does not run")
     rows = []
     n, alpha = params.n, params.alpha
 

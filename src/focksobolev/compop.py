@@ -45,17 +45,16 @@ from .carleson import (
     stage_grew,
 )
 from .funcspace import (
+    OVERFLOW_CAP,
     EntireFunction,
     EvaluationOverflow,
     KernelCombo,
     Params,
     Polynomial,
-    _center_pad,
-    _function_degree,
-    _single_center,
     log_abs,
     log_weight,
     norm_constant,
+    norm_integrand_field,
     polynomial,
     probe_family,
 )
@@ -87,10 +86,12 @@ __all__ = [
 _Z_CELLS = {1: 128, 2: 16}
 _PROFILE_START_CELLS = {1: 16, 2: 4}
 _PROFILE_LOG_TOL = 1e-6
+# radii of a transform profile over its stage window
+_PROFILE_RADII = {1: 31, 2: 21}
 _POLY_Z_RADIUS = {1: 4.0, 2: 3.0}
+# base stage of the weight profile in z, read at 40 radii
 _Z_RADIUS = {1: 7.0, 2: 5.0}
 _COMPOSE_CELLS = {1: 192, 2: 24}
-_LOG_CAP = 709.0
 _WEIGHT_LOG_CAP = 700.0
 
 
@@ -200,15 +201,6 @@ def affine_symbol(matrix, offset=None, u: Optional[EntireFunction] = None) -> Sy
     return SymbolPair(psi=AffineMap(mat, off), u=one(n) if u is None else u)
 
 
-def _u_kernel_shift(sym: SymbolPair) -> tuple:
-    """Completion-of-square shift from a single-kernel weight, plus the pad
-    of the norm quadrature for any other weight."""
-    center = _single_center(sym.u)
-    if center is None:
-        return np.zeros(sym.n, dtype=complex), _center_pad(sym.u)
-    return np.asarray(center, dtype=complex), 0.0
-
-
 def _w_free_terms(sym: SymbolPair, params: Params, q: float, pts: np.ndarray) -> tuple:
     """psi(z), the log weight and the m > 0 discount: the w-free terms."""
     psi_v = sym.psi.apply(pts)
@@ -228,15 +220,6 @@ def _add_w(terms: tuple, a: float, q: float, w: np.ndarray) -> np.ndarray:
 def _log_integrand(sym: SymbolPair, params: Params, q: float, w: np.ndarray,
                    pts: np.ndarray) -> np.ndarray:
     return _add_w(_w_free_terms(sym, params, q, pts), params.alpha, q, w)
-
-
-def _z_radius(sym: SymbolPair, params: Params, q: float) -> float:
-    if sym.is_affine:
-        grow = q * (params.m + _function_degree(sym.u))
-        _, pad = _u_kernel_shift(sym)
-        return truncation_radius(q * params.alpha / 2.0, grow, DEFAULT_EPS_TAIL,
-                                 params.n) + pad
-    return _POLY_Z_RADIUS[params.n]
 
 
 def _pullback_geometry(sym: SymbolPair, n: int) -> tuple:
@@ -266,18 +249,21 @@ def _log_transform_at(sym: SymbolPair, params: Params, q: float, staged: bool,
 
     The z-grid (and when staged the one enlarged by half at the same
     step) is built once: re-centred for each w when affine, else with its
-    w-free terms kept. Values known on the leading grids come in ``known``;
-    a grid where log B - kappa is fixed (module docstring) is summed once.
+    w-free terms kept. An affine grid is the cube of the weight's norm
+    integrand envelope (tail radius plus pad) about A*w plus its centre.
+    Values known on the leading grids come in ``known``; a grid where
+    log B - kappa is fixed (module docstring; an envelope with neither
+    growth nor pad) is summed once.
     """
     n, a = params.n, params.alpha
-    radius = _z_radius(sym, params, q)
+    env = norm_integrand_field(sym.u, params, q)
+    radius = env.tail_radius + env.pad if sym.is_affine else _POLY_Z_RADIUS[n]
     cells = _Z_CELLS[n] if z_cells is None else z_cells
     grids = [centred_grid(radius, cells, n)]
     if staged:
         grids.append(centred_grid(1.5 * radius, int(round(1.5 * cells)), n))
-    shift, _ = _u_kernel_shift(sym)
-    rigid = (sym.is_affine and params.m == 0 and _function_degree(sym.u) == 0
-             and (isinstance(sym.u, Polynomial) or len(sym.u.terms) == 1))
+    shift = np.asarray(env.center or np.zeros(n), dtype=complex)
+    rigid = sym.is_affine and env.growth == 0.0 and env.pad == 0.0
     terms = None if sym.is_affine else [
         _w_free_terms(sym, params, q, offs) for offs, _ in grids]
     rest = {}  # grid index -> log B(w) - kappa(w), for a rigid integrand
@@ -314,12 +300,14 @@ def log_berezin_compop(sym: SymbolPair, params: Params, w) -> float:
     return _log_transform_at(sym, params, q, False)(w)[0]
 
 
+def _safe_exp(x: float) -> float:
+    """exp(x), or inf past the float range."""
+    return math.inf if x > OVERFLOW_CAP else math.exp(x)
+
+
 def berezin_compop(sym: SymbolPair, params: Params, w) -> float:
     """Composition transform value at w (inf once past the float range)."""
-    log_v = log_berezin_compop(sym, params, w)
-    if log_v > _LOG_CAP:
-        return math.inf
-    return math.exp(log_v)
+    return _safe_exp(log_berezin_compop(sym, params, w))
 
 
 def _log_gap(coarse: np.ndarray, fine: np.ndarray) -> float:
@@ -329,9 +317,10 @@ def _log_gap(coarse: np.ndarray, fine: np.ndarray) -> float:
     return float(np.max(np.where((coarse == -math.inf) & (fine == -math.inf), 0.0, gap)))
 
 
-def transform_profile(sym: SymbolPair, params: Params, w_radius: Optional[float] = None,
-                      count: int = 21) -> tuple:
-    """Directional maxima of log B over shells |w| = rho, with exponent params.q.
+def transform_profile(sym: SymbolPair, params: Params) -> tuple:
+    """Directional maxima of log B over shells |w| = rho, with exponent params.q,
+    on the stage window [0, EXPANSION * STAGE_RADIUS[n]]: 31 radii at n = 1,
+    21 at n = 2.
 
     Returns (radii, log values, z-divergence flag). The z-grid's cells are
     chosen once per profile: they double from ``_PROFILE_START_CELLS`` up
@@ -342,12 +331,11 @@ def transform_profile(sym: SymbolPair, params: Params, w_radius: Optional[float]
     """
     q = params.q
     n = params.n
-    W = STAGE_RADIUS[n] if w_radius is None else w_radius
-    radii = np.linspace(0.0, W, count)
+    radii = np.linspace(0.0, EXPANSION * STAGE_RADIUS[n], _PROFILE_RADII[n])
     staged = not sym.is_affine
     dirs = directions(n)
     probes = {(0, 0): radii[0] * dirs[0]}
-    probes.update({(count - 1, k): radii[-1] * d for k, d in enumerate(dirs)})
+    probes.update({(len(radii) - 1, k): radii[-1] * d for k, d in enumerate(dirs)})
 
     def probe_logs(cells: int) -> np.ndarray:
         at = _log_transform_at(sym, params, q, False, z_cells=cells)
@@ -357,7 +345,7 @@ def transform_profile(sym: SymbolPair, params: Params, w_radius: Optional[float]
                                    _log_gap, lambda _: _PROFILE_LOG_TOL)
     known = {key: (float(v),) for key, v in zip(probes, logs)}
     transform_at = _log_transform_at(sym, params, q, staged, z_cells=cells)
-    out = np.full(count, -math.inf)
+    out = np.full(len(radii), -math.inf)
     z_divergent = False
     for i, rho in enumerate(radii):
         cand = dirs if rho > 0 else dirs[:1]
@@ -369,12 +357,12 @@ def transform_profile(sym: SymbolPair, params: Params, w_radius: Optional[float]
     return radii, out, z_divergent
 
 
-def weight_profile(sym: SymbolPair, params: Params, z_radius: float,
-                   count: int = 31) -> tuple:
-    """Shell maxima of the sup-target weight function, in log form."""
-    radii = np.linspace(0.0, z_radius, count)
+def weight_profile(sym: SymbolPair, params: Params) -> tuple:
+    """Shell maxima of the sup-target weight function, in log form, at 40
+    radii on [0, EXPANSION * _Z_RADIUS[n]]."""
+    radii = np.linspace(0.0, EXPANSION * _Z_RADIUS[params.n], 40)
     dirs = directions(params.n)
-    out = np.full(count, -math.inf)
+    out = np.full(len(radii), -math.inf)
     for i, rho in enumerate(radii):
         cand = dirs if rho > 0 else dirs[:1]
         pts = np.stack([rho * d for d in cand], axis=0)
@@ -439,40 +427,20 @@ class CompOpVerdict:
     carleson: Optional[CarlesonVerdict] = None
 
 
-def _safe_exp(x: float) -> float:
-    if x > _LOG_CAP:
-        return math.inf
-    if x == -math.inf:
-        return 0.0
-    return math.exp(x)
+def _stage_profile(sym: SymbolPair, params: Params) -> tuple:
+    """(radii, log values, z-divergence flag, root, base stage radius R1) of
+    the profile the verdicts read: the weight profile for a sup-norm
+    target, else the composition transform, whose q-th root is the norm.
+    Both reach the outer stage EXPANSION * R1."""
+    if math.isinf(params.q):
+        radii, logs = weight_profile(sym, params)
+        return radii, logs, False, 1.0, _Z_RADIUS[params.n]
+    radii, logs, z_div = transform_profile(sym, params)
+    return radii, logs, z_div, params.q, STAGE_RADIUS[params.n]
 
 
-def _trend_divergent(radii: np.ndarray, logs: np.ndarray, outer_radius: float) -> bool:
-    """Three-stage trend test on shell maxima in log form.
-
-    Growth below the tolerance between the middle and outer stages reads
-    as convergence. Above it, the increment trend decides: shrinking
-    increments signal a transient approaching a finite supremum, steady
-    or growing increments signal divergence. A profile converging like
-    C - c/rho shrinks its increments by EXPANSION per stage, while any
-    power-or-faster growth keeps them at least steady.
-    """
-    s_mid = outer_radius / EXPANSION
-    s_lo = outer_radius / EXPANSION ** 2
-    m0 = logs[radii <= s_lo + 1e-9]
-    m1 = logs[radii <= s_mid + 1e-9]
-    s0 = float(np.max(m0)) if m0.size else -math.inf
-    s1 = float(np.max(m1)) if m1.size else -math.inf
-    s2 = float(np.max(logs))
-    return growth_divergent(s0, s1, s2, GROWTH_TOL)
-
-
-def classify_compop(
-    sym: SymbolPair,
-    params: Params,
-    little_o_target: bool = False,
-    w_radius: Optional[float] = None,
-) -> CompOpVerdict:
+def classify_compop(sym: SymbolPair, params: Params,
+                    little_o_target: bool = False) -> CompOpVerdict:
     """Regime dispatch: decide boundedness and compactness of the operator."""
     p, q, n = params.p, params.q, params.n
     notes = []
@@ -483,23 +451,18 @@ def classify_compop(
         notes.append("polynomial symbol: outside the affine classification")
 
     if math.isinf(q) or p <= q:
-        # a profile in log form, then the same verdict from it: the weight
-        # profile for a sup-norm target, else the composition transform
+        radii, logs, z_div, root, R1 = _stage_profile(sym, params)
         if math.isinf(q):
-            R1 = _Z_RADIUS[n]
-            radii, logs = weight_profile(sym, params, EXPANSION * R1, count=40)
-            z_div, root, key, regime = False, 1.0, "log_sup", "sup-infinity"
+            key, regime = "log_sup", "sup-infinity"
             little_o_note = "sup criterion fails the little-o target"
         else:
-            R1 = STAGE_RADIUS[n] if w_radius is None else w_radius
-            radii, logs, z_div = transform_profile(
-                sym, params, w_radius=EXPANSION * R1, count=31 if n == 1 else 21)
-            root, key, regime = q, "log_transform_sup", "sup"
+            key, regime = "log_transform_sup", "sup"
             little_o_note = "transform fails the little-o target"
         R2 = EXPANSION * R1
-        sup1 = float(np.max(logs[radii <= R1]))
-        sup2 = float(np.max(logs))
-        divergent = _trend_divergent(radii, logs, R2) or z_div
+        # shell maxima up to the three nested stages, then the staged trend
+        sup0, sup1, sup2 = (float(np.max(logs[radii <= s + 1e-9]))
+                            for s in (R1 / EXPANSION, R1, R2))
+        divergent = growth_divergent(sup0, sup1, sup2, GROWTH_TOL) or z_div
         if z_div:
             notes.append("z-integral grows under truncation expansion")
         bounded = not divergent
@@ -571,16 +534,6 @@ def _compose_log_norm(sym: SymbolPair, f: EntireFunction, params: Params,
     return (log_c + log_int) / exponent
 
 
-def _probe_reach(sym: SymbolPair, f: EntireFunction, params: Params) -> float:
-    reach = 0.0
-    if isinstance(f, KernelCombo):
-        reach = f.max_center_norm
-    opn = sym.psi.op_norm if sym.is_affine else 1.0
-    shift, pad = _u_kernel_shift(sym)
-    reach = max(reach, opn * reach + float(np.linalg.norm(shift)) + pad)
-    return reach
-
-
 def direct_operator_norm(sym: SymbolPair, params: Params) -> float:
     """Largest norm ratio over a probe family; inf once any ratio tops 1e3.
 
@@ -592,12 +545,17 @@ def direct_operator_norm(sym: SymbolPair, params: Params) -> float:
     ident = identity_symbol(n)
     dec = params.alpha * min(p if not math.isinf(p) else q,
                              q if not math.isinf(q) else p) / 2.0
+    opn = sym.psi.op_norm if sym.is_affine else 1.0
+    # the weight's peaks sit within its envelope's reach; a probe's kernel
+    # centres within f_reach, carried out to opn * f_reach by psi
+    u_reach = norm_integrand_field(sym.u, params, 1.0).reach
     best = 0.0
     for _, f in family:
         grow = max(p if not math.isinf(p) else 1.0, q if not math.isinf(q) else 1.0) * (
-            params.m + _function_degree(f) + _function_degree(sym.u))
+            params.m + f.degree + sym.u.degree)
         base = truncation_radius(dec, grow, DEFAULT_EPS_TAIL, n)
-        radius = base + _probe_reach(sym, f, params)
+        f_reach = f.max_center_norm if isinstance(f, KernelCombo) else 0.0
+        radius = base + max(f_reach, opn * f_reach + u_reach)
         cells = _COMPOSE_CELLS[n]
         den = _compose_log_norm(ident, f, params, p, radius, cells)
         if den == -math.inf:
@@ -617,20 +575,14 @@ def essential_norm_estimate(sym: SymbolPair, params: Params) -> float:
     Valid for source exponents strictly between one and infinity with
     p <= q; the sup-target case reads the weight profile instead.
     """
-    p, q, n = params.p, params.q, params.n
+    p, q = params.p, params.q
     if p <= 1 or math.isinf(p):
         raise ValueError("essential norm estimate needs 1 < p < inf")
-    if math.isinf(q):
-        Z2 = EXPANSION * _Z_RADIUS[n]
-        radii, logs = weight_profile(sym, params, Z2, count=40)
-        outer = logs[radii >= Z2 - 1.0]
-        return _safe_exp(float(np.max(outer)))
     if p > q:
         raise ValueError("essential norm estimate applies at or above the diagonal")
-    W2 = EXPANSION * STAGE_RADIUS[n]
-    radii, logs, _ = transform_profile(sym, params, w_radius=W2, count=31)
-    outer = logs[radii >= W2 - 1.0]
-    return _safe_exp(float(np.max(outer)) / q)
+    radii, logs, _, root, R1 = _stage_profile(sym, params)
+    outer = logs[radii >= EXPANSION * R1 - 1.0]
+    return _safe_exp(float(np.max(outer)) / root)
 
 
 def linear_symbol_check(matrix, offset) -> dict:

@@ -131,6 +131,11 @@ class KernelCombo:
     terms: tuple  # tuple of KernelTerm
 
     @property
+    def degree(self) -> int:
+        """Polynomial growth degree: a kernel grows like a Gaussian, not a power."""
+        return 0
+
+    @property
     def max_center_norm(self) -> float:
         if not self.terms:
             return 0.0
@@ -271,20 +276,6 @@ def log_abs(f: EntireFunction, pts: np.ndarray, params: Params) -> np.ndarray:
         return peak + np.log(total)
 
 
-def _function_degree(f: EntireFunction) -> int:
-    return f.degree if isinstance(f, Polynomial) else 0
-
-
-def _center_pad(f: EntireFunction) -> float:
-    return 0.0 if isinstance(f, Polynomial) else f.max_center_norm
-
-
-def _single_center(f: EntireFunction) -> Optional[tuple]:
-    if isinstance(f, KernelCombo) and len(f.terms) == 1:
-        return f.terms[0].center
-    return None
-
-
 def norm_constant(p: float, m: int, n: int, alpha: float) -> float:
     """Normalising constant of the integral-form norm.
 
@@ -316,21 +307,31 @@ def log_weight(la: np.ndarray, pts: np.ndarray, params: Params, q: float) -> np.
 
 
 def norm_integrand_field(f: EntireFunction, params: Params, p: float) -> ScalarField:
-    """Field z -> |z|^{mp} |f(z)|^p exp(-alpha p |z|^2 / 2) with envelope."""
+    """Field z -> |z|^{mp} |f(z)|^p exp(-alpha p |z|^2 / 2) with envelope.
+
+    The envelope is centred at the centre of a one-kernel f; a combination
+    of several kernels is centred at the origin, padded by its largest
+    centre norm.
+    """
 
     def _eval(pts: np.ndarray) -> np.ndarray:
         with np.errstate(invalid="ignore"):
             out = np.exp(log_weight(log_abs(f, pts, params), pts, params, p))
         return np.where(np.isnan(out), 0.0, out)
 
-    center = _single_center(f)
+    center, pad = None, 0.0
+    if isinstance(f, KernelCombo):
+        if len(f.terms) == 1:
+            center = f.terms[0].center
+        else:
+            pad = f.max_center_norm
     return scalar_field(
         _eval,
         n=f.n,
         decay=params.alpha * p / 2.0,
-        growth=params.m * p + p * _function_degree(f),
+        growth=params.m * p + p * f.degree,
         center=center,
-        pad=_center_pad(f) if center is None else 0.0,
+        pad=pad,
     )
 
 

@@ -169,15 +169,3 @@ def verify_lattice(lat: Lattice, probe_count: int, seed: int) -> LatticeReport:
         probe_count=probe_count,
         seed=seed,
     )
-
-
-if __name__ == "__main__":
-    for (R, r, n) in [(6.0, 1.0, 1), (6.0, 0.5, 1), (6.0, 1.0, 2)]:
-        lat = make_lattice(R, r, n)
-        rep = verify_lattice(lat, 10**4, seed=0)
-        print(
-            f"n={n} R={R} r={r}: {len(lat)} centers ({lat.construction}), "
-            f"min pair {rep.min_pair_distance:.6f}, "
-            f"uncovered {rep.uncovered_probe_count}, "
-            f"worst probe {rep.max_probe_distance / r:.3f} r"
-        )

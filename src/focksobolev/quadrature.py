@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -85,6 +86,8 @@ def set_worker_count(count: int) -> None:
     _worker_count = int(count)
 
 
+# memoised: every envelope, and so every norm integrand and z-grid, asks again
+@lru_cache(maxsize=1024)
 def truncation_radius(c: float, d: float, eps_tail: float, n: int = 1) -> float:
     """Smallest radius on a 0.25 grid whose radial tail bound is below eps_tail.
 
@@ -173,6 +176,18 @@ class ScalarField:
     compact_radius: Optional[float] = None
     envelope_const: float = 1.0
 
+    @property
+    def tail_radius(self) -> float:
+        """The envelope's :func:`truncation_radius` at DEFAULT_EPS_TAIL."""
+        return truncation_radius(self.decay, self.growth, DEFAULT_EPS_TAIL, self.n)
+
+    @property
+    def reach(self) -> float:
+        """|center| + pad: how far from the origin the field's peaks may sit."""
+        if self.center is None:
+            return self.pad
+        return float(np.linalg.norm(np.asarray(self.center, dtype=complex))) + self.pad
+
     def center_coords(self) -> np.ndarray:
         """Real coordinates (2n,) of the declared center."""
         if self.center is None:
@@ -228,7 +243,7 @@ def _fit_envelope_const(field: ScalarField) -> float:
     if field.compact_radius is not None:
         r_max = field.compact_radius
     else:
-        r_max = truncation_radius(field.decay, field.growth, DEFAULT_EPS_TAIL, field.n)
+        r_max = field.tail_radius
     radii = np.array([0.0, 0.25, 0.5, 1.0, 2.0]) * max(r_max, 1e-6)
     dirs = _ring_directions(field.n)
     ctr = field.center_coords()
@@ -332,7 +347,7 @@ def integrate_gaussian(field: ScalarField, cells: Optional[int] = None) -> Integ
     if cells < 2:
         raise ValueError("cells must be at least 2")
     center_xy = field.center_coords()
-    cube = truncation_radius(field.decay, field.growth, DEFAULT_EPS_TAIL, field.n) + field.pad
+    cube = field.tail_radius + field.pad
     if field.compact_radius is not None:
         # No point integrating far outside the support.
         step = 2.0 * cube / cells
@@ -361,10 +376,7 @@ def sup_field_norm(field: ScalarField) -> tuple[float, np.ndarray]:
         ``argmax`` is the complex point (n,) where the maximum was found.
     """
     n = field.n
-    reach = 0.0 if field.center is None else float(
-        np.linalg.norm(np.asarray(field.center, dtype=complex)))
-    search_radius = 1.1 * truncation_radius(
-        field.decay, field.growth, DEFAULT_EPS_TAIL, n) + reach + field.pad + 1.0
+    search_radius = 1.1 * field.tail_radius + field.reach + 1.0
     step = 2.0 * search_radius / (256 if n == 1 else 40)
     cells = max(2, int(math.ceil(2.0 * search_radius / step)))
     axes = [cell_axis(cells, 2.0 * search_radius / cells)] * (2 * n)

@@ -110,6 +110,15 @@ def test_verify_norms_rejects_out_of_range_grid_flags(cli, params_file, flag, va
     assert flag in res.stderr
 
 
+def test_verify_norms_rejects_cells_for_a_sup_norm(cli, tmp_path):
+    """A sup norm runs no quadrature, so a cap on its cells would do nothing."""
+    params = write_json(tmp_path / "p.json",
+                        {"n": 1, "alpha": 1.0, "m": 1, "p": "inf", "q": 2.0})
+    res = cli(["verify-norms", "--params", "@" + params, "--cells", "8"])
+    assert res.returncode == 2
+    assert "--cells" in res.stderr
+
+
 def test_compop_row(cli, params_file, tmp_path):
     out = tmp_path / "op.jsonl"
     res = cli(["compop", "--params", "@" + params_file,
@@ -178,6 +187,20 @@ def test_compop_radii_flag(cli, params_file, tmp_path):
                "--symbol", '{"matrix": [[0.5]]}',
                "--radii", "0,1,2", "--out", str(out)])
     assert res.returncode == 0
+
+
+def test_compop_radii_add_probe_rows_only(cli, params_file):
+    """--radii adds one probe row per radius and leaves the verdict row, and
+    its stages, as the plain run gives them."""
+    args = ["compop", "--params", "@" + params_file, "--symbol", '{"scenario": "contraction"}']
+    plain = cli(args)
+    probed = cli(args + ["--radii", "0,2"])
+    assert plain.returncode == 0 and probed.returncode == 0
+    _, plain_rows = parse_jsonl(plain.stdout)
+    _, rows = parse_jsonl(probed.stdout)
+    assert rows[0] == plain_rows[0]
+    assert rows[0]["compact"] and rows[0]["stage_radii"] == [6.0, 9.0]
+    assert [r["radius"] for r in rows[1:]] == [0.0, 2.0]
 
 
 def test_report_determinism(cli, params_file, tmp_path):

@@ -81,16 +81,17 @@ def test_contraction_transform_closed_form(params_m0):
 
 
 def test_transform_profile_shapes(params_m0):
-    radii, logs, divergent = fs.transform_profile(fs.affine_symbol([[0.5]]), params_m0, count=9)
-    assert len(radii) == len(logs) == 9
+    radii, logs, divergent = fs.transform_profile(fs.affine_symbol([[0.5]]), params_m0)
+    assert len(radii) == len(logs) == 31
+    assert radii[-1] == EXPANSION * STAGE_RADIUS[1]
     assert not divergent
     assert logs[-1] < logs[0]
 
 
 def test_weight_profile_decay(params_m0):
     sym = fs.affine_symbol([[0.5]], None, fs.kernel([1.0 + 0.0j], n=1))
-    radii, logs = fs.weight_profile(sym, params_m0, z_radius=5.0, count=11)
-    assert len(radii) == len(logs) == 11
+    radii, logs = fs.weight_profile(sym, params_m0)
+    assert len(radii) == len(logs) == 40
     assert logs[-1] < logs[0]
 
 
@@ -251,17 +252,19 @@ def test_profile_cells_n1(monkeypatch, m, cells):
     """Smooth at m = 0, the profile stops at 32 z-cells; the |z|^{qm} cone
     at m = 1 keeps it at the cap of 128."""
     P = fs.Params(n=1, alpha=1.0, m=m, p=2.0, q=2.0)
-    _, chosen = _profile_and_cells(monkeypatch, fs.affine_symbol([[0.5]]), P, count=5)
+    _, chosen = _profile_and_cells(monkeypatch, fs.affine_symbol([[0.5]]), P)
     assert chosen == cells
 
 
-def _affine_log_transform(A, b, w, q, alpha):
-    """log B(w) for psi(z) = Az + b, u = 1, m = 0:
-    n log(2 pi/(q alpha)) + (q alpha/2)(|A* w|^2 - |w|^2) + q alpha Re<b, w>."""
+def _affine_log_transform(A, b, w, q, alpha, c=None):
+    """log B(w) for psi(z) = Az + b at m = 0, with u = 1 (c None) or the
+    normalised kernel u = k_c: n log(2 pi/(q alpha))
+    + (q alpha/2)(|A* w + c|^2 - |w|^2 - |c|^2) + q alpha Re<b, w>."""
     A = np.asarray(A, dtype=complex)
-    adj_w = np.conj(A).T @ w
+    c = np.zeros(len(w)) if c is None else np.asarray(c, dtype=complex)
+    v = np.conj(A).T @ w + c
     return (len(w) * math.log(2.0 * math.pi / (q * alpha))
-            + q * alpha / 2.0 * (np.vdot(adj_w, adj_w).real - np.vdot(w, w).real)
+            + q * alpha / 2.0 * (np.vdot(v, v).real - np.vdot(w, w).real - np.vdot(c, c).real)
             + q * alpha * np.vdot(w, b).real)
 
 
@@ -275,39 +278,48 @@ AFFINE_CASES = [
 ]
 
 
+KERNEL_CENTERS = {1: [None, [1.0 + 0.5j], [-2.0]], 2: [None, [1.0, -0.5j], [0.0, 2.0]]}
+
+
 @pytest.mark.parametrize("A,b", AFFINE_CASES)
 def test_affine_transform_closed_form(monkeypatch, A, b):
-    """The transform of an affine symbol with u = 1 at m = 0 completes the
-    square. Measured log errors: at most 1.2e-13 at n = 1 (128 z-cells in
-    log_berezin_compop, 32 in the profile) and 1.9e-7 at n = 2 (16 z-cells
-    in both), over alpha in {0.7, 1}, q in {2, 3} and these symbols; the
-    tolerances are about four times those."""
+    """The transform of an affine symbol at m = 0 with u = 1 or a one-kernel
+    weight u = k_c completes the square about A*w + c; the z-grid follows
+    the weight's envelope to that centre. Measured log errors: at most
+    1.4e-13 at n = 1 (128 z-cells in log_berezin_compop, 32 in the profile)
+    and 1.9e-7 at n = 2 (16 z-cells in both), over alpha in {0.7, 1}, q in
+    {2, 3}, these symbols and weights; the tolerances are about four times
+    those."""
     n = len(b)
     tol = 5e-13 if n == 1 else 8e-7
     b = np.asarray(b, dtype=complex)
     P = fs.Params(n=n, alpha=0.7, m=0, p=3.0, q=3.0)
-    sym = fs.affine_symbol(A, b)
     dirs = directions(n)
-    W = 1.5 * STAGE_RADIUS[n]
-    for rho in (0.0, 1.0, W):
-        for d in dirs:
-            exact = _affine_log_transform(A, b, rho * d, 3.0, 0.7)
-            assert abs(fs.log_berezin_compop(sym, P, rho * d) - exact) <= tol
-    (radii, logs, _), cells = _profile_and_cells(monkeypatch, sym, P, w_radius=W, count=7)
-    assert cells == (32 if n == 1 else 16)
-    exact = [max(_affine_log_transform(A, b, r * d, 3.0, 0.7) for d in dirs) for r in radii]
-    assert np.max(np.abs(logs - exact)) <= tol
+    for c in KERNEL_CENTERS[n]:
+        sym = fs.affine_symbol(A, b, None if c is None else fs.kernel(c, n=n))
+        for rho in (0.0, 1.0, EXPANSION * STAGE_RADIUS[n]):
+            for d in dirs if rho > 0 else dirs[:1]:
+                exact = _affine_log_transform(A, b, rho * d, 3.0, 0.7, c)
+                assert abs(fs.log_berezin_compop(sym, P, rho * d) - exact) <= tol
+        (radii, logs, _), cells = _profile_and_cells(monkeypatch, sym, P)
+        assert cells == (32 if n == 1 else 16)
+        exact = [max(_affine_log_transform(A, b, r * d, 3.0, 0.7, c) for d in dirs)
+                 for r in radii]
+        assert np.max(np.abs(logs - exact)) <= tol
 
 
 def _per_w_profile(sym, params, radii, cells):
     """The profile from one _log_integrand sum at every w, on the z-grid
-    the profile reads: re-centred at A*w + shift for an affine symbol, and
-    enlarged by half for a non-affine one, whose z-staging is on."""
+    the profile reads: for an affine symbol the cube of the weight's norm
+    integrand envelope re-centred at A*w plus its centre, and for a
+    non-affine one the fixed cube enlarged by half, whose z-staging is on."""
     n, q = params.n, params.q
-    radius = compop._z_radius(sym, params, q)
-    shift, _ = compop._u_kernel_shift(sym)
-    if not sym.is_affine:
-        radius, cells = 1.5 * radius, int(round(1.5 * cells))
+    env = fs.norm_integrand_field(sym.u, params, q)
+    if sym.is_affine:
+        radius = env.tail_radius + env.pad
+        shift = np.asarray(env.center or np.zeros(n), dtype=complex)
+    else:
+        radius, cells = 1.5 * compop._POLY_Z_RADIUS[n], int(round(1.5 * cells))
     offs, h = compop.centred_grid(radius, cells, n)
     dirs = directions(n)
     out = []
@@ -353,8 +365,9 @@ def test_profile_matches_per_w_integrand(monkeypatch, n):
                                     fs.one(1)), P0))
     for cases, tol in ((near, 1e-12), (exact, 0.0)):
         for sym, P in cases:
-            (radii, logs, _), cells = _profile_and_cells(monkeypatch, sym, P, count=7)
-            np.testing.assert_allclose(logs, _per_w_profile(sym, P, radii, cells),
+            (radii, logs, _), cells = _profile_and_cells(monkeypatch, sym, P)
+            # every fifth radius, both ends of the stage window included
+            np.testing.assert_allclose(logs[::5], _per_w_profile(sym, P, radii[::5], cells),
                                        rtol=0.0, atol=tol)
 
 
