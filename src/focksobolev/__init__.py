@@ -11,8 +11,6 @@ from .carleson import (
     carleson_lower_bound,
     classify_carleson,
     embedding_ratio,
-    three_way_values,
-    vanishing_profile,
 )
 from .compop import (
     AffineMap,
@@ -58,11 +56,9 @@ from .measures import (
     AtomicMeasure,
     DensityMeasure,
     atoms_on_lattice,
-    averaging_field,
     averaging_sequence,
     ball_mass,
     ball_mass_many,
-    berezin_field,
     berezin_value,
     discretize,
     effective_radius,

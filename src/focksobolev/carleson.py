@@ -62,10 +62,8 @@ from .quadrature import integrate_gaussian, scalar_field
 __all__ = [
     "CarlesonVerdict",
     "classify_carleson",
-    "three_way_values",
     "embedding_ratio",
     "carleson_lower_bound",
-    "vanishing_profile",
 ]
 
 _ATOM_CAP = 3000
@@ -180,7 +178,7 @@ def _stage_values(mu: Measure, params: Params, t: float, s: float, r: float,
     """Criterion values on the cube of radius T with step h.
 
     Returns (values dict, (scan radii, scan transform values)) where the
-    scan pair feeds the vanishing profile.
+    scan pair feeds the vanishing rule's shell profile.
     """
     n, alpha = params.n, params.alpha
     atomic = isinstance(mu, AtomicMeasure)
@@ -268,29 +266,14 @@ def _log(v: float) -> float:
     return math.log(v) if v > 0.0 else -math.inf
 
 
-def _profile(scan_r: np.ndarray, scan_v: np.ndarray, T: float) -> tuple:
+def _profile(scan_r: np.ndarray, scan_v: np.ndarray, T: float) -> np.ndarray:
+    """Maxima of the scan values over the unit shells out to T; nan where empty."""
     edges = np.arange(0.0, math.ceil(T) + 1.0)
     maxima = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         sel = (scan_r >= lo) & (scan_r < hi)
         maxima.append(float(np.max(scan_v[sel])) if np.any(sel) else math.nan)
-    return edges, np.array(maxima)
-
-
-def vanishing_profile(mu: Measure, params: Params, t: Optional[float] = None,
-                      r: float = 1.0) -> tuple:
-    """Shell maxima of the kernel transform out to the expanded radius.
-
-    Returns (bin edges, per-shell maxima); trailing shells falling below
-    VANISH_TOL times the peak indicate the vanishing property.
-    """
-    t = params.q if t is None else t
-    s = params.m * t
-    regime, k = _regime_of(params)
-    T1, h = _stage_geometry(mu, params.n)
-    T2 = EXPANSION * T1
-    _, scan = _stage_values(mu, params, t, s, r, regime, k, T2, h)
-    return _profile(scan[0], scan[1], T2)
+    return np.array(maxima)
 
 
 def classify_carleson(
@@ -347,7 +330,7 @@ def classify_carleson(
         band = max(powered) / min(powered)
 
     if regime == "sup":
-        edges, maxima = _profile(scan[0], scan[1], T2)
+        maxima = _profile(scan[0], scan[1], T2)
         finite = maxima[~np.isnan(maxima)]
         if finite.size == 0 or np.max(finite) <= 0.0:
             vanishing = True
@@ -383,22 +366,6 @@ def classify_carleson(
         stage_radii=(float(T1), float(T2)),
         notes=tuple(notes),
     )
-
-
-def three_way_values(mu: Measure, params: Params, t: Optional[float] = None,
-                     r: float = 1.0) -> dict:
-    """Transform, averaging and sequence criteria on the base cube only.
-
-    Valid in the sup regime; raises otherwise.
-    """
-    regime, k = _regime_of(params)
-    if regime != "sup":
-        raise ValueError("three-way comparison is a sup-regime diagnostic")
-    t = params.q if t is None else float(t)
-    s = params.m * t
-    T1, h = _stage_geometry(mu, params.n)
-    vals, _ = _stage_values(mu, params, t, s, r, regime, k, T1, h)
-    return {kk: float(v) for kk, v in vals.items()}
 
 
 def embedding_ratio(f, mu: Measure, params: Params) -> float:

@@ -367,8 +367,8 @@ def _cmd_carleson(args) -> tuple:
         probe_budget=args.probe_budget,
     )
     rec = {"command": "carleson", **dataclasses.asdict(verdict)}
-    config = {"command": "carleson", "params": json.loads(json.dumps(
-        dataclasses.asdict(params), default=str)), "version": __version__}
+    config = {"command": "carleson", "params": dataclasses.asdict(params),
+              "version": __version__}
     return [rec], config
 
 

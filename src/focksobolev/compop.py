@@ -13,8 +13,9 @@ so their z-integrals converge for every matrix, and unboundedness shows
 up only in the growth of B along w. At m = 0 with a constant or
 one-kernel weight (centre c, else c = 0), log B(w) - kappa(w) with
 kappa(w) = (q a/2)(|A*w + c|^2 - |w|^2) + q a Re<b, w> is one sum per
-z-grid, taken once; other symbols are integrated at each w. Polynomial
-symbols of higher degree get a staged z truncation check instead.
+z-grid, taken once; other symbols are integrated at each w. A polynomial
+symbol of degree at most 1 is turned into its affine map; those of higher
+degree get a staged z truncation check instead.
 
 Boundedness and compactness are decided per exponent regime: sup and
 decay of B at or above the diagonal, pullback measure classification
@@ -178,6 +179,15 @@ class SymbolPair:
     def __post_init__(self):
         if self.psi.n != self.u.n:
             raise ValueError("symbol and weight live on different dimensions")
+        if isinstance(self.psi, PolynomialMap) and self.psi.degree <= 1:
+            # a polynomial map of degree <= 1 is affine: it takes the exact
+            # affine path, whose z-grid follows the integrand's peak at A*w
+            n = self.psi.n
+            coef = np.zeros((n, n + 1), dtype=complex)  # [A | b]
+            for i, comp in enumerate(self.psi.components):
+                for beta, c in comp.coeffs:
+                    coef[i, beta.index(1) if any(beta) else n] = c
+            object.__setattr__(self, "psi", AffineMap(coef[:, :n], coef[:, n]))
 
     @property
     def n(self) -> int:

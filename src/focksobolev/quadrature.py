@@ -5,9 +5,10 @@ carrying a declared envelope
 
     field(z) <= K * (1 + |z - z0|)^d * exp(-c |z - z0|^2),
 
-fitted by sampling at construction time. The envelope drives the choice of
-truncation radius through a closed-form radial tail bound, and the tail
-contribution is folded into the reported error estimate.
+with K fitted by sampling the first time a tail bound reads it. The
+envelope drives the choice of truncation radius through a closed-form
+radial tail bound, and the tail contribution is folded into the reported
+error estimate.
 
 The integration rule is a tensor midpoint rule on a cube about the field's
 declared center, of half-width the truncation radius plus the field's pad:
@@ -24,8 +25,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -174,7 +175,11 @@ class ScalarField:
     center: Optional[tuple] = None
     pad: float = 0.0
     compact_radius: Optional[float] = None
-    envelope_const: float = 1.0
+
+    @cached_property
+    def envelope_const(self) -> float:
+        """The envelope constant K, fitted by sampling on first use."""
+        return _fit_envelope_const(self)
 
     @property
     def tail_radius(self) -> float:
@@ -204,19 +209,12 @@ def scalar_field(
     pad: float = 0.0,
     compact_radius: Optional[float] = None,
 ) -> ScalarField:
-    """Build a ScalarField, fitting the envelope constant by sampling.
-
-    The constant K is the maximum of field / envelope over a deterministic
-    set of rings around the center, so the declared envelope inequality
-    holds at every sampled point by construction.
-    """
+    """Build a ScalarField with its center as a tuple of complex numbers."""
     if n not in (1, 2):
         raise ValueError("only n in {1, 2} is supported")
     ctr = None if center is None else tuple(complex(c) for c in np.asarray(center).reshape(n))
-    probe = ScalarField(evaluate, n, float(decay), float(growth), ctr, float(pad),
-                        compact_radius)
-    k_fit = _fit_envelope_const(probe)
-    return replace(probe, envelope_const=k_fit)
+    return ScalarField(evaluate, n, float(decay), float(growth), ctr, float(pad),
+                       compact_radius)
 
 
 def _ring_directions(n: int) -> np.ndarray:
@@ -238,6 +236,9 @@ def _ring_directions(n: int) -> np.ndarray:
 
 
 def _fit_envelope_const(field: ScalarField) -> float:
+    """The maximum of field / envelope over a deterministic set of rings
+    around the center, so the declared envelope inequality holds at every
+    sampled point by construction."""
     if field.decay <= 0 and field.compact_radius is None:
         return 1.0
     if field.compact_radius is not None:

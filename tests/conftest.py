@@ -21,11 +21,6 @@ def unit_lattice():
     return fs.make_lattice(6.0, 1.0, n=1)
 
 
-@pytest.fixture(scope="session")
-def lattice_atoms(unit_lattice):
-    return fs.atoms_on_lattice(unit_lattice)
-
-
 def run_cli(args, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "focksobolev.cli", *args],

@@ -142,24 +142,10 @@ def test_measure_suite_expectations_follow_rule(n, p):
             assert sc.expect_carleson == fs.expected_measure_verdict(sc.measure, P), sc.name
 
 
-def test_three_way_values_comparable(lattice_atoms):
-    P = params(2.0, 2.0)
-    vals = fs.three_way_values(lattice_atoms, P, t=2.0, r=1.0)
-    assert set(vals) == {"transform", "averaging", "sequence"}
-    arr = [v ** (1.0 / P.q) for v in vals.values()]
-    assert max(arr) / min(arr) < 100.0
-
-
 def test_comparability_band_reported():
     v = fs.classify_carleson(fs.gaussian(1.0, 1), params(2.0, 2.0), t=2.0)
     assert v.comparability_band is not None
     assert 1.0 <= v.comparability_band < 100.0
-
-
-def test_vanishing_profile_decays_for_gaussian():
-    edges, vals = fs.vanishing_profile(fs.gaussian(1.0, 1), params(2.0, 2.0), t=2.0)
-    assert len(edges) == len(vals) + 1
-    assert vals[-1] < 0.05 * vals[0]
 
 
 def test_embedding_lower_bound_when_probed():

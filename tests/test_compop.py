@@ -61,6 +61,23 @@ def test_polynomial_symbol_flagged(params_m0):
     assert any("outside" in note for note in v.notes)
 
 
+def test_degree_one_polynomial_symbol_is_affine(params_m0):
+    """A polynomial map of degree <= 1 becomes the same affine map: equal
+    values, and at n = 1 the verdict of the matrix form (a fixed z-grid
+    about the origin called psi = z/2 unbounded)."""
+    comps = (fs.polynomial({(1, 0): 0.5, (0, 1): 0.25j, (0, 0): 0.1}, 2),
+             fs.polynomial({(0, 1): -0.3}, 2))
+    sym = fs.SymbolPair(fs.PolynomialMap(comps), fs.one(2))
+    assert sym.is_affine
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
+    np.testing.assert_allclose(sym.psi.apply(pts), fs.PolynomialMap(comps).apply(pts),
+                               rtol=1e-15, atol=1e-15)
+    half = fs.SymbolPair(fs.PolynomialMap((fs.polynomial({(1,): 0.5}, 1),)), fs.one(1))
+    assert fs.classify_compop(half, params_m0) == fs.classify_compop(
+        fs.affine_symbol([[0.5]]), params_m0)
+
+
 def test_linear_symbol_check_witnesses():
     chk = fs.linear_symbol_check([[1.0]], [1.0])
     assert chk["op_norm"] == pytest.approx(1.0)

@@ -45,7 +45,7 @@ def test_ball_mass_atomic_counts_inside():
     assert fs.ball_mass(mu, 1.0 + 0.0j, 0.5) == pytest.approx(0.0)
 
 
-def single_ball_mass(mu, center, radius, step_cap=None):
+def single_ball_mass(mu, center, radius):
     """The per-centre ball-mass formula: a strict sum over atoms, or a
     density on the local cube grid with a boundary fraction linear in the
     signed distance across one cell."""
@@ -53,7 +53,7 @@ def single_ball_mass(mu, center, radius, step_cap=None):
     if isinstance(mu, fs.AtomicMeasure):
         d = np.linalg.norm(mu.locations - c[None, :], axis=1)
         return float(mu.weights[d < radius].sum())
-    h = _ball_step(radius, mu.n, step_cap, mu)
+    h = _ball_step(radius, mu.n, None, mu)
     pts = grid_points([x + cube_axis(radius, h) for x in to_real(c[None, :])[0]])
     frac = np.clip((radius - np.linalg.norm(pts - c[None, :], axis=1)) / h + 0.5, 0.0, 1.0)
     return float((mu.density(pts) * frac).sum() * h ** (2 * mu.n))
@@ -76,28 +76,28 @@ def _ball_cases():
                              np.eye(2 * n), -np.eye(2 * n), np.full((1, 2 * n), 0.5)])
         atoms = fs.AtomicMeasure(xy[:, :n] + 1j * xy[:, n:], rng.uniform(0.1, 2.0, len(xy)), n)
         on_sphere = grid_points([np.arange(-2.0, 3.0)] * 2 + [np.array([0.0])] * (2 * n - 2))
-        yield f"atoms{n}", atoms, on_sphere, None
-        yield f"empty{n}", fs.AtomicMeasure(np.empty((0, n)), np.empty(0), n), on_sphere, None
-        yield f"no-centres{n}", atoms, np.empty((0, n), dtype=complex), None
+        yield f"atoms{n}", atoms, on_sphere
+        yield f"empty{n}", fs.AtomicMeasure(np.empty((0, n)), np.empty(0), n), on_sphere
+        yield f"no-centres{n}", atoms, np.empty((0, n), dtype=complex)
         xy = rng.uniform(-2.5, 2.5, size=(4 if n == 2 else 12, 2 * n))
         scattered = xy[:, :n] + 1j * xy[:, n:]
         for mu in (fs.lebesgue(n), fs.gaussian(0.7, n, scale=2.0), fs.polygrowth(-1.5, n)):
-            yield f"{mu.kind}{n}", mu, scattered, None
-        yield f"ring{n}", fs.ring(1.5, 0.6, n), scattered, 0.1
+            yield f"{mu.kind}{n}", mu, scattered
+        yield f"ring{n}", fs.ring(1.5, 0.6, n), scattered
     # about 100,000 atoms against separated D4 lattice centres: several
     # atom blocks, each atom in more than one ball
     xy = rng.normal(scale=1.5, size=(100_000, 4))
     atoms = fs.AtomicMeasure(xy[:, :2] + 1j * xy[:, 2:], rng.uniform(0.1, 2.0, 100_000), 2)
-    yield "lattice2", atoms, fs.make_lattice(2.5, 1.0, 2).as_complex(), None
+    yield "lattice2", atoms, fs.make_lattice(2.5, 1.0, 2).as_complex()
 
 
 @pytest.mark.parametrize("case", list(_ball_cases()), ids=lambda case: case[0])
 def test_ball_mass_many_matches_brute_force(case):
     """Batched ball masses against the per-centre formula, for atoms and
     for every density kind, at n = 1 and n = 2."""
-    _, mu, centers, step_cap = case
-    expect = np.array([single_ball_mass(mu, c, 1.0, step_cap) for c in centers])
-    got = fs.ball_mass_many(mu, centers, 1.0, step_cap)
+    _, mu, centers = case
+    expect = np.array([single_ball_mass(mu, c, 1.0) for c in centers])
+    got = fs.ball_mass_many(mu, centers, 1.0)
     assert got.shape == (centers.shape[0],)
     np.testing.assert_allclose(got, expect, rtol=1e-12)
 
@@ -188,15 +188,6 @@ def test_berezin_value_matches_direct_sum():
     assert fs.berezin_value(mu, w, t, s, alpha) == pytest.approx(direct, rel=1e-12)
 
 
-def test_berezin_field_matches_value():
-    mu = delta()
-    field = fs.berezin_field(mu, 2.0, 0.0, 1.0)
-    pts = np.array([[0.0 + 0.0j], [1.0 + 0.0j]])
-    vals = field.evaluate(pts)
-    assert vals[0] == pytest.approx(1.0)
-    assert vals[1] == pytest.approx(math.exp(-1.0))
-
-
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("on_nodes", [False, True])
 def test_gauss_transform_matches_brute_force(n, on_nodes):
@@ -238,20 +229,6 @@ def test_node_grid_transform_matches_on_node_atoms(mu):
     axes = [cube_axis(radius, step)] * (2 * mu.n)
     assert np.array_equal(_gauss_transform(_node_grid(mu, radius, step), c, s, axes),
                           _gauss_transform(fs.discretize(mu, radius, step), c, s, axes))
-
-
-def test_averaging_field_lebesgue_flat():
-    field = fs.averaging_field(fs.lebesgue(1), 1.0, 0.0)
-    vals = field.evaluate(np.array([[0.0 + 0.0j], [2.0 + 0.0j]]))
-    assert np.allclose(vals, math.pi, rtol=2e-3)
-
-
-def test_averaging_field_discount():
-    flat = fs.averaging_field(fs.lebesgue(1), 1.0, 0.0)
-    tilted = fs.averaging_field(fs.lebesgue(1), 1.0, 2.0)
-    pt = np.array([[3.0 + 0.0j]])
-    ratio = tilted.evaluate(pt)[0] / flat.evaluate(pt)[0]
-    assert ratio == pytest.approx((1.0 + 3.0) ** -2.0, rel=1e-9)
 
 
 def test_averaging_sequence_on_lattice(unit_lattice):
