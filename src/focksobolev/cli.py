@@ -130,45 +130,32 @@ def _parse_points(raw, n: int, label: str) -> np.ndarray:
     return to_complex(arr)
 
 
+# the keys each measure kind requires, besides "kind"
+_MEASURE_KEYS = {"atoms": {"locations"}, "lebesgue": set(), "gaussian": {"rate"},
+                 "polygrowth": {"power"}, "ring": {"ring_radius", "ring_width"}}
+
+
 def parse_measure(text: str, n: int):
     data = _load_json_arg(text, "measure")
     if "kind" not in data:
         raise ConfigError("measure: missing 'kind'")
     kind = data["kind"]
-    base_opt = {"n", "scale"}
-    if kind == "atoms":
-        _require_keys(data, {"kind", "locations"}, {"weights", "n"}, "measure")
-        mn = int(data.get("n", n))
-        loc = _parse_points(data["locations"], mn, "measure.locations")
-        wts = data.get("weights")
-        weights = np.ones(loc.shape[0]) if wts is None else np.asarray(wts, dtype=float)
-        try:
-            mu = AtomicMeasure(locations=loc, weights=weights, n=mn)
-        except ValueError as exc:
-            raise ConfigError(f"measure: {exc}") from exc
-    elif kind in ("lebesgue", "gaussian", "polygrowth", "ring"):
-        extra = {
-            "lebesgue": set(),
-            "gaussian": {"rate"},
-            "polygrowth": {"power"},
-            "ring": {"ring_radius", "ring_width"},
-        }[kind]
-        _require_keys(data, {"kind"} | extra, base_opt, "measure")
-        mn = int(data.get("n", n))
-        try:
-            mu = DensityMeasure(
-                kind=kind,
-                n=mn,
-                scale=float(data.get("scale", 1.0)),
-                rate=float(data.get("rate", 0.0)),
-                power=float(data.get("power", 0.0)),
-                ring_radius=float(data.get("ring_radius", 0.0)),
-                ring_width=float(data.get("ring_width", 0.0)),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"measure: {exc}") from exc
-    else:
+    if not isinstance(kind, str) or kind not in _MEASURE_KEYS:
         raise ConfigError(f"measure: unknown kind {kind!r}")
+    optional = {"weights", "n"} if kind == "atoms" else {"n", "scale"}
+    _require_keys(data, {"kind"} | _MEASURE_KEYS[kind], optional, "measure")
+    mn = int(data.get("n", n))
+    try:
+        if kind == "atoms":
+            loc = _parse_points(data["locations"], mn, "measure.locations")
+            wts = data.get("weights")
+            weights = np.ones(loc.shape[0]) if wts is None else np.asarray(wts, dtype=float)
+            mu = AtomicMeasure(locations=loc, weights=weights, n=mn)
+        else:
+            mu = DensityMeasure(kind=kind, n=mn, **{
+                key: float(val) for key, val in data.items() if key not in ("kind", "n")})
+    except ValueError as exc:
+        raise ConfigError(f"measure: {exc}") from exc
     if mu.n != n:
         raise ConfigError(f"measure dimension {mu.n} does not match params n={n}")
     return mu
@@ -251,7 +238,7 @@ def parse_symbol(text: str, params: Params) -> SymbolPair:
         mat = np.array(
             [[_parse_complex(v, "symbol.matrix") for v in row] for row in rows]
         )
-        off = np.zeros(n, dtype=complex)
+        off = None
         if "offset" in data:
             vals = data["offset"]
             if len(vals) != n:
@@ -340,22 +327,11 @@ def emit_report(records: list, config: dict, fmt: str, out: Optional[str]) -> No
 def _cmd_lattice(args) -> tuple:
     lat = make_lattice(args.domain_radius, args.r, args.n)
     report = verify_lattice(lat, probe_count=args.probes, seed=args.seed)
-    rec = {
-        "command": "lattice",
-        "n": lat.n,
-        "r": lat.r,
-        "domain_radius": lat.domain_radius,
-        "construction": lat.construction,
-        "centers": len(lat),
-        "min_pair_distance": report.min_pair_distance,
-        "uncovered_probe_count": report.uncovered_probe_count,
-        "max_probe_distance": report.max_probe_distance,
-        "probe_count": report.probe_count,
-        "seed": report.seed,
-    }
-    config = {"command": "lattice", "n": args.n, "r": args.r,
-              "domain_radius": args.domain_radius, "probes": args.probes,
-              "seed": args.seed, "version": __version__}
+    rec = {"n": lat.n, "r": lat.r, "domain_radius": lat.domain_radius,
+           "construction": lat.construction, "centers": len(lat),
+           **dataclasses.asdict(report)}
+    config = {"n": args.n, "r": args.r, "domain_radius": args.domain_radius,
+              "probes": args.probes, "seed": args.seed}
     return [rec], config
 
 
@@ -366,34 +342,21 @@ def _cmd_carleson(args) -> tuple:
         mu, params, t=args.t, r=args.ball_radius,
         probe_budget=args.probe_budget,
     )
-    rec = {"command": "carleson", **dataclasses.asdict(verdict)}
-    config = {"command": "carleson", "params": dataclasses.asdict(params),
-              "version": __version__}
-    return [rec], config
+    return [dataclasses.asdict(verdict)], {"params": dataclasses.asdict(params)}
 
 
 def _cmd_compop(args) -> tuple:
     params = parse_params(args.params)
     sym = parse_symbol(args.symbol, params)
-    radii = None
-    if args.radii is not None:
-        try:
-            radii = sorted(float(tok) for tok in args.radii.split(","))
-        except ValueError:
-            raise ConfigError(f"--radii: expected comma-separated floats, got {args.radii!r}")
-        if not radii or any(r < 0.0 for r in radii):
-            raise ConfigError("--radii: need at least one nonnegative radius")
     verdict = classify_compop(sym, params, little_o_target=args.little_o)
-    recs = [{"command": "compop", **dataclasses.asdict(verdict)}]
-    for rho in radii or ():
+    recs = [dataclasses.asdict(verdict)]
+    for rho in args.radii or ():
         w = np.zeros(params.n, dtype=complex)
         w[0] = rho
-        recs.append({
-            "command": "compop", "check": "transform-probe", "radius": rho,
-            "log_value": log_berezin_compop(sym, params, w),
-        })
-    config = {"command": "compop", "params": dataclasses.asdict(params),
-              "little_o": args.little_o, "radii": radii, "version": __version__}
+        recs.append({"check": "transform-probe", "radius": rho,
+                     "log_value": log_berezin_compop(sym, params, w)})
+    config = {"params": dataclasses.asdict(params), "little_o": args.little_o,
+              "radii": args.radii}
     return recs, config
 
 
@@ -410,7 +373,7 @@ def _norm_rows(params: Params, cells: Optional[int]) -> list:
         value, error_estimate, grid_cells = estimate
         err = abs(value - expected)
         rows.append({
-            "command": "verify-norms", "check": check, "value": value,
+            "check": check, "value": value,
             "expected": expected, "abs_error": err, "tol": tol,
             "passed": bool(err <= tol), "error_estimate": error_estimate,
             "cells": grid_cells,
@@ -462,10 +425,8 @@ def _monomial_norm_closed(k: int, params: Params) -> float:
 
 def _cmd_verify_norms(args) -> tuple:
     params = parse_params(args.params)
-    rows = _norm_rows(params, args.cells)
-    config = {"command": "verify-norms", "params": dataclasses.asdict(params),
-              "cells": args.cells, "version": __version__}
-    return rows, config
+    return _norm_rows(params, args.cells), {"params": dataclasses.asdict(params),
+                                             "cells": args.cells}
 
 
 def _cmd_suite(args) -> tuple:
@@ -474,7 +435,7 @@ def _cmd_suite(args) -> tuple:
     for scen in composition_suite(params):
         verdict = classify_compop(scen.symbol, params)
         row = {
-            "command": "suite", "kind": "compop", "name": scen.name,
+            "kind": "compop", "name": scen.name,
             "expected_bounded": scen.expect_bounded,
             "expected_compact": scen.expect_compact,
             "bounded": verdict.bounded, "compact": verdict.compact,
@@ -493,7 +454,7 @@ def _cmd_suite(args) -> tuple:
             if expected is None:
                 expected = expected_measure_verdict(mscen.measure, params)
             row = {
-                "command": "suite", "kind": "carleson", "name": mscen.name,
+                "kind": "carleson", "name": mscen.name,
                 "expected_carleson": expected,
                 "is_carleson": verdict.is_carleson,
                 "is_vanishing": verdict.is_vanishing,
@@ -506,9 +467,33 @@ def _cmd_suite(args) -> tuple:
                     row["agreement"] and verdict.is_vanishing == mscen.expect_vanishing
                 )
             rows.append(row)
-    config = {"command": "suite", "params": dataclasses.asdict(params),
-              "version": __version__}
-    return rows, config
+    return rows, {"params": dataclasses.asdict(params)}
+
+
+def _positive(convert):
+    """argparse type: convert(text), finite and above zero. Text that
+    convert refuses is reported under convert's name, as type=convert would."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+def _radii(text: str) -> list:
+    """argparse type: comma-separated finite nonnegative radii, sorted."""
+    try:
+        radii = sorted(float(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated floats, got {text!r}") from None
+    if not all(0.0 <= r < math.inf for r in radii):
+        raise argparse.ArgumentTypeError(f"expected finite nonnegative radii, got {text!r}")
+    return radii
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -519,50 +504,48 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, threads=False):
+    def common(p, threads=False, params=True):
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", default="json-lines",
                        choices=["json-lines", "csv"])
         if threads:
             p.add_argument("--threads", type=int, default=1,
                            help="threads that evaluate quadrature slabs")
+        if params:
+            p.add_argument("--params", required=True)
 
     p = sub.add_parser("lattice", help="build a lattice and audit separation/covering")
-    common(p)
+    common(p, params=False)
     p.add_argument("--n", type=int, required=True, choices=[1, 2])
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--domain-radius", type=float, required=True)
-    p.add_argument("--probes", type=int, default=100_000)
+    p.add_argument("--r", type=_positive(float), required=True)
+    p.add_argument("--domain-radius", type=_positive(float), required=True)
+    p.add_argument("--probes", type=_positive(int), default=100_000)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=_cmd_lattice)
 
     p = sub.add_parser("carleson", help="classify a measure for the (p,q) embedding")
     common(p, threads=True)
-    p.add_argument("--params", required=True)
     p.add_argument("--measure", required=True)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--ball-radius", type=float, default=1.0)
+    p.add_argument("--t", type=_positive(float), default=None)
+    p.add_argument("--ball-radius", type=_positive(float), default=1.0)
     p.add_argument("--probe-budget", type=int, default=0)
     p.set_defaults(func=_cmd_carleson)
 
     p = sub.add_parser("compop", help="classify a weighted composition operator")
     common(p)
-    p.add_argument("--params", required=True)
     p.add_argument("--symbol", required=True)
     p.add_argument("--little-o", action="store_true")
-    p.add_argument("--radii", default=None,
+    p.add_argument("--radii", type=_radii, default=None,
                    help="comma-separated radii for extra transform probe rows")
     p.set_defaults(func=_cmd_compop)
 
     p = sub.add_parser("verify-norms", help="check norms against closed forms")
     common(p, threads=True)
-    p.add_argument("--params", required=True)
     p.add_argument("--cells", type=int, default=None)
     p.set_defaults(func=_cmd_verify_norms)
 
     p = sub.add_parser("suite", help="run the scenario suites against expectations")
     common(p)
-    p.add_argument("--params", required=True)
     p.set_defaults(func=_cmd_suite)
     return ap
 
@@ -576,6 +559,8 @@ def main(argv: Optional[list] = None) -> int:
             raise ConfigError("--threads must be at least 1")
         set_worker_count(threads)
         records, config = args.func(args)
+        records = [{"command": args.command, **rec} for rec in records]
+        config = {"command": args.command, **config, "version": __version__}
         emit_report(records, config, args.format, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -98,10 +98,11 @@ _WEIGHT_LOG_CAP = 700.0
 
 @dataclass(frozen=True)
 class AffineMap:
-    """z -> matrix @ z + offset on C^n."""
+    """z -> matrix @ z + offset on C^n; a scalar matrix is 1x1 and the
+    offset defaults to zero. The one place a matrix/offset input is read."""
 
     matrix: np.ndarray
-    offset: np.ndarray
+    offset: Optional[np.ndarray] = None
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
@@ -109,7 +110,8 @@ class AffineMap:
             mat = mat.reshape(1, 1)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("matrix must be square")
-        off = np.asarray(self.offset, dtype=complex).reshape(mat.shape[0])
+        off = np.zeros(mat.shape[0]) if self.offset is None else self.offset
+        off = np.asarray(off, dtype=complex).reshape(mat.shape[0])
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "offset", off)
 
@@ -126,10 +128,6 @@ class AffineMap:
     @property
     def op_norm(self) -> float:
         return float(np.linalg.svd(self.matrix, compute_uv=False)[0])
-
-    @property
-    def degree(self) -> int:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -199,16 +197,12 @@ class SymbolPair:
 
 
 def identity_symbol(n: int) -> SymbolPair:
-    return SymbolPair(psi=AffineMap(np.eye(n), np.zeros(n)), u=one(n))
+    return affine_symbol(np.eye(n))
 
 
 def affine_symbol(matrix, offset=None, u: Optional[EntireFunction] = None) -> SymbolPair:
-    mat = np.asarray(matrix, dtype=complex)
-    if mat.ndim == 0:
-        mat = mat.reshape(1, 1)
-    n = mat.shape[0]
-    off = np.zeros(n) if offset is None else offset
-    return SymbolPair(psi=AffineMap(mat, off), u=one(n) if u is None else u)
+    psi = AffineMap(matrix, offset)
+    return SymbolPair(psi=psi, u=one(psi.n) if u is None else u)
 
 
 def _w_free_terms(sym: SymbolPair, params: Params, q: float, pts: np.ndarray) -> tuple:
@@ -604,11 +598,9 @@ def linear_symbol_check(matrix, offset) -> dict:
     to a tolerance of 1e-8.
     """
     tol = 1e-8
-    mat = np.asarray(matrix, dtype=complex)
-    if mat.ndim == 0:
-        mat = mat.reshape(1, 1)
-    off = np.asarray(offset, dtype=complex).reshape(mat.shape[0])
-    U, sigma, Vh = np.linalg.svd(mat)
+    psi = AffineMap(matrix, offset)
+    off = psi.offset
+    U, sigma, Vh = np.linalg.svd(psi.matrix)
     op_norm = float(sigma[0])
     unit = np.abs(sigma - 1.0) <= tol
     overlap = 0.0

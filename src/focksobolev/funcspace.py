@@ -34,7 +34,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .grid import directions
+from .grid import eight_directions
 from .quadrature import (
     ERROR_FLOOR,
     ScalarField,
@@ -433,27 +433,25 @@ def pointwise_bound_ratio(f: EntireFunction, params: Params, samples) -> float:
     return float(np.max(vals)) / nrm
 
 
+def _multi_indices(n: int, degree: int) -> list:
+    """Multi-indices of total degree at most ``degree``, lexicographic."""
+    if n == 1:
+        return [(d,) for d in range(degree + 1)]
+    return [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+
+
 def random_polynomial(n: int, degree: int, rng: np.random.Generator) -> Polynomial:
     """Dense random polynomial with standard complex Gaussian coefficients."""
-    coeffs = {}
-    if n == 1:
-        betas = [(d,) for d in range(degree + 1)]
-    else:
-        betas = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
-    for beta in betas:
-        c = rng.standard_normal() + 1j * rng.standard_normal()
-        coeffs[beta] = c
-    return polynomial(coeffs, n)
+    return polynomial({beta: rng.standard_normal() + 1j * rng.standard_normal()
+                       for beta in _multi_indices(n, degree)}, n)
 
 
 def _kernel_centers_grid(n: int, radius: float) -> list:
     """Deterministic polar grid of kernel centers with |w| <= radius."""
     centers = [np.zeros(n, dtype=complex)]
     radii = [r for r in (1.0, 2.0, 3.0, 4.0) if r <= radius]
-    # eight directions: every other one of the 16 at n = 1
-    dirs = directions(n)[::2] if n == 1 else directions(n)
     for r in radii:
-        for d in dirs:
+        for d in eight_directions(n):
             centers.append(r * d)
     return centers
 
@@ -479,15 +477,7 @@ def probe_family(
         out.append((f"kernel[{i}]", kernel(w, n=params.n)))
         if params.m >= 1:
             out.append((f"damped-kernel[{i}]", kernel(w, n=params.n, sobolev_scaled=True)))
-    if params.n == 1:
-        betas = [(d,) for d in range(monomial_degree + 1)]
-    else:
-        betas = [
-            (i, j)
-            for i in range(monomial_degree + 1)
-            for j in range(monomial_degree + 1 - i)
-        ]
-    for beta in betas:
+    for beta in _multi_indices(params.n, monomial_degree):
         out.append((f"monomial{beta}", polynomial({beta: 1.0}, params.n)))
     if combos > 0:
         rng = np.random.default_rng(seed)

@@ -44,9 +44,6 @@ class Lattice:
         """Centers as a complex array of shape (k, n)."""
         return to_complex(self.centers)
 
-    def radii(self) -> np.ndarray:
-        return np.linalg.norm(self.centers, axis=1)
-
 
 @dataclass(frozen=True)
 class LatticeReport:

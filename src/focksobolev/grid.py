@@ -3,7 +3,8 @@
 points are laid out in ij order, the last axis varying fastest.
 ``resolve_cells`` picks a grid's cells per axis by doubling until two
 successive grids agree. ``directions`` is the one set of unit directions
-that radial profiles and probe centres scan.
+that radial profiles and probe centres scan; ``eight_directions`` is the
+sparser eight of them that kernel centres and envelope fits sample.
 """
 
 from __future__ import annotations
@@ -46,6 +47,11 @@ def directions(n: int) -> list:
         [0.0, 1j], [s, s * 1j], [s * 1j, s], [s, -s],
     ]
     return [np.array(d, dtype=complex) for d in raw]
+
+
+def eight_directions(n: int) -> list:
+    """Eight of :func:`directions`: every other one at n = 1, all at n = 2."""
+    return directions(n)[::2] if n == 1 else directions(n)
 
 
 def grid_points(axes: Sequence[np.ndarray]) -> np.ndarray:

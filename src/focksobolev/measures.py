@@ -59,6 +59,8 @@ class AtomicMeasure:
             raise ValueError("locations and weights disagree in length")
         if np.any(wts < 0):
             raise ValueError("weights must be nonnegative")
+        if not (np.all(np.isfinite(loc)) and np.all(np.isfinite(wts))):
+            raise ValueError("locations and weights must be finite")
         object.__setattr__(self, "locations", loc)
         object.__setattr__(self, "weights", wts)
 
@@ -93,6 +95,9 @@ class DensityMeasure:
     def __post_init__(self):
         if self.kind not in ("lebesgue", "gaussian", "polygrowth", "ring"):
             raise ValueError(f"unknown density kind {self.kind!r}")
+        if not all(map(math.isfinite, (self.scale, self.rate, self.power,
+                                       self.ring_radius, self.ring_width))):
+            raise ValueError("density parameters must be finite")
         if self.scale < 0:
             raise ValueError("scale must be nonnegative")
         if self.kind == "gaussian" and not (self.rate > 0):
@@ -142,14 +147,9 @@ def ring(ring_radius: float, ring_width: float, n: int, scale: float = 1.0) -> D
     )
 
 
-def atoms_on_lattice(lat, weights=None) -> AtomicMeasure:
-    """Point masses on the centers of a lattice; unit weights by default."""
-    loc = lat.as_complex()
-    if weights is None:
-        wts = np.ones(loc.shape[0])
-    else:
-        wts = np.asarray(weights, dtype=float)
-    return AtomicMeasure(locations=loc, weights=wts, n=lat.n)
+def atoms_on_lattice(lat) -> AtomicMeasure:
+    """Unit point masses on the centers of a lattice."""
+    return AtomicMeasure(locations=lat.as_complex(), weights=np.ones(len(lat)), n=lat.n)
 
 
 def effective_radius(mu: Measure) -> Optional[float]:

@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 from scipy.special import gammaincc
 
-from .grid import cell_axis, grid_points, resolve_cells, to_complex, to_real
+from .grid import cell_axis, eight_directions, grid_points, resolve_cells, to_complex, to_real
 
 __all__ = [
     "QuadratureError",
@@ -54,6 +54,9 @@ DEFAULT_EPS_TAIL = 1e-12
 DEFAULT_CELLS = {1: 256, 2: 32}
 # Two grids whose values agree to this relative difference end the doubling.
 REL_TOL = 1e-6
+# cells per axis of the sup search's full grid
+_SUP_CELLS = {1: 256, 2: 40}
+_FIT_DIRECTIONS = {n: to_real(np.array(eight_directions(n))) for n in (1, 2)}
 # Reported error estimates never drop below this relative floor; differences
 # between refinement stages at machine precision are otherwise meaningless.
 ERROR_FLOOR = 2.0 ** -50
@@ -217,28 +220,10 @@ def scalar_field(
                        compact_radius)
 
 
-def _ring_directions(n: int) -> np.ndarray:
-    """Eight deterministic unit directions in R^{2n}."""
-    if n == 1:
-        ang = np.arange(8) * (math.pi / 4.0)
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    base = []
-    for j in range(4):
-        e = np.zeros(4)
-        e[j] = 1.0
-        base.append(e)
-    half = 1.0 / math.sqrt(2.0)
-    base.append(np.array([half, half, 0.0, 0.0]))
-    base.append(np.array([0.0, 0.0, half, half]))
-    base.append(np.array([half, 0.0, half, 0.0]))
-    base.append(np.array([0.0, half, 0.0, half]))
-    return np.stack(base, axis=0)
-
-
 def _fit_envelope_const(field: ScalarField) -> float:
-    """The maximum of field / envelope over a deterministic set of rings
-    around the center, so the declared envelope inequality holds at every
-    sampled point by construction."""
+    """The maximum of field / envelope on rings around the center along
+    ``grid.eight_directions``, so the declared envelope
+    inequality holds at every sampled point by construction."""
     if field.decay <= 0 and field.compact_radius is None:
         return 1.0
     if field.compact_radius is not None:
@@ -246,7 +231,7 @@ def _fit_envelope_const(field: ScalarField) -> float:
     else:
         r_max = field.tail_radius
     radii = np.array([0.0, 0.25, 0.5, 1.0, 2.0]) * max(r_max, 1e-6)
-    dirs = _ring_directions(field.n)
+    dirs = _FIT_DIRECTIONS[field.n]
     ctr = field.center_coords()
     pts = (radii[:, None, None] * dirs[None, :, :] + ctr).reshape(-1, 2 * field.n)
     z = to_complex(pts)
@@ -378,9 +363,9 @@ def sup_field_norm(field: ScalarField) -> tuple[float, np.ndarray]:
     """
     n = field.n
     search_radius = 1.1 * field.tail_radius + field.reach + 1.0
-    step = 2.0 * search_radius / (256 if n == 1 else 40)
-    cells = max(2, int(math.ceil(2.0 * search_radius / step)))
-    axes = [cell_axis(cells, 2.0 * search_radius / cells)] * (2 * n)
+    cells = _SUP_CELLS[n]
+    step = 2.0 * search_radius / cells
+    axes = [cell_axis(cells, step)] * (2 * n)
     best = _grid_max(field, axes, search_radius, (-math.inf, np.zeros(n, dtype=complex)))
     local_cells = 16
     half = step

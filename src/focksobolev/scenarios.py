@@ -34,7 +34,6 @@ class CompOpScenario:
     expect_bounded: bool
     expect_compact: bool
     description: str
-    outside_affine: bool = False
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,7 @@ class MeasureScenario:
 
 
 def _scale(n: int, factor: complex) -> AffineMap:
-    return AffineMap(factor * np.eye(n), np.zeros(n))
+    return AffineMap(factor * np.eye(n))
 
 
 def _affine_expectation(psi: AffineMap, u, params: Params) -> tuple:
@@ -88,7 +87,7 @@ def composition_suite(params: Params) -> list:
          "kernel weight over a contraction: still compact"),
     ]
     if n == 2:
-        affine.append(("swap", AffineMap(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2)),
+        affine.append(("swap", AffineMap(np.array([[0.0, 1.0], [1.0, 0.0]])),
                        one(2), "coordinate swap: a unitary symbol"))
     scenarios = [
         CompOpScenario(name, SymbolPair(psi=psi, u=u),
@@ -104,7 +103,6 @@ def composition_suite(params: Params) -> list:
                 expect_bounded=False,
                 expect_compact=False,
                 description="quadratic symbol: diverging z-integral",
-                outside_affine=True,
             )
         )
     return scenarios

@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+import focksobolev
+
 PARAMS = {"n": 1, "alpha": 1.0, "m": 0, "p": 2.0, "q": 2.0}
 
 
@@ -168,6 +170,68 @@ def test_unknown_measure_kind_fatal(cli, params_file):
     res = cli(["carleson", "--params", "@" + params_file,
                "--measure", '{"kind": "cauchy"}'])
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("measure", [
+    pytest.param('{"kind": "lebesgue", "scale": NaN}', id="lebesgue-scale-nan"),
+    pytest.param('{"kind": "polygrowth", "power": NaN}', id="polygrowth-power-nan"),
+    pytest.param('{"kind": "ring", "ring_radius": Infinity, "ring_width": 1.0}',
+                 id="ring-radius-inf"),
+    pytest.param('{"kind": "atoms", "locations": [[0, 0]], "weights": [NaN]}',
+                 id="atom-weight-nan"),
+    pytest.param('{"kind": "atoms", "locations": [[NaN, 0]]}', id="atom-location-nan"),
+])
+def test_non_finite_measure_input_fatal(cli, params_file, measure):
+    """Unchecked, a NaN density or weight gives a Carleson verdict on nan
+    values, an infinite ring runs, and a NaN location fails inside scipy."""
+    res = cli(["carleson", "--params", "@" + params_file, "--measure", measure])
+    assert res.returncode == 2
+    assert "must be finite" in res.stderr
+
+
+_COMPOP = ["compop", "--params", json.dumps(PARAMS), "--symbol", '{"matrix": [[0.5]]}']
+_CARLESON = ["carleson", "--params", json.dumps(PARAMS),
+             "--measure", '{"kind": "gaussian", "rate": 1.0}']
+_LATTICE = ["lattice", "--n", "1"]
+
+
+@pytest.mark.parametrize("args,flag", [
+    pytest.param(_COMPOP + ["--radii", "nan"], "--radii", id="radii-nan"),
+    pytest.param(_COMPOP + ["--radii", "0,inf"], "--radii", id="radii-inf"),
+    pytest.param(_COMPOP + ["--radii", "1e400"], "--radii", id="radii-overflow"),
+    pytest.param(_CARLESON + ["--ball-radius", "-1"], "--ball-radius", id="ball-radius-neg"),
+    pytest.param(_CARLESON + ["--ball-radius", "nan"], "--ball-radius", id="ball-radius-nan"),
+    pytest.param(_CARLESON + ["--t", "0"], "--t", id="t-zero"),
+    pytest.param(_LATTICE + ["--r", "-1", "--domain-radius", "6"], "--r", id="r-neg"),
+    pytest.param(_LATTICE + ["--r", "1", "--domain-radius", "nan"], "--domain-radius",
+                 id="domain-radius-nan"),
+    pytest.param(_LATTICE + ["--r", "1", "--domain-radius", "6", "--probes", "-5"], "--probes",
+                 id="probes-neg"),
+])
+def test_numeric_flags_checked_when_parsed(cli, args, flag):
+    """A bad number is refused by the parser, before anything runs."""
+    res = cli(args)
+    assert res.returncode == 2
+    assert f"argument {flag}: expected" in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["lattice", "--n", "1", "--r", "1.0", "--domain-radius", "4.0", "--probes", "100"],
+    ["carleson", "--params", json.dumps(PARAMS),
+     "--measure", '{"kind": "atoms", "locations": [[0, 0], [1, 0]]}'],
+    ["compop", "--params", json.dumps(PARAMS), "--symbol", '{"matrix": [[0.5]]}',
+     "--radii", "1"],
+    ["verify-norms", "--params", json.dumps(dict(PARAMS, p="inf"))],
+    ["suite", "--params", json.dumps(dict(PARAMS, q="inf"))],
+], ids=lambda args: args[0])
+def test_every_row_names_its_subcommand(cli, args):
+    res = cli(args)
+    assert res.returncode == 0, res.stderr
+    config, rows = parse_jsonl(res.stdout)
+    assert config["command"] == args[0]
+    assert config["version"] == focksobolev.__version__
+    assert rows and all(row["command"] == args[0] for row in rows)
 
 
 def test_missing_params_file_io_error(cli):

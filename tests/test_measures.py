@@ -21,6 +21,28 @@ def test_atomic_measure_validates_lengths():
         fs.AtomicMeasure(np.array([0.0 + 0.0j]), np.array([1.0, 2.0]), 1)
 
 
+@pytest.mark.parametrize("location,weight", [
+    (complex(math.nan, 0.0), 1.0),
+    (complex(0.0, math.inf), 1.0),
+    (0.0 + 0.0j, math.nan),
+    (0.0 + 0.0j, math.inf),
+])
+def test_atomic_measure_rejects_non_finite_input(location, weight):
+    with pytest.raises(ValueError, match="finite"):
+        fs.AtomicMeasure(np.array([location]), np.array([weight]), 1)
+
+
+@pytest.mark.parametrize("kind,field", [
+    ("lebesgue", "scale"), ("polygrowth", "power"),
+    ("ring", "ring_radius"), ("ring", "ring_width"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_density_measure_rejects_non_finite_input(kind, field, value):
+    base = {"ring_radius": 1.0, "ring_width": 0.5} if kind == "ring" else {}
+    with pytest.raises(ValueError, match="finite"):
+        fs.DensityMeasure(kind=kind, n=1, **{**base, field: value})
+
+
 def test_ball_mass_lebesgue_n1():
     val = fs.ball_mass(fs.lebesgue(1), 0.0 + 0.0j, 1.0)
     assert abs(val - math.pi) / math.pi < 2e-3
