@@ -322,7 +322,7 @@ def classify_carleson(
     band_vals = [vals2[kk] for kk in band_keys]
     if all(v <= 1e-300 for v in band_vals):
         band = 1.0
-    elif any(v <= 1e-300 for v in band_vals):
+    elif any(v <= 1e-300 or math.isinf(v) for v in band_vals):
         band = math.inf
     else:
         q = params.q

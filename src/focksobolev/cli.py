@@ -325,7 +325,10 @@ def emit_report(records: list, config: dict, fmt: str, out: Optional[str]) -> No
 
 
 def _cmd_lattice(args) -> tuple:
-    lat = make_lattice(args.domain_radius, args.r, args.n)
+    try:
+        lat = make_lattice(args.domain_radius, args.r, args.n)
+    except ValueError as exc:
+        raise ConfigError(f"lattice: {exc}") from exc
     report = verify_lattice(lat, probe_count=args.probes, seed=args.seed)
     rec = {"n": lat.n, "r": lat.r, "domain_radius": lat.domain_radius,
            "construction": lat.construction, "centers": len(lat),
@@ -470,14 +473,17 @@ def _cmd_suite(args) -> tuple:
     return rows, {"params": dataclasses.asdict(params)}
 
 
-def _positive(convert):
-    """argparse type: convert(text), finite and above zero. Text that
-    convert refuses is reported under convert's name, as type=convert would."""
+def _positive(convert, zero: bool = False):
+    """argparse type: convert(text), finite and above zero, or at least zero
+    when zero is set. Text that convert refuses is reported under convert's
+    name, as type=convert would."""
+    kind = "nonnegative" if zero else "positive"
 
     def parse(text: str):
         value = convert(text)
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+        above = value >= 0 if zero else value > 0
+        if not (above and value < math.inf):
+            raise argparse.ArgumentTypeError(f"expected a finite {kind} number, got {text!r}")
         return value
 
     parse.__name__ = convert.__name__
@@ -510,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["json-lines", "csv"])
         if threads:
             p.add_argument("--threads", type=int, default=1,
-                           help="threads that evaluate quadrature slabs")
+                           help="threads that evaluate quadrature blocks")
         if params:
             p.add_argument("--params", required=True)
 
@@ -528,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", required=True)
     p.add_argument("--t", type=_positive(float), default=None)
     p.add_argument("--ball-radius", type=_positive(float), default=1.0)
-    p.add_argument("--probe-budget", type=int, default=0)
+    p.add_argument("--probe-budget", type=_positive(int, zero=True), default=0)
     p.set_defaults(func=_cmd_carleson)
 
     p = sub.add_parser("compop", help="classify a weighted composition operator")

@@ -113,7 +113,8 @@ class DensityMeasure:
         elif self.kind == "gaussian":
             out = np.exp(-self.rate * r ** 2)
         elif self.kind == "polygrowth":
-            out = (1.0 + r) ** self.power
+            with np.errstate(over="ignore"):  # a large power is inf far out
+                out = (1.0 + r) ** self.power
         else:
             half = self.ring_width / 2.0
             out = (np.abs(r - self.ring_radius) <= half).astype(float)

@@ -10,15 +10,16 @@ envelope drives the choice of truncation radius through a closed-form
 radial tail bound, and the tail contribution is folded into the reported
 error estimate.
 
-The integration rule is a tensor midpoint rule on a cube about the field's
-declared center, of half-width the truncation radius plus the field's pad:
-the cube contains the ball of the tail radius, and everything outside that
-ball is covered by the tail bound. The cell count doubles from a quarter
-of the cap until two successive grids agree to REL_TOL, at most up to the
-pair (cap, 2 cap); their difference is the error estimate and the finer
-value is returned. Cell sums are combined through a fixed pairwise tree so
-the result does not depend on how the work is chunked across worker
-threads.
+The integration rule is a tensor midpoint rule on the ball about the
+field's declared center whose radius is the truncation radius plus the
+field's pad: the cells of the cube of that half-width whose centres lie in
+the ball are summed, and everything outside the ball is covered by the tail
+bound. The cell count doubles from a quarter of the cap until two successive
+grids agree to REL_TOL, at most up to the pair (cap, 2 cap); their
+difference is the error estimate and the finer value is returned. The ball's
+points are evaluated in blocks of whole first-axis slabs, fixed by the grid,
+and block sums are combined through a fixed pairwise tree so the result does
+not depend on how the blocks are spread across worker threads.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -57,6 +58,9 @@ REL_TOL = 1e-6
 # cells per axis of the sup search's full grid
 _SUP_CELLS = {1: 256, 2: 40}
 _FIT_DIRECTIONS = {n: to_real(np.array(eight_directions(n))) for n in (1, 2)}
+# Grid points per field evaluation: enough that numpy, not Python, sets the
+# pace, few enough that a block's temporaries stay small beside the grid.
+_BLOCK_POINTS = 2 ** 16
 # Reported error estimates never drop below this relative floor; differences
 # between refinement stages at machine precision are otherwise meaningless.
 ERROR_FLOOR = 2.0 ** -50
@@ -78,10 +82,10 @@ class DivergentIntegral(QuadratureError):
 
 
 def set_worker_count(count: int) -> None:
-    """Set the number of threads used to evaluate quadrature slabs.
+    """Set the number of threads used to evaluate quadrature blocks.
 
-    Slab decomposition and the pairwise combination tree are fixed by the
-    grid shape, so the value of an integral is byte-identical for any
+    The blocks of the ball and the pairwise combination tree are fixed by
+    the grid shape, so the value of an integral is byte-identical for any
     worker count.
     """
     global _worker_count
@@ -164,7 +168,7 @@ class ScalarField:
     ``evaluate`` maps a complex array of shape (N, n) to a float array of
     shape (N,). ``decay`` and ``growth`` are the envelope parameters c and
     d, measured from ``center`` (the origin when center is None). ``pad``
-    widens the integration cube and the sup search past the envelope's
+    widens the integration ball and the sup search past the envelope's
     tail radius, for fields whose peaks sit away from the declared center
     (kernel combinations with several centers). ``compact_radius`` marks a
     field supported in a ball about the origin, which exempts it from tail
@@ -254,32 +258,51 @@ def _pairwise_sum(values: np.ndarray) -> float:
     return float(s[0]) if s.size else 0.0
 
 
-def _slabs(axes: Sequence[np.ndarray]) -> Callable[[float], np.ndarray]:
-    """x -> the grid points (N, n) of the tensor grid on axes whose first
-    real coordinate is x. The other coordinates are built once per grid."""
+def _ball_blocks(axes: Sequence[np.ndarray], center_xy: np.ndarray,
+                 radius: float) -> list:
+    """The points of the tensor grid on axes within radius of center_xy, as
+    thunks that each build one block of them, complex (N, n): a run of whole
+    first-axis slabs of at most _BLOCK_POINTS points, or one larger slab.
+    Blocks follow the first axis, and empty slabs are left out. The other
+    axes' points are built once per grid and sorted by their distance from
+    the center, so a slab's points in the ball are a prefix of them."""
     rest = grid_points([np.zeros(1), *axes[1:]])
+    d2 = np.sum((to_real(rest)[:, 1:] - center_xy[1:]) ** 2, axis=1)
+    order = np.argsort(d2, kind="stable")
+    rest = rest[order]
+    room = radius * radius - (axes[0] - center_xy[0]) ** 2
+    counts = np.searchsorted(d2[order], room, side="right")
 
-    def slab(x: float) -> np.ndarray:
-        pts = rest.copy()
-        pts[:, 0] += x
+    def block(run: list) -> np.ndarray:
+        pts = np.concatenate([rest[:counts[i]] for i in run])
+        pts[:, 0] += np.repeat(axes[0][run], counts[run])
         return pts
 
-    return slab
+    runs, size = [], 0
+    for i in np.flatnonzero(counts):
+        if not runs or size + counts[i] > _BLOCK_POINTS:
+            runs.append([])
+            size = 0
+        runs[-1].append(i)
+        size += counts[i]
+    return [partial(block, run) for run in runs]
 
 
-def _midpoint(field: ScalarField, center_xy: np.ndarray, cube_radius: float, cells: int) -> float:
-    h = 2.0 * cube_radius / cells
+def _midpoint(field: ScalarField, center_xy: np.ndarray, radius: float, cells: int) -> float:
+    """Midpoint sum over the cells of the cube of half-width radius whose
+    centres lie in the ball of that radius; the tail bound covers the rest."""
+    h = 2.0 * radius / cells
     axes = [c + cell_axis(cells, h) for c in center_xy]
-    slab = _slabs(axes)
 
-    def slab_sum(x: float) -> float:
-        return float(np.sum(np.asarray(field.evaluate(slab(x)), dtype=float)))
+    def block_sum(block: Callable[[], np.ndarray]) -> float:
+        return float(np.sum(np.asarray(field.evaluate(block()), dtype=float)))
 
+    blocks = _ball_blocks(axes, center_xy, radius)
     if _worker_count > 1:
         with ThreadPoolExecutor(max_workers=_worker_count) as pool:
-            sums = list(pool.map(slab_sum, axes[0]))
+            sums = list(pool.map(block_sum, blocks))
     else:
-        sums = [slab_sum(x) for x in axes[0]]
+        sums = [block_sum(b) for b in blocks]
     return _pairwise_sum(np.array(sums)) * h ** (2 * field.n)
 
 
@@ -300,14 +323,14 @@ class Integral(NamedTuple):
 
 
 def integrate_gaussian(field: ScalarField, cells: Optional[int] = None) -> Integral:
-    """Integrate a nonnegative field over the cube its envelope sizes.
+    """Integrate a nonnegative field over the ball its envelope sizes.
 
     Parameters
     ----------
     field : ScalarField
         Integrand with envelope metadata. Must either decay (c > 0) or be
-        compactly supported. The cube is centred at its declared center,
-        of half-width the envelope's truncation radius plus its pad, and
+        compactly supported. The ball is centred at its declared center,
+        of radius the envelope's truncation radius plus its pad, and
         shrunk to the support of a compact field.
     cells : int, optional
         Resolution cap, cells per axis; DEFAULT_CELLS[n] when None.
@@ -320,7 +343,7 @@ def integrate_gaussian(field: ScalarField, cells: Optional[int] = None) -> Integ
         quarter of the cap) that agree to ``REL_TOL`` relative, or of the
         pair (cap, 2 cap) if none does before it. ``error`` is that pair's
         difference, floored at a small multiple of machine epsilon times
-        the value, plus the envelope tail bound outside the cube.
+        the value, plus the envelope tail bound outside the ball.
         ``cells`` is the finer grid's cell count.
     """
     if field.decay <= 0 and field.compact_radius is None:
@@ -333,18 +356,18 @@ def integrate_gaussian(field: ScalarField, cells: Optional[int] = None) -> Integ
     if cells < 2:
         raise ValueError("cells must be at least 2")
     center_xy = field.center_coords()
-    cube = field.tail_radius + field.pad
+    radius = field.tail_radius + field.pad
     if field.compact_radius is not None:
         # No point integrating far outside the support.
-        step = 2.0 * cube / cells
-        cube = min(cube, field.compact_radius + float(np.linalg.norm(center_xy)) + step)
-        cells = max(2, int(round(2.0 * cube / step)))
-        cube = cells * step / 2.0
+        step = 2.0 * radius / cells
+        radius = min(radius, field.compact_radius + float(np.linalg.norm(center_xy)) + step)
+        cells = max(2, int(round(2.0 * radius / step)))
+        radius = cells * step / 2.0
     fine, diff, fine_cells = resolve_cells(
-        lambda c: _midpoint(field, center_xy, cube, c), max(2, cells // 4), 2 * cells,
+        lambda c: _midpoint(field, center_xy, radius, c), max(2, cells // 4), 2 * cells,
         lambda coarse, fine: abs(coarse - fine), lambda fine: REL_TOL * abs(fine))
     err = max(diff, ERROR_FLOOR * abs(fine))
-    err += _tail_bound(field, cube)
+    err += _tail_bound(field, radius)
     return Integral(fine, err, fine_cells)
 
 
@@ -381,12 +404,8 @@ def _grid_max(field: ScalarField, axes: Sequence[np.ndarray], radius: float,
               best: tuple) -> tuple:
     """best, a (value, point) pair, or the field's maximum over the grid
     points of axes in |z| <= radius if that maximum is larger."""
-    slab = _slabs(axes)
-    for x in axes[0]:
-        pts = slab(x)
-        pts = pts[np.linalg.norm(pts, axis=1) <= radius]
-        if not pts.size:
-            continue
+    for block in _ball_blocks(axes, np.zeros(len(axes)), radius):
+        pts = block()
         vals = np.asarray(field.evaluate(pts), dtype=float)
         j = int(np.argmax(vals))
         if vals[j] > best[0]:

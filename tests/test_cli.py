@@ -81,6 +81,25 @@ def test_carleson_probe_of_decaying_polygrowth_exits_zero(cli, params_file, tmp_
     assert rows[0]["embedding_lower_bound"] > 0.0
 
 
+def test_carleson_overflowing_density_reports_an_infinite_band(cli):
+    """(1+|z|)^400 overflows on the n = 2 stages: the band of infinite
+    criteria is inf, not inf/inf, and numpy's warning stays off stderr."""
+    params = dict(PARAMS, n=2)
+    res = cli(["carleson", "--params", json.dumps(params),
+               "--measure", '{"kind": "polygrowth", "power": 400}'])
+    assert res.returncode == 0 and res.stderr == ""
+    _, rows = parse_jsonl(res.stdout)
+    assert rows[0]["comparability_band"] == "inf"
+    assert rows[0]["is_carleson"] is False and rows[0]["divergent"] is True
+
+
+def test_lattice_domain_below_2r_is_a_config_error(cli):
+    res = cli(["lattice", "--n", "1", "--r", "1", "--domain-radius", "1"])
+    assert res.returncode == 2
+    assert res.stderr == "error: lattice: domain_radius must be at least 2r\n"
+    assert res.stdout == ""
+
+
 def test_verify_norms_cells_at_the_default_cap_changes_nothing(cli, tmp_path):
     """--cells sets the cap only: at the default cap every row keeps its own
     cube and its value, error estimate and cells."""
@@ -207,6 +226,8 @@ _LATTICE = ["lattice", "--n", "1"]
                  id="domain-radius-nan"),
     pytest.param(_LATTICE + ["--r", "1", "--domain-radius", "6", "--probes", "-5"], "--probes",
                  id="probes-neg"),
+    pytest.param(_CARLESON + ["--probe-budget", "-3"], "--probe-budget",
+                 id="probe-budget-neg"),
 ])
 def test_numeric_flags_checked_when_parsed(cli, args, flag):
     """A bad number is refused by the parser, before anything runs."""

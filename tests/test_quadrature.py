@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import focksobolev as fs
 from focksobolev import quadrature
-from focksobolev.grid import cell_axis, resolve_cells
-from focksobolev.quadrature import _slabs
+from focksobolev.grid import cell_axis, grid_points, resolve_cells, to_real
+from focksobolev.quadrature import _ball_blocks
 
 
 def gaussian_field(c, w, n):
@@ -92,19 +92,29 @@ def test_lp_field_norm_matches_direct():
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_slab_points_are_the_grid_points(n):
-    """Each slab is the points x + i y of the meshgrid of the other axes."""
+@pytest.mark.parametrize("block_points", [6, 200, 2 ** 16])
+def test_ball_blocks_hold_the_grid_points_in_the_ball(monkeypatch, n, block_points):
+    """The blocks hold each tensor-grid point within the radius once, slab
+    by slab; no block of two or more slabs holds more than _BLOCK_POINTS
+    points, and no two successive blocks would fit in one."""
+    monkeypatch.setattr(quadrature, "_BLOCK_POINTS", block_points)
     rng = np.random.default_rng(n)
     axes = [c + cell_axis(cells, h) for c, cells, h in
-            zip(rng.normal(size=2 * n), (5, 4, 3, 6), rng.uniform(0.1, 1.0, 2 * n))]
-    slab = _slabs(axes)
-    for x in axes[0]:
-        if n == 1:
-            expect = (x + 1j * axes[1])[:, None]
-        else:
-            y1, x2, y2 = np.meshgrid(axes[1], axes[2], axes[3], indexing="ij")
-            expect = np.stack([(x + 1j * y1).ravel(), (x2 + 1j * y2).ravel()], axis=1)
-        assert np.array_equal(slab(x), expect)
+            zip(rng.normal(size=2 * n), (9, 8, 7, 10), rng.uniform(0.2, 0.6, 2 * n))]
+    center = np.array([np.mean(a) for a in axes]) + 0.1
+    radius = 1.1
+    grid = grid_points(axes)
+    inside = grid[np.sum((to_real(grid) - center) ** 2, axis=1) <= radius ** 2]
+    blocks = [block() for block in _ball_blocks(axes, center, radius)]
+    got = np.concatenate(blocks)
+    assert 0 < len(inside) < len(grid) and len(got) == len(inside)
+    assert np.array_equal(got[:, 0].real, inside[:, 0].real)
+    assert set(map(tuple, got)) == set(map(tuple, inside))
+    for block in blocks:
+        slabs = np.unique(block[:, 0].real).size
+        assert slabs == 1 or len(block) <= block_points
+    for first, second in zip(blocks, blocks[1:]):
+        assert len(first) + len(second) > block_points
 
 
 @pytest.mark.parametrize("n,cells", [(1, 16), (2, 6)])
