@@ -111,7 +111,7 @@ def _regime_of(params: Params) -> tuple:
     return "integral", p / (p - q)
 
 
-def _stage_geometry(mu: Measure, n: int,
+def _stage_geometry(mu: Measure, n: int, r: float,
                     override: Optional[float] = None) -> tuple:
     if override is not None:
         base = float(override)
@@ -120,7 +120,9 @@ def _stage_geometry(mu: Measure, n: int,
         if reff is None:
             base = STAGE_RADIUS[n]
         elif n == 1:
-            base = max(5.0, min(reff + 1.0, 9.0))
+            # the middle stage's sequence window |c| <= T - r then holds
+            # every lattice ball that meets the support
+            base = max(5.0, min(reff + 2.0 * r, 9.0))
         else:
             base = max(3.5, min(reff + 0.5, 4.5))
     return base, base / 96.0 if n == 1 else base / 10.0
@@ -302,7 +304,7 @@ def classify_carleson(
         raise ValueError("transform exponent t must be finite and positive")
     s = params.m * t
     regime, k = _regime_of(params)
-    T1, h = _stage_geometry(mu, params.n, stage_radius)
+    T1, h = _stage_geometry(mu, params.n, r, stage_radius)
     T2 = EXPANSION * T1
     T0 = T1 / EXPANSION
     vals0, _ = _stage_values(mu, params, t, s, r, regime, k, T0, h)

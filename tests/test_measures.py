@@ -145,7 +145,7 @@ def test_node_grid_ball_masses_match_atoms(mu):
     Lebesgue and polygrowth): the same nodes are inside every ball, so
     unit weights give equal counts, and the masses differ only by
     summation order."""
-    T, h = _stage_geometry(mu, mu.n)
+    T, h = _stage_geometry(mu, mu.n, 1.0)
     centres = _stage_centres(T, h, mu.n)
     grid, atoms = _node_grid(mu, T, h), fs.discretize(mu, T, h)
     got = fs.ball_mass_many(grid, centres, 1.0)
