@@ -36,7 +36,6 @@ from .funcspace import (
     KernelTerm,
     Params,
     Polynomial,
-    derivative_norm,
     evaluate,
     fock_sobolev_norm,
     kernel,
@@ -45,11 +44,8 @@ from .funcspace import (
     norm_constant,
     norm_integrand_field,
     norm_with_error,
-    pointwise_bound_ratio,
     polynomial,
     probe_family,
-    random_polynomial,
-    tail_projection,
 )
 from .geometry import Lattice, LatticeReport, covering_multiplicity, make_lattice, verify_lattice
 from .measures import (

@@ -11,12 +11,12 @@ damping s = m * t:
 For p <= q the three are measured in sup norm, for q < p in the mixed
 norm with exponent p / (p - q), and for p infinite in total-mass form
 with the weighted mass ``int (1+|z|)^{-s} dmu`` alongside. Each
-criterion is evaluated at three nested stages, cubes of radius
-T1 / EXPANSION, T1 and EXPANSION * T1 sharing one grid step, and
-:func:`growth_divergent` reads its three values to decide divergence. T1
-is STAGE_RADIUS for a measure without an effective radius; GROWTH_TOL and
-VANISH_TOL are the growth and vanishing tolerances. These staging
-constants are shared with :mod:`compop` and are not options.
+criterion is evaluated at three nested stages of radius T1 / EXPANSION,
+T1 and EXPANSION * T1, and :func:`growth_divergent` reads its three
+values to decide divergence. T1 is STAGE_RADIUS for a measure without
+an effective radius; GROWTH_TOL and VANISH_TOL are the growth and
+vanishing tolerances. These staging constants are shared with
+:mod:`compop` and are not options.
 
 Each stage of radius T reads all of its ball masses in one call: at the
 lattice centres, at n = 1 on a scan grid of step 0.25, and in the sup
@@ -24,9 +24,10 @@ regime at the heaviest atoms. The sequence takes the lattice centres
 with |c| <= T - r. The averaging function takes the scan grid at n = 1
 and the lattice centres at n = 2, plus the heavy atoms in the sup
 regime. At n = 1 the ball masses read mu itself. At n = 2 they read the
-stage's discretised measure, which the transform also sums: the atoms in
-the cube, or a density's node grid, whose ball masses are one gather of a
-fixed stencil of node offsets.
+stage measure, which the transform also sums: the atoms in the cube of
+radius T, or a density restricted to the ball |z| <= T. A density is
+radial: its ball masses and its transform are integrals in |z|, and the
+transform is read at radii rather than on a w-grid.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ from .measures import (
     AtomicMeasure,
     Measure,
     _gauss_transform,
-    _node_grid,
+    _radial_ball_masses,
+    _radial_transform,
     ball_mass_many,
     discretize,
     effective_radius,
@@ -165,26 +167,29 @@ def _local_refine(fn, start: np.ndarray, radius: float, n: int) -> float:
     return best
 
 
-def _size(v: np.ndarray, k: Optional[float], cell: float) -> float:
+def _size(v: np.ndarray, k: Optional[float], cell) -> float:
     """Size of a criterion's values: the max in the sup regime (k None),
-    else (sum v^k cell)^(1/k); 0 when there are none."""
+    else (sum v^k cell)^(1/k), with one cell for all values or one each;
+    0 when there are none."""
     if v.size == 0:
         return 0.0
     if k is None:
         return float(np.max(v))
+    if np.ndim(cell):
+        return float(np.sum(v ** k * cell)) ** (1.0 / k)
     return float(np.sum(v ** k) * cell) ** (1.0 / k)
 
 
 def _stage_values(mu: Measure, params: Params, t: float, s: float, r: float,
                   regime: str, k: Optional[float], T: float, h: float) -> tuple:
-    """Criterion values on the cube of radius T with step h.
+    """Criterion values of the stage measure of radius T: atoms in the
+    cube, a density in the ball |z| <= T.
 
     Returns (values dict, (scan radii, scan transform values)) where the
     scan pair feeds the vanishing rule's shell profile.
     """
-    n, alpha = params.n, params.alpha
+    n, c = params.n, t * params.alpha / 2.0
     atomic = isinstance(mu, AtomicMeasure)
-    mu_T = discretize(mu, T, h) if atomic else _node_grid(mu, T, h)
     extra = _capped_atoms(mu) if regime == "sup" else np.empty((0, n), dtype=complex)
 
     # every ball mass in one read: the lattice centres, then the n = 1 scan
@@ -198,40 +203,46 @@ def _stage_values(mu: Measure, params: Params, t: float, s: float, r: float,
         parts.append(scan_pts[np.linalg.norm(scan_pts, axis=1) <= T])
     centres = np.concatenate(parts + [extra])
     cnorm = np.linalg.norm(centres, axis=1)
-    avg = ball_mass_many(mu if n == 1 else mu_T, centres, r) / (1.0 + cnorm) ** s
+    if atomic:
+        mu_T = discretize(mu, T)
+        mass = ball_mass_many(mu if n == 1 else mu_T, centres, r)
+    else:
+        mass = _radial_ball_masses(mu, cnorm, r, math.inf if n == 1 else T)
+    avg = mass / (1.0 + cnorm) ** s
     nlat = lattice.shape[0]
 
     values: dict = {}
-    # a density is read on its own node grid, atoms on a coarser one whose
-    # maxima are then refined off the grid
-    w_step = (2.0 * h if n == 1 else max(2.0 * h, 0.8)) if atomic else h
-    axes = [cube_axis(T, w_step)] * (2 * n)
-    transform = lambda where: _gauss_transform(mu_T, t * alpha / 2.0, s, where)
-    t_grid = transform(axes).ravel()
-    w_pts = grid_points(axes) if atomic else None
-    rad = np.linalg.norm(w_pts, axis=1) if atomic else mu_T.norms.ravel()
-    inball = rad <= T
-    scan = (rad[inball], t_grid[inball])
-    if regime == "sup" and atomic:
-        cand = np.concatenate([w_pts[inball], extra])
-        cv = np.concatenate([scan[1], transform(extra)])
-        values["transform"] = _local_refine(
-            transform, cand[int(np.argmax(cv))], w_step, n) if cv.size else 0.0
+    if atomic:
+        # a coarse w-grid whose maxima are then refined off the grid
+        w_step = 2.0 * h if n == 1 else max(2.0 * h, 0.8)
+        axes = [cube_axis(T, w_step)] * (2 * n)
+        transform = lambda where: _gauss_transform(mu_T, c, s, where)
+        t_grid = transform(axes).ravel()
+        w_pts = grid_points(axes)
+        inball = np.linalg.norm(w_pts, axis=1) <= T
+        scan = (np.linalg.norm(w_pts[inball], axis=1), t_grid[inball])
+        if regime == "sup":
+            cand = np.concatenate([w_pts[inball], extra])
+            cv = np.concatenate([scan[1], transform(extra)])
+            values["transform"] = _local_refine(
+                transform, cand[int(np.argmax(cv))], w_step, n) if cv.size else 0.0
+        else:
+            values["transform"] = _size(scan[1], k, w_step ** (2 * n))
     else:
-        # a sup reads the whole cube, a sum the ball |w| <= T
-        values["transform"] = _size(t_grid if k is None else scan[1], k, w_step ** (2 * n))
+        *scan, dv = _radial_transform(mu, c, s, T)
+        values["transform"] = _size(scan[1], k, dv)
     if n == 1:
         values["averaging"] = _size(avg[nlat:], k, _SCAN_STEP ** 2)
     else:
         values["averaging"] = _size(avg, k, 1.0)
     values["sequence"] = _size(avg[:nlat][cnorm[:nlat] <= T - r], k, 1.0)
     if regime == "mass":
-        values["weighted_mass"] = total_weighted_mass(mu, s, T, step_cap=h)
+        values["weighted_mass"] = total_weighted_mass(mu, s, T)
     return values, scan
 
 
 def _growth_ratio(v1: float, v2: float) -> float:
-    if v1 <= 1e-300:
+    if v1 <= 1e-300 or math.isinf(v2):
         return 0.0 if v2 <= 1e-300 else math.inf
     return v2 / v1 - 1.0
 
@@ -249,13 +260,16 @@ def stage_grew(l1: float, l2: float, tol: float) -> bool:
 def growth_divergent(l0: float, l1: float, l2: float, tol: float) -> bool:
     """Trend decision from the logs of a quantity at three nested stages.
 
-    No growth beyond the tolerance from the middle to the outer stage
+    An infinite value at the outer stage reads as divergence. No growth
+    beyond the tolerance from the middle to the outer stage
     (:func:`stage_grew`) reads as convergence; something appearing where
     an inner stage had nothing reads as divergence. Otherwise the
     increment trend decides: a transient approaching a finite value
     shrinks its increments by the expansion factor per stage, while
     power-or-faster growth keeps them at least steady.
     """
+    if l2 == math.inf:
+        return True
     if not stage_grew(l1, l2, tol):
         return False
     if min(l0, l1) <= _LOG_NOTHING:
@@ -288,13 +302,13 @@ def classify_carleson(
 ) -> CarlesonVerdict:
     """Full staged classification of mu for the (p, q) embedding.
 
-    Criteria are evaluated on the base cube, on the cube enlarged by
-    EXPANSION and on the one shrunk by it, all with the same step;
+    Criteria are evaluated at the base stage, at the stage enlarged by
+    EXPANSION and at the one shrunk by it, atoms all with the same step;
     :func:`growth_divergent` with GROWTH_TOL reads each criterion's three
     values, and divergence of any marks the measure divergent. With a
     positive ``probe_budget`` an empirical lower bound for the embedding
     norm is attached from that many probe functions. ``stage_radius``
-    overrides the automatic base-cube choice, which callers need when
+    overrides the automatic base-stage choice, which callers need when
     the measure was truncated to a radius chosen in advance.
     """
     if r <= 0:
@@ -345,7 +359,7 @@ def classify_carleson(
     if isinstance(mu, AtomicMeasure):
         notes.append("atomic sums are exact")
     else:
-        notes.append("density handled on a cell-center grid")
+        notes.append("density integrated over the radius")
 
     lower = None
     if probe_budget > 0:

@@ -3,8 +3,7 @@
 Two function families are supported.
 
 :class:`Polynomial`
-    Finite multi-index coefficient tables. Closed under the coordinate
-    derivatives used by the derivative-sum norm.
+    Finite multi-index coefficient tables.
 
 :class:`KernelCombo`
     Finite combinations of exponential kernels ``K_w(z) = exp(alpha <z, w>)``
@@ -13,13 +12,9 @@ Two function families are supported.
     ``(1 + |w|)^{-m}`` damping that keeps the family bounded in the
     m-weighted norms.
 
-Two norms of order m are implemented for exponent p:
-
-* the derivative form, the sum of plain Fock norms of all partials up to
-  total order m (polynomials only), and
-* the integral form, a single weighted integral against ``|z|^{mp}`` with
-  the normalising constant chosen so the constant function 1 has norm 1
-  for every p, m and n.
+The norm of order m for exponent p is the integral form, a single
+weighted integral against ``|z|^{mp}`` with the normalising constant
+chosen so the constant function 1 has norm 1 for every p, m and n.
 
 All kernel arithmetic runs through log-amplitudes so that large centers
 cannot overflow before the Gaussian weight is applied. A hard cap at
@@ -29,8 +24,8 @@ exponent 709 guards the points where a caller asks for a plain value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -59,11 +54,7 @@ __all__ = [
     "norm_integrand_field",
     "fock_sobolev_norm",
     "norm_with_error",
-    "derivative_norm",
-    "tail_projection",
-    "pointwise_bound_ratio",
     "probe_family",
-    "random_polynomial",
 ]
 
 OVERFLOW_CAP = 709.0
@@ -368,82 +359,11 @@ def norm_with_error(f: EntireFunction, params: Params, cells: Optional[int] = No
     return norm, max(high - norm, norm - low, ERROR_FLOOR * norm), cells
 
 
-def _partial(f: Polynomial, j: int) -> Polynomial:
-    out = {}
-    for beta, c in f.coeffs:
-        if beta[j] == 0:
-            continue
-        nb = list(beta)
-        nb[j] -= 1
-        key = tuple(nb)
-        out[key] = out.get(key, 0) + c * beta[j]
-    return polynomial(out, f.n)
-
-
-def _partials_up_to(f: Polynomial, m: int) -> Iterable[Polynomial]:
-    """All derivatives d^beta f over multi-indices with total order <= m."""
-    frontier = {(0,) * f.n: f}
-    yield f
-    for _ in range(m):
-        nxt = {}
-        for beta, g in frontier.items():
-            for j in range(f.n):
-                nb = list(beta)
-                nb[j] += 1
-                key = tuple(nb)
-                if key not in nxt:
-                    nxt[key] = _partial(g, j)
-        for g in nxt.values():
-            yield g
-        frontier = nxt
-
-
-def derivative_norm(f: Polynomial, params: Params) -> float:
-    """Derivative-form norm: sum of order-zero norms of all partials up to m."""
-    if not isinstance(f, Polynomial):
-        raise TypeError("the derivative-form norm is only defined for polynomials here")
-    flat = replace(params, m=0)
-    total = 0.0
-    for g in _partials_up_to(f, params.m):
-        total += fock_sobolev_norm(g, flat)
-    return total
-
-
-def tail_projection(f: Polynomial, j: int) -> Polynomial:
-    """Drop every homogeneous component of total degree below j."""
-    if j < 0:
-        raise ValueError("projection order must be nonnegative")
-    kept = {beta: c for beta, c in f.coeffs if sum(beta) >= j}
-    return polynomial(kept, f.n)
-
-
-def pointwise_bound_ratio(f: EntireFunction, params: Params, samples) -> float:
-    """max over samples of |f(z)| (1+|z|)^m e^{-alpha |z|^2/2} / norm(f).
-
-    The pointwise growth bound says this stays below a constant independent
-    of f; callers assert an empirical ceiling.
-    """
-    pts, _ = _as_points(samples, f.n)
-    nrm = fock_sobolev_norm(f, params)
-    if nrm == 0.0:
-        raise ValueError("bound ratio is undefined for the zero function")
-    la = log_abs(f, pts, params)
-    r = np.linalg.norm(pts, axis=1)
-    vals = np.exp(la - params.alpha * r ** 2 / 2.0 + params.m * np.log1p(r))
-    return float(np.max(vals)) / nrm
-
-
 def _multi_indices(n: int, degree: int) -> list:
     """Multi-indices of total degree at most ``degree``, lexicographic."""
     if n == 1:
         return [(d,) for d in range(degree + 1)]
     return [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
-
-
-def random_polynomial(n: int, degree: int, rng: np.random.Generator) -> Polynomial:
-    """Dense random polynomial with standard complex Gaussian coefficients."""
-    return polynomial({beta: rng.standard_normal() + 1j * rng.standard_normal()
-                       for beta in _multi_indices(n, degree)}, n)
 
 
 def _kernel_centers_grid(n: int, radius: float) -> list:

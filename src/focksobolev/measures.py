@@ -2,8 +2,9 @@
 
 Measures come in two concrete flavours: finite atom lists and densities
 against volume from a small catalog (Lebesgue, Gaussian, polynomial
-growth, a compact ring). Densities are discretised onto cell-center
-grids when a computation needs point masses; atomic sums are exact.
+growth, a compact ring). Atomic sums are exact. Every catalog density is
+radial, so each of its objects is a one-dimensional integral in s = |z|,
+taken by one radial rule: Gauss-Legendre on panels in s.
 
 The two observables driving the embedding theory are the ball mass
 ``mu(B(w, r))`` scaled by ``(1 + |w|)^{-s}`` and the Gaussian-kernel
@@ -12,14 +13,16 @@ transform ``w -> int exp(-t a |z - w|^2 / 2) (1 + |z|)^{-s} dmu(z)``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.special import ive
 
-from .grid import cell_axis, cube_axis, grid_points, to_complex, to_real
+from .grid import to_real
 from .quadrature import QuasiNormError, truncation_radius
 
 __all__ = [
@@ -40,9 +43,6 @@ __all__ = [
     "total_weighted_mass",
     "effective_radius",
 ]
-
-_BALL_CELLS = {1: 32, 2: 16}
-
 
 @dataclass(frozen=True)
 class AtomicMeasure:
@@ -107,7 +107,10 @@ class DensityMeasure:
 
     def density(self, pts: np.ndarray) -> np.ndarray:
         """Density values on a batch (N, n) of complex points."""
-        r = np.linalg.norm(pts, axis=1)
+        return self.profile(np.linalg.norm(pts, axis=1))
+
+    def profile(self, r: np.ndarray) -> np.ndarray:
+        """Density values at radii r = |z|; every catalog density is radial."""
         if self.kind == "lebesgue":
             out = np.ones_like(r)
         elif self.kind == "gaussian":
@@ -164,50 +167,92 @@ def effective_radius(mu: Measure) -> Optional[float]:
     return None
 
 
-def discretize(mu: Measure, radius: float, step: float) -> AtomicMeasure:
-    """Cell-center point-mass approximation of a measure on a centred cube.
+def discretize(mu: AtomicMeasure, radius: float) -> AtomicMeasure:
+    """The atoms of mu in the centred cube of the given radius."""
+    keep = np.max(np.abs(to_real(mu.locations)), axis=1) <= radius
+    return AtomicMeasure(mu.locations[keep], mu.weights[keep], mu.n)
 
-    Atomic input is filtered to the cube; density input becomes one atom
-    per cell with weight density * step^(2n). Zero-weight atoms are
-    dropped.
+
+# leggauss runs an eigensolver: build the nodes on first use, not at import
+_leggauss = functools.cache(np.polynomial.legendre.leggauss)
+
+
+def _radial_rule(a, b) -> tuple:
+    """Nodes and weights (..., 48) of the radial rule on panels [a, b]: 48
+    Gauss-Legendre nodes u under the cosine map -cos(pi (u + 1) / 2), which
+    crowds the nodes at both ends of a panel, where the ball-mass
+    integrands have square-root edges."""
+    u, g = _leggauss(48)
+    angle = np.pi * (u + 1.0) / 2.0
+    a, b = np.asarray(a, dtype=float)[..., None], np.asarray(b, dtype=float)[..., None]
+    half = (b - a) / 2.0
+    return a + half - half * np.cos(angle), half * g * np.sin(angle) * np.pi / 2.0
+
+
+def _cut(mu: DensityMeasure, a, b, extent: float) -> tuple:
+    """Panels [a, b] cut to the density's support within |z| <= extent."""
+    lo, hi = 0.0, extent
+    if mu.kind == "ring":
+        lo, hi = max(mu.ring_radius - mu.ring_width / 2.0, 0.0), min(mu.compact_extent, extent)
+    return np.clip(a, lo, hi), np.clip(b, lo, hi)
+
+
+def _sphere(s: np.ndarray, n: int) -> np.ndarray:
+    """Area |S^{2n-1}| s^{2n-1} of the sphere |z| = s in C^n."""
+    return 2.0 * math.pi ** n / math.factorial(n - 1) * s ** (2 * n - 1)
+
+
+def _integrate(weights: np.ndarray, *factors) -> np.ndarray:
+    """Rule sums over the last axis of weights times factors. A density can
+    overflow to inf far out, and 0 * inf counts 0, as in measure theory."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.nansum(weights * math.prod(factors), axis=-1)
+
+
+def _radial_ball_masses(mu: DensityMeasure, norms: np.ndarray, radius: float,
+                        extent: float) -> np.ndarray:
+    """mu(B(c, radius)) at |c| = norms, for mu restricted to |z| <= extent.
+
+    The sphere |z| = s meets the ball in a cap of polar angle theta, with
+    cos theta = (s^2 + |c|^2 - radius^2) / (2 s |c|) clipped to [-1, 1]; it
+    covers theta / pi of the sphere at n = 1 and (theta - sin theta cos
+    theta) / pi at n = 2. Two panels per distinct |c|: whole spheres up to
+    ||c| - radius|, then caps up to |c| + radius.
     """
-    if isinstance(mu, AtomicMeasure):
-        keep = np.max(np.abs(to_real(mu.locations)), axis=1) <= radius
-        return AtomicMeasure(mu.locations[keep], mu.weights[keep], mu.n)
-    n = mu.n
-    pts = grid_points([cube_axis(radius, step)] * (2 * n))
-    wts = mu.density(pts) * step ** (2 * n)
-    keep = wts > 0
-    return AtomicMeasure(locations=pts[keep], weights=wts[keep], n=n)
+    a, inverse = np.unique(norms, return_inverse=True)
+    edge = np.abs(a - radius)
+    s, w = _radial_rule(*_cut(mu, np.stack([np.maximum(a - radius, 0.0), edge]),
+                              np.stack([edge, a + radius]), extent))
+    cos = np.clip((s ** 2 + a[:, None] ** 2 - radius ** 2)
+                  / np.maximum(2.0 * s * a[:, None], 1e-300), -1.0, 1.0)
+    theta = np.arccos(cos)
+    cap = theta if mu.n == 1 else theta - np.sqrt(1.0 - cos ** 2) * cos
+    mass = _integrate(w, mu.profile(s), _sphere(s, mu.n), cap / math.pi).sum(axis=0)
+    return mass[inverse.reshape(-1)]
 
 
-@dataclass(frozen=True)
-class _NodeGrid:
-    """A density's cell masses on the nodes of its cube grid, in the grid's
-    shape (``discretize``'s weights, 0 where it drops an atom), and |z|."""
+def _radial_transform(mu: DensityMeasure, c: float, s: float, extent: float) -> tuple:
+    """The transform w -> int (1 + |z|)^{-s} exp(-c |w - z|^2) dmu(z) of mu
+    restricted to |z| <= extent, at radii |w| in [0, extent].
 
-    weights: np.ndarray
-    norms: np.ndarray
-    step: float
-    n: int
-
-
-def _node_grid(mu: DensityMeasure, radius: float, step: float) -> _NodeGrid:
-    axes = [cube_axis(radius, step)] * (2 * mu.n)
-    pts = grid_points(axes)
-    shape = tuple(ax.size for ax in axes)
-    return _NodeGrid(weights=(mu.density(pts) * step ** (2 * mu.n)).reshape(shape),
-                     norms=np.linalg.norm(pts, axis=1).reshape(shape), step=step, n=mu.n)
-
-
-def _ball_step(radius: float, n: int, step_cap: Optional[float],
-               mu: Optional["DensityMeasure"] = None) -> float:
-    h = 2.0 * radius / _BALL_CELLS[n]
-    if step_cap is not None:
-        h = min(h, step_cap)
-    if mu is not None and mu.kind == "ring":
-        h = min(h, mu.ring_width / 4.0)
-    return h
+    The sphere average of exp(-c |w - z|^2) over |z| = s is
+    exp(-c (s - |w|)^2) A_n(2 c s |w|), with A_1 = ive(0, x) and
+    A_2 = 2 ive(1, x) / x. Returns (radii, values, weights): the radii are
+    the radial rule's nodes on unit panels of [0, extent], and the weights
+    integrate a function of |w| over the ball |w| <= extent.
+    """
+    edges = np.append(np.arange(0.0, extent, 1.0), extent)
+    radii, dr = (x.ravel() for x in _radial_rule(edges[:-1], edges[1:]))
+    # two panels per radius, which meet at the Gaussian's peak, out to where
+    # the Gaussian factor falls below exp(-40)
+    rho, tail = radii[:, None], math.sqrt(40.0 / c)
+    z, w = _radial_rule(*_cut(mu, np.stack([radii - tail, radii]),
+                              np.stack([radii, radii + tail]), extent))
+    x = np.maximum(2.0 * c * z * rho, 1e-300)
+    mean = ive(0, x) if mu.n == 1 else 2.0 * ive(1, x) / x
+    values = _integrate(w, mu.profile(z), (1.0 + z) ** (-s), _sphere(z, mu.n),
+                        np.exp(-c * (z - rho) ** 2) * mean).sum(axis=0)
+    return radii, values, dr * _sphere(radii, mu.n)
 
 
 def ball_mass(mu: Measure, center, radius: float) -> float:
@@ -216,96 +261,39 @@ def ball_mass(mu: Measure, center, radius: float) -> float:
 
 
 # Block sizes bound the temporaries, and with them peak memory: candidate
-# (centre, atom or node) pairs per block, and stencil points per centre block.
+# (centre, atom) pairs per block.
 _PAIR_BUDGET = 250_000
 _ATOM_BLOCK = (1_000, 100_000)
-_STENCIL_BUDGET = 20_000
 
 
-def _node_ball_masses(grid: _NodeGrid, cs: np.ndarray, radius: float) -> np.ndarray:
-    """Strict ball masses of a node grid, gathered from one stencil of node
-    offsets around each centre's nearest node. |z - c| is summed as
-    ``np.linalg.norm`` sums it, so a node is inside exactly when its atom
-    from ``discretize`` is."""
-    h, n = grid.step, grid.n
-    cells = grid.weights.shape[0]
-    reach = math.ceil(radius / h + 0.5)
-    span = 2 * reach + 1
-    offs = np.indices((span,) * (2 * n)).reshape(2 * n, -1).T
-    # the offsets whose cell can meet the ball, the radius padded like the
-    # kd-tree search's
-    gap = np.linalg.norm(np.maximum(np.abs(offs - reach) - 0.5, 0.0), axis=1) * h
-    offs = offs[gap < radius * (1.0 + 1e-12)]
-    padded = np.pad(grid.weights, reach)
-    xs = cell_axis(cells + 2 * reach, h)
-    real = to_real(cs)
-    # the stencil starts reach nodes below the nearest node; off the grid,
-    # below the edge node, whose stencil still holds the ball
-    first = np.clip(np.rint((real - xs[reach]) / h), 0, cells - 1).astype(int)
-    start = np.ravel_multi_index(tuple(first.T), padded.shape)
-    step = np.ravel_multi_index(tuple(offs.T), padded.shape)
-    pair = (offs[:, 0::2] * span + offs[:, 1::2]).T
-    out = np.empty(cs.shape[0])
-    chunk = max(1, _PAIR_BUDGET // offs.shape[0])
-    for lo in range(0, cs.shape[0], chunk):
-        blk = slice(lo, lo + chunk)
-        # |z_j - c_j|^2 of each complex coordinate over its span x span offsets
-        diff = xs[first[blk, :, None] + np.arange(span)] - real[blk, :, None]
-        zj = diff[:, 0::2, :, None] + 1j * diff[:, 1::2, None, :]
-        sq = (zj.conj() * zj).real.reshape(-1, n, span * span)
-        d2 = sq[:, np.arange(n)[:, None], pair].sum(axis=1)
-        wts = padded.ravel()[start[blk, None] + step]
-        out[blk] = np.where(np.sqrt(d2) < radius, wts, 0.0).sum(axis=1)
-    return out
-
-
-def ball_mass_many(mu: Union[Measure, _NodeGrid], centers: np.ndarray,
-                   radius: float) -> np.ndarray:
+def ball_mass_many(mu: Measure, centers: np.ndarray, radius: float) -> np.ndarray:
     """Ball masses mu(B(c, radius)) of strict Euclidean balls at centers (N, n).
 
     Atomic measures are summed exactly: the atoms are walked in blocks
     whose candidate (centre, atom) pairs come from a kd-tree over the
-    centres, and a density's node grid by a stencil gather. Densities are
-    integrated on a cell-centre stencil over the bounding cube of each
-    ball, with step from ``_ball_step``; cells crossing the boundary
-    sphere contribute fractionally, with the covered fraction taken linear
-    in the signed distance across one cell width.
+    centres. A density's ball mass depends on |c| alone and is one radial
+    integral (``_radial_ball_masses``), taken once per distinct |c|.
     """
     cs = np.asarray(centers, dtype=complex).reshape(-1, mu.n)
     out = np.zeros(cs.shape[0])
     if cs.shape[0] == 0:
         return out
-    if isinstance(mu, _NodeGrid):
-        return _node_ball_masses(mu, cs, radius)
-    if isinstance(mu, AtomicMeasure):
-        tree = cKDTree(to_real(cs))
-        real = to_real(mu.locations)
-        lo, block = 0, _ATOM_BLOCK[0]
-        while lo < len(mu):
-            # the padded radius keeps every pair the strict test below accepts
-            pairs = cKDTree(real[lo:lo + block]).sparse_distance_matrix(
-                tree, radius * (1.0 + 1e-12), output_type="ndarray")
-            i, j = pairs["i"] + lo, pairs["j"]
-            inside = np.linalg.norm(mu.locations[i] - cs[j], axis=1) < radius
-            out += np.bincount(j[inside], weights=mu.weights[i[inside]],
-                               minlength=out.size)
-            lo += block
-            # size the next block from this block's pairs per atom
-            block = int(np.clip(_PAIR_BUDGET * block // max(pairs.size, 1), *_ATOM_BLOCK))
-        return out
-    n = mu.n
-    h = _ball_step(radius, n, None, mu)
-    off = to_real(grid_points([cube_axis(radius, h)] * (2 * n)))
-    # cells at distance radius + h/2 or more have a covered fraction of 0
-    off = off[np.linalg.norm(off, axis=1) < radius + h]
-    chunk = max(1, _STENCIL_BUDGET // off.shape[0])
-    for lo in range(0, cs.shape[0], chunk):
-        c = cs[lo:lo + chunk]
-        pts = to_complex(to_real(c)[:, None, :] + off)
-        frac = np.clip((radius - np.linalg.norm(pts - c[:, None, :], axis=2)) / h + 0.5,
-                       0.0, 1.0)
-        dens = mu.density(pts.reshape(-1, n)).reshape(frac.shape)
-        out[lo:lo + chunk] = (dens * frac).sum(axis=1) * h ** (2 * n)
+    if isinstance(mu, DensityMeasure):
+        return _radial_ball_masses(mu, np.linalg.norm(cs, axis=1), radius, math.inf)
+    tree = cKDTree(to_real(cs))
+    real = to_real(mu.locations)
+    lo, block = 0, _ATOM_BLOCK[0]
+    while lo < len(mu):
+        # the padded radius keeps every pair the strict test below accepts
+        pairs = cKDTree(real[lo:lo + block]).sparse_distance_matrix(
+            tree, radius * (1.0 + 1e-12), output_type="ndarray")
+        i, j = pairs["i"] + lo, pairs["j"]
+        inside = np.linalg.norm(mu.locations[i] - cs[j], axis=1) < radius
+        out += np.bincount(j[inside], weights=mu.weights[i[inside]],
+                           minlength=out.size)
+        lo += block
+        # size the next block from this block's pairs per atom
+        block = int(np.clip(_PAIR_BUDGET * block // max(pairs.size, 1), *_ATOM_BLOCK))
     return out
 
 
@@ -348,23 +336,19 @@ def _node_index(axes, real: np.ndarray) -> Optional[np.ndarray]:
     return np.ravel_multi_index(tuple(idx), [ax.size for ax in axes])
 
 
-def _gauss_transform(mu: Union[AtomicMeasure, _NodeGrid], c: float, s: float,
-                     where) -> np.ndarray:
+def _gauss_transform(mu: AtomicMeasure, c: float, s: float, where) -> np.ndarray:
     """Exact transform w -> sum_j mu_j (1 + |z_j|)^{-s} exp(-c |w - z_j|^2).
 
     ``where`` is either a complex (P, n) array of points, giving P values,
     or the 2n real axes of a tensor grid, giving values in the grid's
     shape, ij-ordered like ``grid.grid_points``. On a grid the Gaussian
-    factors over the real axes. Weights on the grid's nodes are contracted
-    axis by axis: a node grid (``_node_grid``) read on its own axes, and
-    atoms that all sit on nodes (the pullback through a map that takes
-    its z-grid onto the w-grid). Any other atoms go through the matrix
+    factors over the real axes. Atoms that all sit on the grid's nodes
+    (the pullback through a map that takes its z-grid onto the w-grid) are
+    contracted axis by axis. Any other atoms go through the matrix
     product (A_1 .. A_n) diag(mu) (A_n+1 .. A_2n)^T of the per-axis
     factors A_k[i, j] = exp(-c (x_k,i - z_j,k)^2), with each group of n
     combined by a row-wise Khatri-Rao product.
     """
-    if isinstance(mu, _NodeGrid):
-        return _contract(mu.weights * (1.0 + mu.norms) ** (-s), c, where)
     n = mu.n
     real = to_real(mu.locations)
     dw = mu.weights * (1.0 + np.linalg.norm(mu.locations, axis=1)) ** (-s)
@@ -417,14 +401,15 @@ def sequence_lp(values: np.ndarray, k: float) -> float:
     return float(np.sum(v ** k) ** (1.0 / k))
 
 
-def total_weighted_mass(mu: Measure, s: float, radius: float,
-                        step_cap: Optional[float] = None) -> float:
+def total_weighted_mass(mu: Measure, s: float, radius: float) -> float:
     """int_{|z| <= radius} (1 + |z|)^{-s} dmu(z), truncated at the radius.
 
-    A density is summed over its discretisation on the cube of the radius.
+    A density's mass is one radial integral, on unit panels of [0, radius].
     """
     if isinstance(mu, DensityMeasure):
-        mu = discretize(mu, radius, _ball_step(radius, mu.n, step_cap, mu))
+        edges = np.append(np.arange(0.0, radius, 1.0), radius)
+        r, w = _radial_rule(*_cut(mu, edges[:-1], edges[1:], radius))
+        return float(_integrate(w, mu.profile(r), (1.0 + r) ** (-s), _sphere(r, mu.n)).sum())
     r = np.linalg.norm(mu.locations, axis=1)
     keep = r <= radius
     return float(np.sum(mu.weights[keep] * (1.0 + r[keep]) ** (-s)))

@@ -82,15 +82,18 @@ def test_carleson_probe_of_decaying_polygrowth_exits_zero(cli, params_file, tmp_
 
 
 def test_carleson_overflowing_density_reports_an_infinite_band(cli):
-    """(1+|z|)^400 overflows on the n = 2 stages: the band of infinite
-    criteria is inf, not inf/inf, and numpy's warning stays off stderr."""
-    params = dict(PARAMS, n=2)
-    res = cli(["carleson", "--params", json.dumps(params),
-               "--measure", '{"kind": "polygrowth", "power": 400}'])
-    assert res.returncode == 0 and res.stderr == ""
-    _, rows = parse_jsonl(res.stdout)
-    assert rows[0]["comparability_band"] == "inf"
-    assert rows[0]["is_carleson"] is False and rows[0]["divergent"] is True
+    """(1+|z|)^400 overflows on the stages at n = 1 and n = 2: an infinite
+    criterion reads as divergence, the band of infinite criteria is inf,
+    not inf/inf, no criterion reads nan, and numpy's warnings stay off
+    stderr."""
+    for n in (1, 2):
+        res = cli(["carleson", "--params", json.dumps(dict(PARAMS, n=n)),
+                   "--measure", '{"kind": "polygrowth", "power": 400}'])
+        assert res.returncode == 0 and res.stderr == ""
+        _, rows = parse_jsonl(res.stdout)
+        assert rows[0]["comparability_band"] == "inf"
+        assert rows[0]["is_carleson"] is False and rows[0]["divergent"] is True
+        assert "nan" not in rows[0]["criterion_values"].values()
 
 
 def test_lattice_domain_below_2r_is_a_config_error(cli):

@@ -1,15 +1,15 @@
-import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 import focksobolev as fs
-from focksobolev.carleson import _stage_geometry, _stage_lattice
-from focksobolev.grid import cube_axis, grid_points, to_real
-from focksobolev.measures import _ball_step, _gauss_transform, _node_grid
+from focksobolev.carleson import _stage_lattice
+from focksobolev.grid import cube_axis, grid_points
+from focksobolev.measures import _gauss_transform, _radial_ball_masses, _radial_transform
 
 
 def delta(w=0.0 + 0.0j, weight=1.0):
@@ -45,13 +45,13 @@ def test_density_measure_rejects_non_finite_input(kind, field, value):
 
 def test_ball_mass_lebesgue_n1():
     val = fs.ball_mass(fs.lebesgue(1), 0.0 + 0.0j, 1.0)
-    assert abs(val - math.pi) / math.pi < 2e-3
+    assert abs(val - math.pi) / math.pi < 1e-13
 
 
 def test_ball_mass_lebesgue_n2():
     val = fs.ball_mass(fs.lebesgue(2), np.array([0.0 + 0.0j, 0.0 + 0.0j]), 1.0)
     expect = math.pi ** 2 / 2.0
-    assert abs(val - expect) / expect < 2e-2
+    assert abs(val - expect) / expect < 1e-13
 
 
 def test_ball_mass_translation_invariance():
@@ -68,25 +68,47 @@ def test_ball_mass_atomic_counts_inside():
 
 
 def single_ball_mass(mu, center, radius):
-    """The per-centre ball-mass formula: a strict sum over atoms, or a
-    density on the local cube grid with a boundary fraction linear in the
-    signed distance across one cell."""
+    """The per-centre ball mass: a strict sum over atoms, or for a radial
+    density an adaptive quadrature in polar coordinates about the centre.
+    The sphere |z - c| = t meets |z| = e at the angle phi to c with
+    cos phi = (e^2 - |c|^2 - t^2) / (2 |c| t); at n = 2 the angle phi has
+    the density (2 / pi) sin^2 phi on the unit sphere of C^2."""
     c = np.asarray(center, dtype=complex).reshape(-1)
     if isinstance(mu, fs.AtomicMeasure):
         d = np.linalg.norm(mu.locations - c[None, :], axis=1)
         return float(mu.weights[d < radius].sum())
-    h = _ball_step(radius, mu.n, None, mu)
-    pts = grid_points([x + cube_axis(radius, h) for x in to_real(c[None, :])[0]])
-    frac = np.clip((radius - np.linalg.norm(pts - c[None, :], axis=1)) / h + 0.5, 0.0, 1.0)
-    return float((mu.density(pts) * frac).sum() * h ** (2 * mu.n))
+    a = float(np.linalg.norm(c))
+    edges = ([mu.ring_radius - mu.ring_width / 2.0, mu.ring_radius + mu.ring_width / 2.0]
+             if mu.kind == "ring" else [])
+
+    def shell(t):
+        """Mass density of the sphere |z - c| = t, per unit t."""
+        cuts = [math.acos(x) for e in edges if a * t > 0
+                for x in [(e * e - a * a - t * t) / (2.0 * a * t)] if -1.0 < x < 1.0]
+
+        def f(phi):
+            rho = mu.profile(np.array([math.sqrt(max(a * a + t * t + 2.0 * a * t
+                                                     * math.cos(phi), 0.0))]))[0]
+            return rho if mu.n == 1 else rho * 2.0 / math.pi * math.sin(phi) ** 2
+
+        inner = quad(f, 0.0, math.pi, points=cuts or None, epsabs=0.0, epsrel=1e-13,
+                     limit=200)[0]
+        return 2.0 * t * inner if mu.n == 1 else 2.0 * math.pi ** 2 * t ** 3 * inner
+
+    kinks = [t for e in edges for t in (abs(a - e), a + e) if 0.0 < t < radius]
+    return quad(shell, 0.0, radius, points=kinks or None, epsabs=0.0, epsrel=1e-12,
+                limit=200)[0]
 
 
 def test_ball_mass_many_matches_single():
+    """Centres of equal |c| share one radial integral; each batched value
+    equals the single-centre one."""
     mu = fs.gaussian(1.0, 1)
-    centers = np.array([[0.0 + 0.0j], [1.0 + 0.0j], [2.0 + 1.0j]])
+    centers = np.array([[0.0 + 0.0j], [1.0 + 0.0j], [2.0 + 1.0j], [0.0 - 1.0j], [1.0 - 2.0j]])
     many = fs.ball_mass_many(mu, centers, 0.8)
-    singles = [single_ball_mass(mu, c, 0.8) for c in centers]
-    assert np.allclose(many, singles, rtol=1e-9)
+    singles = [fs.ball_mass(mu, c, 0.8) for c in centers]
+    np.testing.assert_array_equal(many, singles)
+    assert many[1] == many[3] and many[2] == many[4]
 
 
 def _ball_cases():
@@ -105,7 +127,9 @@ def _ball_cases():
         scattered = xy[:, :n] + 1j * xy[:, n:]
         for mu in (fs.lebesgue(n), fs.gaussian(0.7, n, scale=2.0), fs.polygrowth(-1.5, n)):
             yield f"{mu.kind}{n}", mu, scattered
-        yield f"ring{n}", fs.ring(1.5, 0.6, n), scattered
+        # and centres whose balls hold the ring's hole, cross an edge or both
+        near = np.outer([0.0, 0.4, 0.7, 1.5, 2.2], np.ones(n) / math.sqrt(n))
+        yield f"ring{n}", fs.ring(1.5, 0.6, n), np.concatenate([scattered, near])
     # about 100,000 atoms against separated D4 lattice centres: several
     # atom blocks, each atom in more than one ball
     xy = rng.normal(scale=1.5, size=(100_000, 4))
@@ -121,53 +145,65 @@ def test_ball_mass_many_matches_brute_force(case):
     expect = np.array([single_ball_mass(mu, c, 1.0) for c in centers])
     got = fs.ball_mass_many(mu, centers, 1.0)
     assert got.shape == (centers.shape[0],)
+    rtol = 1e-12 if isinstance(mu, fs.AtomicMeasure) else 1e-10
+    np.testing.assert_allclose(got, expect, rtol=rtol)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_density_ball_masses_closed_form(n):
+    """Lebesgue balls pi^n r^{2n} / n! at 2000 random centres, at |c| = 0
+    and at |c| within 1e-9 of r, where the cap has a boundary layer; the
+    same inside the n = 2 stage measure |z| <= T at the stage's lattice
+    centres |c| <= T - r; and Gaussian balls at the origin,
+    pi (1 - e^{-1}) and pi^2 (1 - 2 e^{-1})."""
+    rng = np.random.default_rng(3)
+    r = 1.3
+    xy = rng.uniform(-2.0, 2.0, size=(2000, 2 * n))
+    near = np.outer(np.array([0.0, 1e-12, r - 1e-9, r, r + 1e-9, r - 1e-3, r + 1e-3]),
+                    np.eye(2 * n)[0])
+    xy = np.concatenate([xy, near])
+    got = fs.ball_mass_many(fs.lebesgue(n), xy[:, :n] + 1j * xy[:, n:], r)
+    expect = math.pi ** n * r ** (2 * n) / math.factorial(n)
     np.testing.assert_allclose(got, expect, rtol=1e-12)
+    if n == 2:
+        T = 4.0
+        lat = _stage_lattice(T, 1.0, 2).as_complex()
+        norms = np.linalg.norm(lat, axis=1)
+        got = _radial_ball_masses(fs.lebesgue(2), norms[norms <= T - 1.0], 1.0, T)
+        np.testing.assert_allclose(got, math.pi ** 2 / 2.0, rtol=1e-12)
+    gauss = fs.ball_mass(fs.gaussian(1.0, n), np.zeros(n), 1.0)
+    expect = math.pi * (1.0 - math.exp(-1.0)) if n == 1 else math.pi ** 2 * (1.0 - 2.0 / math.e)
+    assert gauss == pytest.approx(expect, rel=1e-13)
 
 
-def _stage_centres(T: float, h: float, n: int) -> np.ndarray:
-    """The stage's lattice centres |c| <= T, centres on, just inside and
-    just outside each cube face, one on cell boundaries, a cube corner, and
-    one with nodes at distance exactly 1 when h = 0.4 (the node 1.0)."""
-    lat = _stage_lattice(T, 1.0, n).as_complex()
-    face = np.concatenate([np.eye(2 * n) * x for x in (T, T - h / 4, T + 0.7, -T, -T + h / 4)])
-    edge = np.array([[h, 2 * h, -h, 0.0], [T, T, -T, T], [2.0, 1.0, 1.0, 1.0]])[:, :2 * n]
-    xy = np.concatenate([face, edge])
-    return np.concatenate([lat[np.linalg.norm(lat, axis=1) <= T], xy[:, 0::2] + 1j * xy[:, 1::2]])
+@pytest.mark.parametrize("n", [1, 2])
+def test_density_transform_closed_form(n):
+    """The transform of Lebesgue measure in the ball |z| <= 13.5 is
+    (pi / c)^n at every radius whose Gaussian window lies in the ball, and
+    it falls off past that."""
+    c, T = 0.8, 13.5
+    radii, values, weights = _radial_transform(fs.lebesgue(n), c, 0.0, T)
+    inner = radii <= T - math.sqrt(40.0 / c)
+    assert inner.sum() > 100 and np.all(np.diff(radii) > 0)
+    np.testing.assert_allclose(values[inner], (math.pi / c) ** n, rtol=1e-13)
+    assert values[-1] < 0.6 * (math.pi / c) ** n
+    # the weights integrate over the ball |w| <= T
+    assert weights.sum() == pytest.approx(math.pi ** n * T ** (2 * n) / math.factorial(n),
+                                          rel=1e-13)
 
 
-@pytest.mark.parametrize("mu", [fs.lebesgue(2), fs.gaussian(1.0, 2), fs.polygrowth(1.5, 2),
-                                fs.ring(2.0, 0.5, 2), fs.gaussian(0.7, 1)],
-                         ids=lambda mu: f"{mu.kind}{mu.n}")
-def test_node_grid_ball_masses_match_atoms(mu):
-    """Ball masses gathered from a density's node grid against the
-    kd-tree sum over the atoms ``discretize`` gives on the same grid, at
-    the middle stage's radius and step (h = 0.4, where 2r/h is whole, for
-    Lebesgue and polygrowth): the same nodes are inside every ball, so
-    unit weights give equal counts, and the masses differ only by
-    summation order."""
-    T, h = _stage_geometry(mu, mu.n, 1.0)
-    centres = _stage_centres(T, h, mu.n)
-    grid, atoms = _node_grid(mu, T, h), fs.discretize(mu, T, h)
-    got = fs.ball_mass_many(grid, centres, 1.0)
-    np.testing.assert_allclose(got, fs.ball_mass_many(atoms, centres, 1.0), rtol=1e-13)
-    ones = dataclasses.replace(grid, weights=(grid.weights > 0).astype(float))
-    unit = fs.AtomicMeasure(atoms.locations, np.ones(len(atoms)), mu.n)
-    assert np.array_equal(fs.ball_mass_many(ones, centres, 1.0),
-                          fs.ball_mass_many(unit, centres, 1.0))
-
-
-def test_node_grid_ball_mass_lebesgue_n2():
-    """Lebesgue ball masses on the n = 2 stage node grid (T = 4, h = 0.4)
-    against pi^2 r^4 / 2 at every stage lattice centre whose ball lies in
-    the grid. The node sum has no boundary fraction, so its error depends
-    on where the centre falls: measured from -8.7% to +14.6% over these
-    625 centres, and the tolerance is that maximum rounded up."""
-    T, r = 4.0, 1.0
-    lat = _stage_lattice(T, r, 2).as_complex()
-    lat = lat[np.linalg.norm(lat, axis=1) <= T - r]
-    got = fs.ball_mass_many(_node_grid(fs.lebesgue(2), T, 0.4), lat, r)
-    expect = math.pi ** 2 * r ** 4 / 2.0
-    assert np.max(np.abs(got - expect)) / expect < 0.15
+@pytest.mark.parametrize("n", [1, 2])
+def test_density_weighted_mass_closed_form(n):
+    """Weighted masses against their closed forms: ring(2, 0.5) is
+    |S^{2n-1}| (2.25^{2n} - 1.75^{2n}) / (2n), 80.19053575885103 at n = 2,
+    and the Gaussian of rate 1 has total mass pi^n."""
+    area = 2.0 * math.pi ** n / math.factorial(n - 1)
+    ring = fs.total_weighted_mass(fs.ring(2.0, 0.5, n), 0.0, 4.0)
+    assert ring == pytest.approx(area * (2.25 ** (2 * n) - 1.75 ** (2 * n)) / (2 * n), rel=1e-13)
+    assert fs.total_weighted_mass(fs.gaussian(1.0, n), 0.0, 9.0) == pytest.approx(
+        math.pi ** n, rel=1e-13)
+    # the ring truncated inside its hole holds nothing
+    assert fs.total_weighted_mass(fs.ring(2.0, 0.5, n), 0.0, 1.5) == 0.0
 
 
 def test_ball_mass_many_memory_is_bounded():
@@ -190,7 +226,8 @@ def test_ball_mass_many_memory_is_bounded():
 def test_berezin_of_lebesgue_is_constant():
     """Smoothing Lebesgue measure gives exactly (2 pi / (t alpha))^n."""
     t, alpha = 2.0, 1.0
-    atoms = fs.discretize(fs.lebesgue(1), radius=8.0, step=0.1)
+    pts = grid_points([cube_axis(8.0, 0.1)] * 2)
+    atoms = fs.AtomicMeasure(pts, np.full(len(pts), 0.1 ** 2), 1)
     for w in (0.0 + 0.0j, 1.0 + 1.0j):
         val = fs.berezin_value(atoms, w, t, 0.0, alpha)
         expect = 2.0 * math.pi / (t * alpha)
@@ -214,12 +251,13 @@ def test_berezin_value_matches_direct_sum():
 @pytest.mark.parametrize("on_nodes", [False, True])
 def test_gauss_transform_matches_brute_force(n, on_nodes):
     """Grid and scattered values of the transform kernel against a plain
-    sum over atoms, for atoms off the grid and for a discretised density
-    whose atoms sit on the grid's nodes."""
+    sum over atoms, for atoms off the grid and for Gaussian cell masses
+    on the grid's nodes."""
     radius, step, c, s = 2.0, 0.5, 0.8, 1.5
     rng = np.random.default_rng(11)
     if on_nodes:
-        mu = fs.discretize(fs.gaussian(1.0, n), radius, step)
+        pts = grid_points([cube_axis(radius, step)] * (2 * n))
+        mu = fs.AtomicMeasure(pts, fs.gaussian(1.0, n).density(pts) * step ** (2 * n), n)
     else:
         loc = rng.normal(scale=1.2, size=(40, 2 * n))
         mu = fs.AtomicMeasure(loc[:, :n] + 1j * loc[:, n:], rng.uniform(0.1, 2.0, 40), n)
@@ -240,19 +278,6 @@ def test_gauss_transform_matches_brute_force(n, on_nodes):
     np.testing.assert_allclose(_gauss_transform(mu, c, s, pts), brute(pts), rtol=1e-12)
 
 
-@pytest.mark.parametrize("mu", [fs.gaussian(1.0, 1), fs.ring(1.0, 0.5, 1),
-                                fs.gaussian(1.0, 2), fs.ring(1.0, 0.5, 2)],
-                         ids=lambda mu: f"{mu.kind}{mu.n}")
-def test_node_grid_transform_matches_on_node_atoms(mu):
-    """The grid transform of a density's node grid equals, bit for bit,
-    the one of the atoms ``discretize`` puts on the same nodes (0 where it
-    drops one)."""
-    radius, step, c, s = 2.0, 0.5, 0.8, 1.5
-    axes = [cube_axis(radius, step)] * (2 * mu.n)
-    assert np.array_equal(_gauss_transform(_node_grid(mu, radius, step), c, s, axes),
-                          _gauss_transform(fs.discretize(mu, radius, step), c, s, axes))
-
-
 def test_averaging_sequence_on_lattice(unit_lattice):
     vals = fs.averaging_sequence(delta(), unit_lattice, 1.0, 0.0)
     assert vals.shape == (len(unit_lattice),)
@@ -268,15 +293,9 @@ def test_sequence_lp_matches_numpy():
     assert fs.sequence_lp(v, math.inf) == pytest.approx(4.0)
 
 
-def test_discretize_conserves_mass():
-    atoms = fs.discretize(fs.gaussian(1.0, 1), radius=8.0, step=0.1)
-    total = float(atoms.weights.sum())
-    assert abs(total - math.pi) / math.pi < 1e-3
-
-
 def test_discretize_atomic_passthrough():
     mu = fs.AtomicMeasure(np.array([0.0 + 0.0j, 5.0 + 0.0j]), np.array([1.0, 2.0]), 1)
-    kept = fs.discretize(mu, radius=2.0, step=0.1)
+    kept = fs.discretize(mu, radius=2.0)
     assert len(kept.weights) == 1
     assert kept.weights[0] == pytest.approx(1.0)
 
@@ -313,7 +332,7 @@ def test_ring_mass():
     ring = fs.ring(2.0, 0.2, 1)
     total = fs.total_weighted_mass(ring, 0.0, 4.0)
     expect = 2.0 * math.pi * 2.0 * 0.2
-    assert abs(total - expect) / expect < 2e-2
+    assert abs(total - expect) / expect < 1e-13
 
 
 @settings(max_examples=20, deadline=None)
