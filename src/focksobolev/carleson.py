@@ -19,15 +19,16 @@ vanishing tolerances. These staging constants are shared with
 :mod:`compop` and are not options.
 
 Each stage of radius T reads all of its ball masses in one call: at the
-lattice centres, at n = 1 on a scan grid of step 0.25, and in the sup
-regime at the heaviest atoms. The sequence takes the lattice centres
-with |c| <= T - r. The averaging function takes the scan grid at n = 1
-and the lattice centres at n = 2, plus the heavy atoms in the sup
-regime. At n = 1 the ball masses read mu itself. At n = 2 they read the
-stage measure, which the transform also sums: the atoms in the cube of
-radius T, or a density restricted to the ball |z| <= T. A density is
-radial: its ball masses and its transform are integrals in |z|, and the
-transform is read at radii rather than on a w-grid.
+centres with |c| <= T of the outer stage's lattice, at n = 1 on a scan
+grid of step 0.25, and in the sup regime at the heaviest atoms. The
+sequence takes the lattice centres with |c| <= T - r. The averaging
+function takes the scan grid at n = 1 and the lattice centres at n = 2,
+plus the heavy atoms in the sup regime. At n = 1 the ball masses read mu
+itself. At n = 2 they read the stage measure, which the transform also
+sums: the atoms in the cube of radius T, or a density restricted to the
+ball |z| <= T. A density is radial: its ball masses and its transform
+are integrals in |z|, and the transform is read at radii rather than on
+a w-grid.
 """
 
 from __future__ import annotations
@@ -181,9 +182,11 @@ def _size(v: np.ndarray, k: Optional[float], cell) -> float:
 
 
 def _stage_values(mu: Measure, params: Params, t: float, s: float, r: float,
-                  regime: str, k: Optional[float], T: float, h: float) -> tuple:
+                  regime: str, k: Optional[float], T: float, h: float,
+                  lattice: np.ndarray) -> tuple:
     """Criterion values of the stage measure of radius T: atoms in the
-    cube, a density in the ball |z| <= T.
+    cube, a density in the ball |z| <= T. ``lattice`` holds the outer
+    stage's lattice centres; those with |c| <= T are this stage's.
 
     Returns (values dict, (scan radii, scan transform values)) where the
     scan pair feeds the vanishing rule's shell profile.
@@ -195,7 +198,6 @@ def _stage_values(mu: Measure, params: Params, t: float, s: float, r: float,
     # every ball mass in one read: the lattice centres, then the n = 1 scan
     # grid, then the sup regime's heavy-atom candidates. It runs before the
     # transform, so the two peaks in memory do not add up.
-    lattice = _stage_lattice(T, r, n).as_complex()
     lattice = lattice[np.linalg.norm(lattice, axis=1) <= T]
     parts = [lattice]
     if n == 1:
@@ -321,9 +323,12 @@ def classify_carleson(
     T1, h = _stage_geometry(mu, params.n, r, stage_radius)
     T2 = EXPANSION * T1
     T0 = T1 / EXPANSION
-    vals0, _ = _stage_values(mu, params, t, s, r, regime, k, T0, h)
-    vals1, _ = _stage_values(mu, params, t, s, r, regime, k, T1, h)
-    vals2, scan = _stage_values(mu, params, t, s, r, regime, k, T2, h)
+    # the greedy scan and the D4 points both come in norm order, so the
+    # outer lattice's centres within T are those of the lattice built for T
+    lattice = _stage_lattice(T2, r, params.n).as_complex()
+    vals0, _ = _stage_values(mu, params, t, s, r, regime, k, T0, h, lattice)
+    vals1, _ = _stage_values(mu, params, t, s, r, regime, k, T1, h, lattice)
+    vals2, scan = _stage_values(mu, params, t, s, r, regime, k, T2, h, lattice)
 
     growth = {key: _growth_ratio(vals1[key], vals2[key]) for key in vals1}
     divergent = any(

@@ -69,20 +69,24 @@ def _candidate_grid_n1(domain_radius: float, r: float) -> np.ndarray:
 
 def _greedy_select(pts: np.ndarray, r: float) -> np.ndarray:
     """Greedy maximal scan: accept a candidate when strictly farther than r
-    from every accepted center."""
+    from every accepted center.
+
+    Accepted centers are bucketed in square cells of side a hair over r,
+    so only the 3x3 cells about a candidate can hold one within r of it;
+    the hair keeps rounding in x / side from putting one two cells away.
+    """
     r2 = r * r
-    chosen = np.empty_like(pts)
-    count = 0
-    for p in pts:
-        if count == 0:
-            chosen[0] = p
-            count = 1
-            continue
-        d2 = ((chosen[:count] - p) ** 2).sum(axis=1)
-        if (d2 > r2).all():
-            chosen[count] = p
-            count += 1
-    return chosen[:count].copy()
+    side = r * (1.0 + 1e-9)
+    cells: dict = {}
+    chosen = []
+    for x, y in pts.tolist():
+        i, j = math.floor(x / side), math.floor(y / side)
+        near = (c for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                for c in cells.get((i + di, j + dj), ()))
+        if all((cx - x) * (cx - x) + (cy - y) * (cy - y) > r2 for cx, cy in near):
+            chosen.append((x, y))
+            cells.setdefault((i, j), []).append((x, y))
+    return np.array(chosen, dtype=float).reshape(-1, 2)
 
 
 def _d4_points(domain_radius: float, r: float) -> np.ndarray:

@@ -409,3 +409,45 @@ def test_affine_profile_sums_each_grid_once(monkeypatch):
     fs.transform_profile(fs.affine_symbol(0.5 * np.eye(2)), P)
     assert grids == [4, 8, 16, 16]
     assert len(sums) == len(grids)
+
+
+def _lse_cases():
+    rng = np.random.default_rng(11)
+    cases = [rng.normal(0.0, scale, size) + shift
+             for scale, size, shift in [(1.0, 1000, 0.0), (30.0, 5000, -40.0),
+                                        (400.0, 16384, 10.0), (900.0, 37249, -300.0)]]
+    # more than 90% of the terms below max - 746, many of them subnormal
+    under = rng.uniform(-760.0, -746.5, 20000)
+    under[:1500] = rng.uniform(-746.0, 0.0, 1500)
+    cases.append(under)
+    cases.append(np.concatenate([rng.normal(0.0, 1.0, 999), [5.0, 5.0, 5.0]]))  # ties
+    cases.append(np.full(7, -3.25))
+    cases.append(np.array([0.7]))
+    cases.append(np.full(4, -math.inf))
+    cases.append(np.array([1.0, math.inf, -2.0]))
+    cases.append(np.array([1.0, math.nan, -2.0]))
+    cases.append(np.array([-math.inf, -1.0, -math.inf]))
+    return cases
+
+
+@pytest.mark.parametrize("L", _lse_cases(), ids=range(len(_lse_cases())))
+def test_logsumexp_bit_equal_to_scipy(L):
+    """compop's log-sum-exp skips the exps that underflow and stays
+    bit-identical to scipy's: compared with ==, nan against nan."""
+    with np.errstate(over="ignore"):
+        want = float(logsumexp(L))
+    got = compop._logsumexp(L)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def test_n1_pairing_bit_equal_to_matmul():
+    """At n = 1 the integrand's Re<psi(z), w> is taken in real arithmetic;
+    it equals the complex matmul's real part to the bit."""
+    rng = np.random.default_rng(5)
+    psi_v = (rng.normal(0, 4, 37249) + 1j * rng.normal(0, 4, 37249))[:, None]
+    L = np.zeros(len(psi_v))
+    for w in rng.normal(0, 5, (200, 2)):
+        wv = np.array([complex(*w)])
+        got = compop._add_w((psi_v, L, 0.0), 1.0, 1.0, wv)
+        want = L + (psi_v @ np.conj(wv)).real - float(np.vdot(wv, wv).real) / 2.0
+        assert np.array_equal(got, want)

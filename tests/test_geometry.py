@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 import focksobolev as fs
+from focksobolev import carleson, geometry
 
 
 def test_make_lattice_rejects_tiny_domain():
@@ -91,3 +92,59 @@ def test_lattice_covering_property(r, seed):
     lat = fs.make_lattice(5.0, r, n=1)
     rep = fs.verify_lattice(lat, 2_000, seed=seed)
     assert rep.uncovered_probe_count == 0
+
+
+def _greedy_brute(pts, r):
+    """The plain greedy scan: each candidate against every accepted centre."""
+    r2 = r * r
+    chosen = np.empty_like(pts)
+    count = 0
+    for p in pts:
+        if count == 0 or (((chosen[:count] - p) ** 2).sum(axis=1) > r2).all():
+            chosen[count] = p
+            count += 1
+    return chosen[:count].copy()
+
+
+# the (R, r) grid of the plain scan's reach: R / r above about 24 means
+# more than 30000 candidates, on which the quadratic plain scan takes up
+# to 44 s
+_GREEDY_CASES = [(R, r) for R in (2.0, 4.0, 6.0, 7.3, 9.0, 13.5, 20.0)
+                 for r in (0.3, 0.5, 0.7, 1.0, 1.3) if 2 * r <= R <= 24.5 * r]
+
+
+@pytest.mark.parametrize("R, r", _GREEDY_CASES)
+def test_bucketed_greedy_matches_brute_force(R, r):
+    """The cell-bucketed scan accepts exactly the centres of the plain one,
+    in the same order."""
+    pts = geometry._candidate_grid_n1(R, r)
+    got = geometry._greedy_select(pts, r)
+    want = _greedy_brute(pts, r)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def _catalogue_stage_radii(n):
+    """Base stage radii classify_carleson uses on the measure suite and on
+    the pullback measures, whose base stage is fixed."""
+    radii = {carleson.STAGE_RADIUS[n]}
+    for sc in fs.measure_suite(n):
+        radii.add(carleson._stage_geometry(sc.measure, n, 1.0)[0])
+    return sorted(radii)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_outer_stage_lattice_restricts_to_inner_stages(n):
+    """A classification reads every stage's centres off the outer stage's
+    lattice: restricted to |c| <= T they equal the lattice built for T,
+    element for element and in the same order."""
+    r = 1.0
+    for T1 in _catalogue_stage_radii(n):
+        T2 = carleson.EXPANSION * T1
+        outer = fs.make_lattice(max(T2, 2 * r), r, n).as_complex()
+        for T in (T1 / carleson.EXPANSION, T1):
+            inner = fs.make_lattice(max(T, 2 * r), r, n).as_complex()
+            got = outer[np.linalg.norm(outer, axis=1) <= T]
+            want = inner[np.linalg.norm(inner, axis=1) <= T]
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), (T1, T)
