@@ -342,9 +342,9 @@ def norm_with_error(f: EntireFunction, params: Params, cells: Optional[int] = No
     For finite p the error bounds how far the norm moves when the integral
     moves by the quadrature's error estimate, floored, like that estimate,
     at ERROR_FLOOR times the value for the rounding of the last steps; cells
-    is the quadrature grid's cells per axis, doubling up to twice the cap
-    ``cells`` (the quadrature's default when None). A sup norm has neither:
-    both are None.
+    is the level of the quadrature's polar rule (its count of radii),
+    doubling up to twice the cap ``cells`` (the quadrature's default when
+    None). A sup norm has neither: both are None.
     """
     if f.n != params.n:
         raise ValueError("function and parameter dimensions disagree")

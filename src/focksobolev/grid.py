@@ -5,16 +5,24 @@ points are laid out in ij order, the last axis varying fastest.
 successive grids agree. ``directions`` is the one set of unit directions
 that radial profiles and probe centres scan; ``eight_directions`` is the
 sparser eight of them that kernel centres and envelope fits sample.
+``leggauss`` is the one cache of Gauss-Legendre nodes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 T = TypeVar("T")
+
+# Gauss-Legendre nodes and weights on [-1, 1] by node count, for every rule
+# that needs them; the arrays are shared, so callers never write to them.
+# leggauss runs an eigensolver: the nodes are built on first use, not at
+# import.
+leggauss = functools.cache(np.polynomial.legendre.leggauss)
 
 
 def cell_axis(cells: int, step: float) -> np.ndarray:

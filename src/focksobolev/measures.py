@@ -13,7 +13,6 @@ transform ``w -> int exp(-t a |z - w|^2 / 2) (1 + |z|)^{-s} dmu(z)``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -22,7 +21,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import ive
 
-from .grid import to_real
+from .grid import leggauss, to_real
 from .quadrature import QuasiNormError, truncation_radius
 
 __all__ = [
@@ -173,16 +172,12 @@ def discretize(mu: AtomicMeasure, radius: float) -> AtomicMeasure:
     return AtomicMeasure(mu.locations[keep], mu.weights[keep], mu.n)
 
 
-# leggauss runs an eigensolver: build the nodes on first use, not at import
-_leggauss = functools.cache(np.polynomial.legendre.leggauss)
-
-
 def _radial_rule(a, b) -> tuple:
     """Nodes and weights (..., 48) of the radial rule on panels [a, b]: 48
     Gauss-Legendre nodes u under the cosine map -cos(pi (u + 1) / 2), which
     crowds the nodes at both ends of a panel, where the ball-mass
     integrands have square-root edges."""
-    u, g = _leggauss(48)
+    u, g = leggauss(48)
     angle = np.pi * (u + 1.0) / 2.0
     a, b = np.asarray(a, dtype=float)[..., None], np.asarray(b, dtype=float)[..., None]
     half = (b - a) / 2.0

@@ -10,16 +10,21 @@ envelope drives the choice of truncation radius through a closed-form
 radial tail bound, and the tail contribution is folded into the reported
 error estimate.
 
-The integration rule is a tensor midpoint rule on the ball about the
-field's declared center whose radius is the truncation radius plus the
-field's pad: the cells of the cube of that half-width whose centres lie in
-the ball are summed, and everything outside the ball is covered by the tail
-bound. The cell count doubles from a quarter of the cap until two successive
-grids agree to REL_TOL, at most up to the pair (cap, 2 cap); their
-difference is the error estimate and the finer value is returned. The ball's
-points are evaluated in blocks of whole first-axis slabs, fixed by the grid,
-and block sums are combined through a fixed pairwise tree so the result does
-not depend on how the blocks are spread across worker threads.
+The integration rule is a polar product rule on the ball about the field's
+declared center whose radius is the truncation radius plus the field's pad;
+everything outside the ball is covered by the tail bound. At level c it
+takes c Gauss-Legendre radii s in [0, R], weighted by the Jacobian
+s^{2n-1}, times the trapezoid rule in the angle at n = 1; at n = 2, times
+Gauss-Legendre in t = |z_1 - c_1|^2 / s^2 on [0, 1] and the trapezoid rule
+in both angles, with dsigma(S^3) = dt dtheta_1 dtheta_2 / 2. A cone
+|z|^{mp} about the center is the smooth factor s^{mp}. The angle count per
+level grows with the field's reach against R. The level doubles from a
+quarter of the cap until two successive levels agree to REL_TOL, at most
+up to the pair (cap, 2 cap); their difference is the error estimate and
+the finer value is returned. The points are evaluated in blocks of whole
+radii, fixed by the level, and block sums are combined through a fixed
+pairwise tree so the result does not depend on how the blocks are spread
+across worker threads.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 from scipy.special import gammaincc
 
-from .grid import cell_axis, eight_directions, grid_points, resolve_cells, to_complex, to_real
+from .grid import (cell_axis, eight_directions, grid_points, leggauss, resolve_cells,
+                   to_complex, to_real)
 
 __all__ = [
     "QuadratureError",
@@ -50,16 +56,16 @@ __all__ = [
 
 TAIL_GRID = 0.25
 DEFAULT_EPS_TAIL = 1e-12
-# The default cap on the cells per axis: the finer grid of the last pair
-# the doubling may reach is twice this.
+# The default cap on the level, the radii of the polar rule: the finer rule
+# of the last pair the doubling may reach has twice this.
 DEFAULT_CELLS = {1: 256, 2: 32}
 # Two grids whose values agree to this relative difference end the doubling.
 REL_TOL = 1e-6
 # cells per axis of the sup search's full grid
 _SUP_CELLS = {1: 256, 2: 40}
 _FIT_DIRECTIONS = {n: to_real(np.array(eight_directions(n))) for n in (1, 2)}
-# Grid points per field evaluation: enough that numpy, not Python, sets the
-# pace, few enough that a block's temporaries stay small beside the grid.
+# Points per field evaluation: enough that numpy, not Python, sets the
+# pace, few enough that a block's temporaries stay small.
 _BLOCK_POINTS = 2 ** 16
 # Reported error estimates never drop below this relative floor; differences
 # between refinement stages at machine precision are otherwise meaningless.
@@ -195,7 +201,10 @@ class ScalarField:
 
     @property
     def reach(self) -> float:
-        """|center| + pad: how far from the origin the field's peaks may sit."""
+        """|center| + pad: bounds how far the field's peaks sit from the
+        origin, and how far its structure off the center sits from the
+        center (the origin, where a norm integrand has its |z|^{mp} cone,
+        or a peak that the pad covers)."""
         if self.center is None:
             return self.pad
         return float(np.linalg.norm(np.asarray(self.center, dtype=complex))) + self.pad
@@ -288,22 +297,59 @@ def _ball_blocks(axes: Sequence[np.ndarray], center_xy: np.ndarray,
     return [partial(block, run) for run in runs]
 
 
-def _midpoint(field: ScalarField, center_xy: np.ndarray, radius: float, cells: int) -> float:
-    """Midpoint sum over the cells of the cube of half-width radius whose
-    centres lie in the ball of that radius; the tail bound covers the rest."""
-    h = 2.0 * radius / cells
-    axes = [c + cell_axis(cells, h) for c in center_xy]
+def _sphere_rule(n: int, angles: int) -> tuple:
+    """Unit points (N, n) and weights (N,) of the product rule on S^{2n-1}:
+    the trapezoid rule with ``angles`` nodes in each angle and, at n = 2,
+    angles/2 Gauss-Legendre nodes in t = |u_1|^2 on [0, 1], with
+    dsigma(S^3) = dt dtheta_1 dtheta_2 / 2. An even count of angles keeps
+    the trapezoid rule's aliased modes polynomial in t."""
+    turn = np.exp(2j * math.pi * np.arange(angles) / angles)
+    step = 2.0 * math.pi / angles
+    if n == 1:
+        return turn[:, None], np.full(angles, step)
+    u, g = leggauss(angles // 2)
+    t = (u + 1.0) / 2.0
+    first = np.sqrt(t)[:, None, None] * turn[None, :, None]
+    second = np.sqrt(1.0 - t)[:, None, None] * turn[None, None, :]
+    unit = np.stack(np.broadcast_arrays(first, second), axis=-1).reshape(-1, 2)
+    weights = np.repeat(g * step * step / 4.0, angles * angles)
+    return unit, weights
 
-    def block_sum(block: Callable[[], np.ndarray]) -> float:
-        return float(np.sum(np.asarray(field.evaluate(block()), dtype=float)))
 
-    blocks = _ball_blocks(axes, center_xy, radius)
+def _polar(field: ScalarField, center: np.ndarray, radius: float, cells: int) -> float:
+    """The polar product rule about center on the ball of the given radius,
+    at level cells; the tail bound covers the rest. Gauss-Legendre radii s
+    on [0, radius] carry the Jacobian s^{2n-1}, so a |z|^{mp} cone at the
+    centre is the smooth factor s^{mp}. The points are evaluated in blocks
+    of whole radii, at most _BLOCK_POINTS points (or one radius) each, and
+    the block sums are combined by _pairwise_sum."""
+    n = field.n
+    u, g = leggauss(cells)
+    s = radius * (u + 1.0) / 2.0
+    ws = radius / 2.0 * g * s ** (2 * n - 1)
+    # Angles per circle: cells/4 for a field smooth about its centre, plus
+    # one per mean radial node spacing within the reach for structure off
+    # it (a one-kernel norm integrand's cone at the origin, the other peaks
+    # of a combination), tuned against closed forms of both. At most
+    # 3 cells/4, so no level holds more points than a midpoint grid of cells
+    # per axis on the same ball.
+    share = 0.25 + min(field.reach / radius, 0.5)
+    unit, wa = _sphere_rule(n, 2 * max(1, math.ceil(share * cells / 2)))
+    per = max(1, _BLOCK_POINTS // len(wa))
+
+    def block_sum(first: int) -> float:
+        run = slice(first, first + per)
+        pts = center + (s[run, None, None] * unit[None, :, :]).reshape(-1, n)
+        vals = np.asarray(field.evaluate(pts), dtype=float)
+        return float(np.sum(vals * (ws[run, None] * wa[None, :]).ravel()))
+
+    firsts = range(0, cells, per)
     if _worker_count > 1:
         with ThreadPoolExecutor(max_workers=_worker_count) as pool:
-            sums = list(pool.map(block_sum, blocks))
+            sums = list(pool.map(block_sum, firsts))
     else:
-        sums = [block_sum(b) for b in blocks]
-    return _pairwise_sum(np.array(sums)) * h ** (2 * field.n)
+        sums = [block_sum(first) for first in firsts]
+    return _pairwise_sum(np.array(sums))
 
 
 def _tail_bound(field: ScalarField, radius: float) -> float:
@@ -315,7 +361,7 @@ def _tail_bound(field: ScalarField, radius: float) -> float:
 
 
 class Integral(NamedTuple):
-    """An integral, its error estimate and the cells per axis of its grid."""
+    """An integral, its error estimate and the level of its rule (radii)."""
 
     value: float
     error: float
@@ -333,18 +379,19 @@ def integrate_gaussian(field: ScalarField, cells: Optional[int] = None) -> Integ
         of radius the envelope's truncation radius plus its pad, and
         shrunk to the support of a compact field.
     cells : int, optional
-        Resolution cap, cells per axis; DEFAULT_CELLS[n] when None.
+        Cap on the level of the polar rule, its count of Gauss-Legendre
+        radii; DEFAULT_CELLS[n] when None.
 
     Returns
     -------
     Integral
-        ``value`` is the midpoint value on the finer grid of the first
-        pair of successive grids (cells c and 2c, c doubling from a
+        ``value`` is the polar rule's value at the finer level of the
+        first pair of successive levels (c and 2c, c doubling from a
         quarter of the cap) that agree to ``REL_TOL`` relative, or of the
         pair (cap, 2 cap) if none does before it. ``error`` is that pair's
         difference, floored at a small multiple of machine epsilon times
         the value, plus the envelope tail bound outside the ball.
-        ``cells`` is the finer grid's cell count.
+        ``cells`` is the finer level.
     """
     if field.decay <= 0 and field.compact_radius is None:
         raise DivergentIntegral(
@@ -355,16 +402,13 @@ def integrate_gaussian(field: ScalarField, cells: Optional[int] = None) -> Integ
         cells = DEFAULT_CELLS[field.n]
     if cells < 2:
         raise ValueError("cells must be at least 2")
-    center_xy = field.center_coords()
+    center = to_complex(field.center_coords())
     radius = field.tail_radius + field.pad
     if field.compact_radius is not None:
         # No point integrating far outside the support.
-        step = 2.0 * radius / cells
-        radius = min(radius, field.compact_radius + float(np.linalg.norm(center_xy)) + step)
-        cells = max(2, int(round(2.0 * radius / step)))
-        radius = cells * step / 2.0
+        radius = min(radius, field.compact_radius + float(np.linalg.norm(center)))
     fine, diff, fine_cells = resolve_cells(
-        lambda c: _midpoint(field, center_xy, radius, c), max(2, cells // 4), 2 * cells,
+        lambda c: _polar(field, center, radius, c), max(2, cells // 4), 2 * cells,
         lambda coarse, fine: abs(coarse - fine), lambda fine: REL_TOL * abs(fine))
     err = max(diff, ERROR_FLOOR * abs(fine))
     err += _tail_bound(field, radius)

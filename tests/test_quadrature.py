@@ -1,9 +1,10 @@
 """Quadrature checks against Gaussian closed forms.
 
-The only integrals with exact answers here are shifted Gaussians,
-integral of exp(-c|z-w|^2) over C^n equals (pi/c)^n, so every test
-in this module is anchored to that identity or to scale-invariant
-properties of the truncation logic.
+Every integral here with an exact answer is a Gaussian one: shifted
+Gaussians, integral of exp(-c|z-w|^2) over C^n equals (pi/c)^n, and the
+norms of monomials, kernels, kernel combinations and the cone |z| against
+a Gaussian weight. The other tests pin properties of the truncation, the
+blocks and the resolution rule.
 """
 
 import math
@@ -11,6 +12,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ive
 
 import focksobolev as fs
 from focksobolev import quadrature
@@ -118,7 +120,9 @@ def test_ball_blocks_hold_the_grid_points_in_the_ball(monkeypatch, n, block_poin
 
 
 @pytest.mark.parametrize("n,cells", [(1, 16), (2, 6)])
-def test_integral_independent_of_worker_count(n, cells):
+def test_integral_independent_of_worker_count(monkeypatch, n, cells):
+    """Blocks of at most 64 points: several per level, on two threads."""
+    monkeypatch.setattr(quadrature, "_BLOCK_POINTS", 64)
     field = gaussian_field(1.0, [0.5 - 0.25j] + [0.3j] * (n - 1), n)
     results = []
     for workers in (1, 2):
@@ -179,6 +183,34 @@ def _monomial_norm(k, m, p):
         (math.lgamma((m + k) * p / 2.0 + 1.0) - math.lgamma(m * p / 2.0 + 1.0)) / p)
 
 
+def _cone_norm(w):
+    """Norm of k_w at n = 1, m = 1, p = 1, alpha = 1: C int |z| e^{-|z - w|^2 / 2},
+    2 pi C times the Rice mean sqrt(pi/2) L_{1/2}(-|w|^2 / 2), where
+    L_{1/2}(x) = e^{x/2} [(1 - x) I_0(-x/2) - x I_1(-x/2)]."""
+    x = -abs(w) ** 2 / 2.0
+    laguerre = (1.0 - x) * ive(0, -x / 2.0) - x * ive(1, -x / 2.0)
+    return (fs.norm_constant(1.0, 1, 1, 1.0) * 2.0 * math.pi
+            * math.sqrt(math.pi / 2.0) * laguerre)
+
+
+_COMBO_TERMS_N1 = [(1.0, (1.5 - 0.5j,)), (0.5 - 0.2j, (-1.0j,)), (-0.3, (0.8 + 0.8j,))]
+_COMBO_TERMS_N2 = [(1.0, (0.6, -0.3j)), (0.5 - 0.2j, (-1.0j, 0.5)), (-0.3, (1.2, 0.4 + 0.4j))]
+
+
+def _combo(terms):
+    return fs.KernelCombo(n=len(terms[0][1]), terms=tuple(
+        fs.KernelTerm(center=w, coeff=c) for c, w in terms))
+
+
+def _combo_norm(terms):
+    """p = 2, m = 0, alpha = 1: ||sum c_j k_{w_j}||^2 is the sum over i, j of
+    c_i conj(c_j) exp(<w_j, w_i> - (|w_i|^2 + |w_j|^2) / 2), where
+    <w_j, w_i> = sum_k w_jk conj(w_ik) is np.vdot(w_i, w_j)."""
+    total = sum(ci * np.conj(cj) * np.exp(np.vdot(wi, wj) - (np.vdot(wi, wi) + np.vdot(wj, wj)) / 2)
+                for ci, wi in terms for cj, wj in terms)
+    return math.sqrt(total.real)
+
+
 ERROR_CASES = (
     [(fs.one(1), 1, m, p, 1.0) for m in (0, 1, 2) for p in (1.0, 2.0, 4.0)]
     + [(fs.polynomial({(k,): 1.0}, 1), 1, m, p, _monomial_norm(k, m, p))
@@ -187,7 +219,10 @@ ERROR_CASES = (
        (fs.one(2), 2, 0, 2.0, 1.0),
        (fs.one(2), 2, 1, 1.0, 1.0),  # the cone |z| e^{-|z|^2/2}
        (fs.one(2), 2, 2, 2.0, 1.0),
-       (fs.kernel([0.6, -0.3j], n=2), 2, 0, 2.0, 1.0)]
+       (fs.kernel([0.6, -0.3j], n=2), 2, 0, 2.0, 1.0),
+       (fs.kernel([1.0], n=1), 1, 1, 1.0, _cone_norm(1.0))]
+    + [(_combo(terms), len(terms[0][1]), 0, 2.0, _combo_norm(terms))
+       for terms in (_COMBO_TERMS_N1, _COMBO_TERMS_N2)]
 )
 
 
@@ -207,33 +242,42 @@ def test_integral_error_estimate_bounds_true_error(n, c, shift):
     assert abs(value - (math.pi / c) ** n) <= err
 
 
-def _spy_midpoint(monkeypatch):
+def _spy_polar(monkeypatch):
     seen = []
-    real = quadrature._midpoint
+    real = quadrature._polar
 
-    def spy(field, center_xy, cube_radius, cells):
+    def spy(field, center, radius, cells):
         seen.append(cells)
-        return real(field, center_xy, cube_radius, cells)
+        return real(field, center, radius, cells)
 
-    monkeypatch.setattr(quadrature, "_midpoint", spy)
+    monkeypatch.setattr(quadrature, "_polar", spy)
     return seen
 
 
-@pytest.mark.parametrize("n,cells", [(1, 32), (2, 8)])
-def test_cone_doubles_up_to_the_cap_and_no_further(monkeypatch, n, cells):
-    """|z| at m = 1, p = 1 is not smooth at the origin: the doubling runs
-    from cells/4 to the cap 2 cells, each level once."""
-    seen = _spy_midpoint(monkeypatch)
+@pytest.mark.parametrize("n", [1, 2])
+def test_cone_stops_below_the_cap(monkeypatch, n):
+    """|z| at m = 1, p = 1 is the smooth factor s of the polar rule about
+    the origin: the doubling stops below the cap, at the closed form."""
+    seen = _spy_polar(monkeypatch)
     P = fs.Params(n=n, alpha=1.0, m=1, p=1.0, q=1.0)
-    _, _, chosen = fs.norm_with_error(fs.one(n), P, cells=cells)
-    assert seen == [cells // 4, cells // 2, cells, 2 * cells]
-    assert chosen == 2 * cells
+    value, err, cells = fs.norm_with_error(fs.one(n), P)
+    cap = quadrature.DEFAULT_CELLS[n]
+    assert seen[0] == cap // 4 and cells < 2 * cap and max(seen) == cells
+    assert abs(value - 1.0) <= 1e-12 and abs(value - 1.0) <= err
 
 
-def test_smooth_n2_norm_stops_below_the_cap(monkeypatch):
-    seen = _spy_midpoint(monkeypatch)
-    P = fs.Params(n=2, alpha=1.0, m=0, p=2.0, q=2.0)
-    value, _, cells = fs.norm_with_error(fs.one(2), P)
+@pytest.mark.parametrize("f,m,exact", [
+    (fs.one(2), 0, 1.0),
+    (fs.one(2), 2, 1.0),
+    # monomials are orthogonal, and |z_j|^2 at m = 1 has (m + 2)/2 = 3/2 of
+    # the unit's weighted mass
+    (fs.polynomial({(0, 0): 1.0, (1, 0): 1.0 - 2.0j, (0, 1): 0.5j}, 2), 1,
+     math.sqrt(1.0 + 1.5 * (5.0 + 0.25))),
+], ids=["unit-m0", "unit-m2", "degree1-m1"])
+def test_smooth_n2_norm_stops_below_the_cap(monkeypatch, f, m, exact):
+    seen = _spy_polar(monkeypatch)
+    P = fs.Params(n=2, alpha=1.0, m=m, p=2.0, q=2.0)
+    value, _, cells = fs.norm_with_error(f, P)
     cap = 2 * quadrature.DEFAULT_CELLS[2]
     assert cells < cap and max(seen) == cells
-    assert abs(value - 1.0) <= 1e-12
+    assert abs(value - exact) <= 1e-12 * exact
