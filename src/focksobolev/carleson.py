@@ -439,7 +439,10 @@ def embedding_ratio(f, mu: Measure, params: Params) -> float:
 
 
 def carleson_lower_bound(mu: Measure, params: Params, probe_budget: int = 20) -> float:
-    """Best embedding ratio over a probe family: a certified lower bound."""
+    """Best embedding ratio over a probe family: a lower bound, but not a
+    certified one on a ``ring`` density, whose inner edge is a jump that the
+    quadrature's error estimate does not bound (k_0 at n = 2, p = q = 2 over
+    ring(2, 0.5): error 0.020, estimate 0.018)."""
     family = probe_family(params, seed=7, combos=5)
     family = family[: probe_budget if probe_budget > 0 else len(family)]
     best = 0.0

@@ -25,6 +25,12 @@ the finer value is returned. The points are evaluated in blocks of whole
 radii, fixed by the level, and block sums are combined through a fixed
 pairwise tree so the result does not depend on how the blocks are spread
 across worker threads.
+
+A sup norm scans the ball about the origin of radius 1.1 R + reach + 1 on
+the grid of step 0.75 / sqrt(c) at n = 1 and 2, then runs a pattern search
+from its 8 largest points more than two steps apart, one field evaluation
+per round: a start moves to its best of 3^{2n} - 1 neighbours if that is
+larger and halves its step otherwise, until it is below 2^-26 scan steps.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 from scipy.special import gammaincc
 
-from .grid import (cell_axis, eight_directions, grid_points, leggauss, resolve_cells,
+from .grid import (cube_axis, eight_directions, grid_points, leggauss, resolve_cells,
                    to_complex, to_real)
 
 __all__ = [
@@ -61,8 +67,12 @@ DEFAULT_EPS_TAIL = 1e-12
 DEFAULT_CELLS = {1: 256, 2: 32}
 # Two grids whose values agree to this relative difference end the doubling.
 REL_TOL = 1e-6
-# cells per axis of the sup search's full grid
-_SUP_CELLS = {1: 256, 2: 40}
+# The sup search's scan step, in units of the field's Gaussian scale
+# 1/sqrt(decay); the separated scan maxima it refines; and the refine's stop
+# in scan steps, where a peak of that scale is flat to rounding.
+_SUP_STEP = 0.75
+_SUP_STARTS = 8
+_SUP_STOP = 2.0 ** -26
 _FIT_DIRECTIONS = {n: to_real(np.array(eight_directions(n))) for n in (1, 2)}
 # Points per field evaluation: enough that numpy, not Python, sets the
 # pace, few enough that a block's temporaries stay small.
@@ -416,42 +426,28 @@ def integrate_gaussian(field: ScalarField, cells: Optional[int] = None) -> Integ
 
 
 def sup_field_norm(field: ScalarField) -> tuple[float, np.ndarray]:
-    """Grid search for the supremum of a field over the ball about the origin
-    of radius 1.1 R + |center| + pad + 1, R the envelope's truncation radius.
-
-    A full grid of 256 cells per axis at n = 1, 40 at n = 2, is scanned,
-    then local refinement passes shrink the window around the best cell
-    by a factor of 8 per round.
-
-    Returns
-    -------
-    (value, argmax) : tuple
-        ``argmax`` is the complex point (n,) where the maximum was found.
-    """
-    n = field.n
-    search_radius = 1.1 * field.tail_radius + field.reach + 1.0
-    cells = _SUP_CELLS[n]
-    step = 2.0 * search_radius / cells
-    axes = [cell_axis(cells, step)] * (2 * n)
-    best = _grid_max(field, axes, search_radius, (-math.inf, np.zeros(n, dtype=complex)))
-    local_cells = 16
-    half = step
-    for _ in range(4):
-        axes = [x + cell_axis(local_cells, 2.0 * half / local_cells)
-                for x in to_real(best[1][None, :])[0]]
-        best = _grid_max(field, axes, search_radius, best)
-        half /= 8.0
-    return best
-
-
-def _grid_max(field: ScalarField, axes: Sequence[np.ndarray], radius: float,
-              best: tuple) -> tuple:
-    """best, a (value, point) pair, or the field's maximum over the grid
-    points of axes in |z| <= radius if that maximum is larger."""
-    for block in _ball_blocks(axes, np.zeros(len(axes)), radius):
-        pts = block()
-        vals = np.asarray(field.evaluate(pts), dtype=float)
-        j = int(np.argmax(vals))
-        if vals[j] > best[0]:
-            best = (float(vals[j]), pts[j])
-    return best
+    """The supremum of a field over C^n and a complex point (n,) reaching it,
+    by the module docstring's scan of step h = _SUP_STEP / sqrt(decay) and
+    pattern search from _SUP_STARTS scan points, stopped below _SUP_STOP h."""
+    radius = 1.1 * field.tail_radius + field.reach + 1.0
+    n, h = field.n, _SUP_STEP / math.sqrt(field.decay)
+    blocks = [block() for block in _ball_blocks(
+        [cube_axis(radius, h)] * (2 * n), np.zeros(2 * n), radius)]
+    vals = np.concatenate([np.asarray(field.evaluate(b), dtype=float) for b in blocks])
+    pts = np.concatenate(blocks)
+    xy, starts, free = to_real(pts).T.copy(), [], vals.copy()
+    while len(starts) < _SUP_STARTS and np.max(free) > -math.inf:
+        starts.append(j := int(np.argmax(free)))
+        # squared distances between grid points are whole multiples of h^2
+        free[sum((x - x[j]) ** 2 for x in xy) < 4.5 * h * h] = -math.inf
+    at, best, steps = pts[starts], vals[starts], np.full(len(starts), h)
+    moves = np.delete(grid_points([np.array([-1.0, 0.0, 1.0])] * (2 * n)), 3 ** (2 * n) // 2, 0)
+    while (live := np.flatnonzero(steps >= _SUP_STOP * h)).size:
+        trial = at[live, None] + steps[live, None, None] * moves
+        tv = np.asarray(field.evaluate(trial.reshape(-1, n)), dtype=float).reshape(len(live), -1)
+        k = np.argmax(tv, axis=1)
+        up = tv[np.arange(len(live)), k] > best[live]
+        at[live[up]], best[live[up]] = trial[up, k[up]], tv[up, k[up]]
+        steps[live[~up]] /= 2.0
+    i = int(np.argmax(best))
+    return float(best[i]), at[i]

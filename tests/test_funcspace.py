@@ -48,11 +48,23 @@ def test_unit_norm_of_one_n2():
     assert abs(val - 1.0) < 1e-4
 
 
-@pytest.mark.parametrize("m,expected", [(1, 0.6065306597126334), (2, 0.7357588823428847)])
+@pytest.mark.parametrize("m,expected",
+                         [(0, 1.0), (1, 0.6065306597126334), (2, 0.7357588823428847)])
 def test_sup_norm_of_one(m, expected):
-    params = fs.Params(n=1, alpha=1.0, m=m, p=math.inf, q=math.inf)
-    val = fs.fock_sobolev_norm(fs.one(1), params)
-    assert abs(val - expected) / expected < 1e-6
+    for n in (1, 2):
+        params = fs.Params(n=n, alpha=1.0, m=m, p=math.inf, q=math.inf)
+        val = fs.fock_sobolev_norm(fs.one(n), params)
+        assert abs(val - expected) <= 1e-15
+
+
+@pytest.mark.parametrize("w", [0.0j, 0.6 + 0.8j, -1.2 + 1.6j])
+@pytest.mark.parametrize("n", [1, 2])
+def test_sup_norm_of_normalized_kernel(n, w):
+    """|k_w(z)| e^{-|z|^2/2} = e^{-|z - w|^2/2} peaks at 1; |w| is 0, 1 and 2,
+    split over both coordinates at n = 2."""
+    center = [w] if n == 1 else [w.real, 1j * w.imag]
+    params = fs.Params(n=n, alpha=1.0, m=0, p=math.inf, q=math.inf)
+    assert abs(fs.fock_sobolev_norm(fs.kernel(center, n=n), params) - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize("w", [0.0 + 0.0j, 1.0 + 1.0j, 2.0 + 0.0j])
