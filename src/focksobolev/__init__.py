@@ -73,7 +73,6 @@ from .quadrature import (
     ScalarField,
     integrate_gaussian,
     scalar_field,
-    set_worker_count,
     sup_field_norm,
     truncation_radius,
 )

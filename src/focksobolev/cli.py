@@ -24,6 +24,7 @@ import io
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from typing import Optional
 
@@ -49,7 +50,7 @@ from .funcspace import (
 from .geometry import make_lattice, verify_lattice
 from .grid import to_complex
 from .measures import AtomicMeasure, DensityMeasure
-from .quadrature import DivergentIntegral, set_worker_count
+from .quadrature import DivergentIntegral
 from .scenarios import (
     composition_suite,
     expected_measure_verdict,
@@ -106,19 +107,33 @@ def _exponent(value, label: str) -> float:
     return out
 
 
+def _integer(value, label: str) -> int:
+    """A JSON integer or integral float; bools, strings and fractions are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ConfigError(f"{label}: expected an integer, got {value!r}")
+    return int(value)
+
+
+@contextmanager
+def _reading(label: str):
+    """Read an input: a TypeError or ValueError there is a ConfigError."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
+
+
+@_reading("params")
 def parse_params(text: str) -> Params:
     data = _load_json_arg(text, "params")
     _require_keys(data, {"n", "alpha", "m", "p", "q"}, set(), "params")
-    try:
-        return Params(
-            n=int(data["n"]),
-            alpha=float(data["alpha"]),
-            m=int(data["m"]),
-            p=_exponent(data["p"], "params.p"),
-            q=_exponent(data["q"], "params.q"),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"params: {exc}") from exc
+    return Params(
+        n=_integer(data["n"], "params.n"),
+        alpha=float(data["alpha"]),
+        m=_integer(data["m"], "params.m"),
+        p=_exponent(data["p"], "params.p"),
+        q=_exponent(data["q"], "params.q"),
+    )
 
 
 def _parse_points(raw, n: int, label: str) -> np.ndarray:
@@ -135,6 +150,7 @@ _MEASURE_KEYS = {"atoms": {"locations"}, "lebesgue": set(), "gaussian": {"rate"}
                  "polygrowth": {"power"}, "ring": {"ring_radius", "ring_width"}}
 
 
+@_reading("measure")
 def parse_measure(text: str, n: int):
     data = _load_json_arg(text, "measure")
     if "kind" not in data:
@@ -144,29 +160,25 @@ def parse_measure(text: str, n: int):
         raise ConfigError(f"measure: unknown kind {kind!r}")
     optional = {"weights", "n"} if kind == "atoms" else {"n", "scale"}
     _require_keys(data, {"kind"} | _MEASURE_KEYS[kind], optional, "measure")
-    mn = int(data.get("n", n))
-    try:
-        if kind == "atoms":
-            loc = _parse_points(data["locations"], mn, "measure.locations")
-            wts = data.get("weights")
-            weights = np.ones(loc.shape[0]) if wts is None else np.asarray(wts, dtype=float)
-            mu = AtomicMeasure(locations=loc, weights=weights, n=mn)
-        else:
-            mu = DensityMeasure(kind=kind, n=mn, **{
-                key: float(val) for key, val in data.items() if key not in ("kind", "n")})
-    except ValueError as exc:
-        raise ConfigError(f"measure: {exc}") from exc
+    mn = _integer(data.get("n", n), "measure.n")
+    if kind == "atoms":
+        loc = _parse_points(data["locations"], mn, "measure.locations")
+        wts = data.get("weights")
+        weights = np.ones(loc.shape[0]) if wts is None else np.asarray(wts, dtype=float)
+        mu = AtomicMeasure(locations=loc, weights=weights, n=mn)
+    else:
+        mu = DensityMeasure(kind=kind, n=mn, **{
+            key: float(val) for key, val in data.items() if key not in ("kind", "n")})
     if mu.n != n:
         raise ConfigError(f"measure dimension {mu.n} does not match params n={n}")
     return mu
 
 
 def _parse_complex(value, label: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"{label}: expected number or [re, im]")
+    parts = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
+    if not all(isinstance(x, (int, float)) for x in parts):
+        raise ConfigError(f"{label}: expected number or [re, im]")
+    return complex(float(parts[0]), float(parts[1]))
 
 
 def _parse_poly(data, n: int, label: str) -> Polynomial:
@@ -177,7 +189,7 @@ def _parse_poly(data, n: int, label: str) -> Polynomial:
         if not isinstance(entry, dict):
             raise ConfigError(f"{label}: entries must be objects")
         _require_keys(entry, {"beta", "coeff"}, set(), label)
-        beta = tuple(int(b) for b in entry["beta"])
+        beta = tuple(_integer(b, f"{label}.beta") for b in entry["beta"])
         coeffs[beta] = coeffs.get(beta, 0) + _parse_complex(entry["coeff"], label)
     try:
         return polynomial(coeffs, n)
@@ -216,6 +228,7 @@ def _parse_weight(data, n: int):
     raise ConfigError(f"symbol.u: unknown kind {kind!r}")
 
 
+@_reading("symbol")
 def parse_symbol(text: str, params: Params) -> SymbolPair:
     data = _load_json_arg(text, "symbol")
     n = params.n
@@ -233,7 +246,8 @@ def parse_symbol(text: str, params: Params) -> SymbolPair:
     u = _parse_weight(data.get("u"), n)
     if "matrix" in data:
         rows = data["matrix"]
-        if len(rows) != n or any(len(r) != n for r in rows):
+        if not (isinstance(rows, list) and len(rows) == n
+                and all(isinstance(r, list) and len(r) == n for r in rows)):
             raise ConfigError(f"symbol.matrix must be {n}x{n}")
         mat = np.array(
             [[_parse_complex(v, "symbol.matrix") for v in row] for row in rows]
@@ -241,14 +255,14 @@ def parse_symbol(text: str, params: Params) -> SymbolPair:
         off = None
         if "offset" in data:
             vals = data["offset"]
-            if len(vals) != n:
+            if not isinstance(vals, list) or len(vals) != n:
                 raise ConfigError(f"symbol.offset needs {n} coordinates")
             off = np.array([_parse_complex(v, "symbol.offset") for v in vals])
         return SymbolPair(psi=AffineMap(mat, off), u=u)
     comps = data["components"]
     if "offset" in data:
         raise ConfigError("symbol: 'offset' only applies to matrix symbols")
-    if len(comps) != n:
+    if not isinstance(comps, list) or len(comps) != n:
         raise ConfigError(f"symbol.components needs {n} entries")
     polys = tuple(_parse_poly(c, n, "symbol.components") for c in comps)
     return SymbolPair(psi=PolynomialMap(components=polys), u=u)
@@ -510,13 +524,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, threads=False, params=True):
+    def common(p, params=True):
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", default="json-lines",
                        choices=["json-lines", "csv"])
-        if threads:
-            p.add_argument("--threads", type=int, default=1,
-                           help="threads that evaluate quadrature blocks")
         if params:
             p.add_argument("--params", required=True)
 
@@ -530,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lattice)
 
     p = sub.add_parser("carleson", help="classify a measure for the (p,q) embedding")
-    common(p, threads=True)
+    common(p)
     p.add_argument("--measure", required=True)
     p.add_argument("--t", type=_positive(float), default=None)
     p.add_argument("--ball-radius", type=_positive(float), default=1.0)
@@ -546,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compop)
 
     p = sub.add_parser("verify-norms", help="check norms against closed forms")
-    common(p, threads=True)
+    common(p)
     p.add_argument("--cells", type=int, default=None)
     p.set_defaults(func=_cmd_verify_norms)
 
@@ -560,10 +571,6 @@ def main(argv: Optional[list] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        threads = getattr(args, "threads", 1)
-        if threads < 1:
-            raise ConfigError("--threads must be at least 1")
-        set_worker_count(threads)
         records, config = args.func(args)
         records = [{"command": args.command, **rec} for rec in records]
         config = {"command": args.command, **config, "version": __version__}
@@ -577,8 +584,6 @@ def main(argv: Optional[list] = None) -> int:
     except DivergentIntegral as exc:
         print(f"error: divergent integral: {exc}", file=sys.stderr)
         return 4
-    finally:
-        set_worker_count(1)
     return 0
 
 

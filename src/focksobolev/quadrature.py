@@ -23,8 +23,7 @@ quarter of the cap until two successive levels agree to REL_TOL, at most
 up to the pair (cap, 2 cap); their difference is the error estimate and
 the finer value is returned. The points are evaluated in blocks of whole
 radii, fixed by the level, and block sums are combined through a fixed
-pairwise tree so the result does not depend on how the blocks are spread
-across worker threads.
+pairwise tree.
 
 A sup norm scans the ball about the origin of radius 1.1 R + reach + 1 on
 the grid of step 0.75 / sqrt(c) at n = 1 and 2, then runs a pattern search
@@ -36,9 +35,8 @@ larger and halves its step otherwise, until it is below 2^-26 scan steps.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -57,7 +55,6 @@ __all__ = [
     "truncation_radius",
     "integrate_gaussian",
     "sup_field_norm",
-    "set_worker_count",
 ]
 
 TAIL_GRID = 0.25
@@ -82,8 +79,6 @@ _BLOCK_POINTS = 2 ** 16
 ERROR_FLOOR = 2.0 ** -50
 _MAX_TAIL_SCAN = 1e4
 
-_worker_count = 1
-
 
 class QuadratureError(Exception):
     """Base class for quadrature failures."""
@@ -95,19 +90,6 @@ class QuasiNormError(QuadratureError):
 
 class DivergentIntegral(QuadratureError):
     """Raised when an integrand cannot have a finite untruncated integral."""
-
-
-def set_worker_count(count: int) -> None:
-    """Set the number of threads used to evaluate quadrature blocks.
-
-    The blocks of the ball and the pairwise combination tree are fixed by
-    the grid shape, so the value of an integral is byte-identical for any
-    worker count.
-    """
-    global _worker_count
-    if count < 1:
-        raise ValueError("worker count must be >= 1")
-    _worker_count = int(count)
 
 
 # memoised: every envelope, and so every norm integrand and z-grid, asks again
@@ -277,34 +259,19 @@ def _pairwise_sum(values: np.ndarray) -> float:
     return float(s[0]) if s.size else 0.0
 
 
-def _ball_blocks(axes: Sequence[np.ndarray], center_xy: np.ndarray,
-                 radius: float) -> list:
-    """The points of the tensor grid on axes within radius of center_xy, as
-    thunks that each build one block of them, complex (N, n): a run of whole
-    first-axis slabs of at most _BLOCK_POINTS points, or one larger slab.
-    Blocks follow the first axis, and empty slabs are left out. The other
-    axes' points are built once per grid and sorted by their distance from
-    the center, so a slab's points in the ball are a prefix of them."""
+def _ball_points(axes: Sequence[np.ndarray], radius: float) -> np.ndarray:
+    """The points of the tensor grid on axes within radius of the origin,
+    complex (N, n), slab by slab along the first axis. The other axes'
+    points are built once and sorted by their distance from the origin, so
+    a slab's points in the ball are a prefix of them."""
     rest = grid_points([np.zeros(1), *axes[1:]])
-    d2 = np.sum((to_real(rest)[:, 1:] - center_xy[1:]) ** 2, axis=1)
+    d2 = np.sum(to_real(rest)[:, 1:] ** 2, axis=1)
     order = np.argsort(d2, kind="stable")
     rest = rest[order]
-    room = radius * radius - (axes[0] - center_xy[0]) ** 2
-    counts = np.searchsorted(d2[order], room, side="right")
-
-    def block(run: list) -> np.ndarray:
-        pts = np.concatenate([rest[:counts[i]] for i in run])
-        pts[:, 0] += np.repeat(axes[0][run], counts[run])
-        return pts
-
-    runs, size = [], 0
-    for i in np.flatnonzero(counts):
-        if not runs or size + counts[i] > _BLOCK_POINTS:
-            runs.append([])
-            size = 0
-        runs[-1].append(i)
-        size += counts[i]
-    return [partial(block, run) for run in runs]
+    counts = np.searchsorted(d2[order], radius * radius - axes[0] ** 2, side="right")
+    pts = np.concatenate([rest[:count] for count in counts])
+    pts[:, 0] += np.repeat(axes[0], counts)
+    return pts
 
 
 def _sphere_rule(n: int, angles: int) -> tuple:
@@ -346,19 +313,12 @@ def _polar(field: ScalarField, center: np.ndarray, radius: float, cells: int) ->
     share = 0.25 + min(field.reach / radius, 0.5)
     unit, wa = _sphere_rule(n, 2 * max(1, math.ceil(share * cells / 2)))
     per = max(1, _BLOCK_POINTS // len(wa))
-
-    def block_sum(first: int) -> float:
+    sums = []
+    for first in range(0, cells, per):
         run = slice(first, first + per)
         pts = center + (s[run, None, None] * unit[None, :, :]).reshape(-1, n)
         vals = np.asarray(field.evaluate(pts), dtype=float)
-        return float(np.sum(vals * (ws[run, None] * wa[None, :]).ravel()))
-
-    firsts = range(0, cells, per)
-    if _worker_count > 1:
-        with ThreadPoolExecutor(max_workers=_worker_count) as pool:
-            sums = list(pool.map(block_sum, firsts))
-    else:
-        sums = [block_sum(first) for first in firsts]
+        sums.append(float(np.sum(vals * (ws[run, None] * wa[None, :]).ravel())))
     return _pairwise_sum(np.array(sums))
 
 
@@ -431,10 +391,9 @@ def sup_field_norm(field: ScalarField) -> tuple[float, np.ndarray]:
     pattern search from _SUP_STARTS scan points, stopped below _SUP_STOP h."""
     radius = 1.1 * field.tail_radius + field.reach + 1.0
     n, h = field.n, _SUP_STEP / math.sqrt(field.decay)
-    blocks = [block() for block in _ball_blocks(
-        [cube_axis(radius, h)] * (2 * n), np.zeros(2 * n), radius)]
-    vals = np.concatenate([np.asarray(field.evaluate(b), dtype=float) for b in blocks])
-    pts = np.concatenate(blocks)
+    pts = _ball_points([cube_axis(radius, h)] * (2 * n), radius)
+    vals = np.concatenate([np.asarray(field.evaluate(pts[i:i + _BLOCK_POINTS]), dtype=float)
+                           for i in range(0, len(pts), _BLOCK_POINTS)])
     xy, starts, free = to_real(pts).T.copy(), [], vals.copy()
     while len(starts) < _SUP_STARTS and np.max(free) > -math.inf:
         starts.append(j := int(np.argmax(free)))

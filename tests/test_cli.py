@@ -118,16 +118,18 @@ def test_verify_norms_cells_at_the_default_cap_changes_nothing(cli, tmp_path):
     ["lattice", "--n", "1", "--r", "1.0", "--domain-radius", "6.0"],
     ["compop", "--params", "{}", "--symbol", "{}"],
     ["suite", "--params", "{}"],
+    ["carleson", "--params", "{}", "--measure", "{}"],
+    ["verify-norms", "--params", "{}"],
 ])
 def test_threads_only_where_the_quadrature_runs(cli, args):
-    """Only verify-norms and carleson integrate norms; elsewhere --threads
-    is refused before anything runs."""
+    """The quadrature, the only thing --threads ever sped up, now runs
+    serially, so every subcommand refuses the flag before anything runs."""
     res = cli(args + ["--threads", "2"])
     assert res.returncode == 2
     assert "unrecognized arguments: --threads 2" in res.stderr
 
 
-@pytest.mark.parametrize("flag,value", [("--cells", "1"), ("--threads", "0")])
+@pytest.mark.parametrize("flag,value", [("--cells", "1")])
 def test_verify_norms_rejects_out_of_range_grid_flags(cli, params_file, flag, value):
     res = cli(["verify-norms", "--params", "@" + params_file, flag, value])
     assert res.returncode == 2
@@ -238,6 +240,41 @@ def test_numeric_flags_checked_when_parsed(cli, args, flag):
     assert res.returncode == 2
     assert f"argument {flag}: expected" in res.stderr
     assert res.stdout == ""
+
+
+def _symbol(symbol):
+    return ["compop", "--params", json.dumps(PARAMS), "--symbol", json.dumps(symbol)]
+
+
+def _params(**changes):
+    return ["verify-norms", "--params", json.dumps(dict(PARAMS, **changes))]
+
+
+@pytest.mark.parametrize("args,field", [
+    pytest.param(["carleson", "--params", json.dumps(PARAMS),
+                  "--measure", '{"kind": "lebesgue", "n": "x"}'], "measure.n",
+                 id="measure-n-string"),
+    pytest.param(_symbol({"matrix": 3}), "symbol.matrix", id="matrix-number"),
+    pytest.param(_symbol({"matrix": [[["a", 0]]]}), "symbol.matrix", id="matrix-entry-string"),
+    pytest.param(_symbol({"components": [[{"beta": ["a"], "coeff": 0.5}]]}),
+                 "symbol.components.beta", id="beta-string"),
+    pytest.param(_symbol({"matrix": [[0.5]],
+                          "u": {"kind": "kernel", "center": [0], "coeff": ["x", 1]}}),
+                 "symbol.u.coeff", id="kernel-coeff-string"),
+    pytest.param(_params(m=1.5), "params.m", id="m-fraction"),
+    pytest.param(_params(n=1.7), "params.n", id="n-fraction"),
+    pytest.param(_params(n=True), "params.n", id="n-bool"),
+    pytest.param(_symbol({"components": [[{"beta": [1.5], "coeff": 0.5}]]}),
+                 "symbol.components.beta", id="beta-fraction"),
+])
+def test_malformed_structured_input_is_a_config_error(cli, args, field):
+    """A wrong type or a non-integral integer in --params, --measure or
+    --symbol exits 2 with an error naming the field: no traceback, and no
+    integer is truncated."""
+    res = cli(args)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"error: {field}")
 
 
 @pytest.mark.parametrize("args", [

@@ -4,7 +4,7 @@ Every integral here with an exact answer is a Gaussian one: shifted
 Gaussians, integral of exp(-c|z-w|^2) over C^n equals (pi/c)^n, and the
 norms of monomials, kernels, kernel combinations and the cone |z| against
 a Gaussian weight. The other tests pin properties of the truncation, the
-blocks and the resolution rule.
+sup search's ball points and the resolution rule.
 """
 
 import math
@@ -17,7 +17,7 @@ from scipy.special import ive
 import focksobolev as fs
 from focksobolev import quadrature
 from focksobolev.grid import cell_axis, grid_points, resolve_cells, to_real
-from focksobolev.quadrature import _ball_blocks
+from focksobolev.quadrature import _BLOCK_POINTS, _ball_points
 
 
 def gaussian_field(c, w, n):
@@ -94,44 +94,20 @@ def test_lp_field_norm_matches_direct():
 
 
 @pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("block_points", [6, 200, 2 ** 16])
-def test_ball_blocks_hold_the_grid_points_in_the_ball(monkeypatch, n, block_points):
-    """The blocks hold each tensor-grid point within the radius once, slab
-    by slab; no block of two or more slabs holds more than _BLOCK_POINTS
-    points, and no two successive blocks would fit in one."""
-    monkeypatch.setattr(quadrature, "_BLOCK_POINTS", block_points)
+def test_ball_points_are_the_grid_points_in_the_ball(n):
+    """The points hold each tensor-grid point within the radius of the
+    origin once, slab by slab: the first real coordinate never decreases."""
     rng = np.random.default_rng(n)
     axes = [c + cell_axis(cells, h) for c, cells, h in
-            zip(rng.normal(size=2 * n), (9, 8, 7, 10), rng.uniform(0.2, 0.6, 2 * n))]
-    center = np.array([np.mean(a) for a in axes]) + 0.1
+            zip(rng.uniform(-0.3, 0.3, 2 * n), (9, 8, 7, 10), rng.uniform(0.2, 0.6, 2 * n))]
     radius = 1.1
     grid = grid_points(axes)
-    inside = grid[np.sum((to_real(grid) - center) ** 2, axis=1) <= radius ** 2]
-    blocks = [block() for block in _ball_blocks(axes, center, radius)]
-    got = np.concatenate(blocks)
+    inside = grid[np.sum(to_real(grid) ** 2, axis=1) <= radius ** 2]
+    got = _ball_points(axes, radius)
     assert 0 < len(inside) < len(grid) and len(got) == len(inside)
+    assert np.all(np.diff(got[:, 0].real) >= 0)
     assert np.array_equal(got[:, 0].real, inside[:, 0].real)
     assert set(map(tuple, got)) == set(map(tuple, inside))
-    for block in blocks:
-        slabs = np.unique(block[:, 0].real).size
-        assert slabs == 1 or len(block) <= block_points
-    for first, second in zip(blocks, blocks[1:]):
-        assert len(first) + len(second) > block_points
-
-
-@pytest.mark.parametrize("n,cells", [(1, 16), (2, 6)])
-def test_integral_independent_of_worker_count(monkeypatch, n, cells):
-    """Blocks of at most 64 points: several per level, on two threads."""
-    monkeypatch.setattr(quadrature, "_BLOCK_POINTS", 64)
-    field = gaussian_field(1.0, [0.5 - 0.25j] + [0.3j] * (n - 1), n)
-    results = []
-    for workers in (1, 2):
-        fs.set_worker_count(workers)
-        try:
-            results.append(fs.integrate_gaussian(field, cells=cells))
-        finally:
-            fs.set_worker_count(1)
-    assert results[0] == results[1]
 
 
 def test_sup_field_norm_finds_offcenter_peak():
@@ -153,8 +129,9 @@ def _reference_sup(field):
     best = (-math.inf, None)
     axes = [cell_axis(cells, half)] * (2 * n)
     for _ in range(5):
-        for block in _ball_blocks(axes, np.zeros(2 * n), radius):
-            pts = block()
+        ball = _ball_points(axes, radius)
+        for first in range(0, len(ball), _BLOCK_POINTS):
+            pts = ball[first:first + _BLOCK_POINTS]
             vals = field.evaluate(pts)
             j = int(np.argmax(vals))
             if vals[j] > best[0]:
@@ -188,16 +165,6 @@ def test_integrate_gaussian_rejects_a_field_without_decay_or_support():
     field = fs.scalar_field(lambda z: np.ones(len(z)), 1, decay=0.0, growth=0.0)
     with pytest.raises(fs.DivergentIntegral):
         fs.integrate_gaussian(field)
-
-
-def test_worker_count_roundtrip():
-    fs.set_worker_count(2)
-    try:
-        field = gaussian_field(1.0, [0.0 + 0.0j], 1)
-        val, _, _ = fs.integrate_gaussian(field)
-        assert abs(val - math.pi) / math.pi < 1e-6
-    finally:
-        fs.set_worker_count(1)
 
 
 def test_resolve_cells_evaluates_each_level_once():
