@@ -94,9 +94,12 @@ def test_lp_field_norm_matches_direct():
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_ball_points_are_the_grid_points_in_the_ball(n):
-    """The points hold each tensor-grid point within the radius of the
-    origin once, slab by slab: the first real coordinate never decreases."""
+@pytest.mark.parametrize("block_points", [6, 200, 2 ** 16])
+def test_ball_blocks_hold_the_grid_points_in_the_ball(monkeypatch, n, block_points):
+    """The ball points hold each tensor-grid point within the radius of the
+    origin once, slab by slab: the first real coordinate never decreases.
+    The sup search evaluates them in blocks of _BLOCK_POINTS points, and its
+    peak and point are the same at every block size."""
     rng = np.random.default_rng(n)
     axes = [c + cell_axis(cells, h) for c, cells, h in
             zip(rng.uniform(-0.3, 0.3, 2 * n), (9, 8, 7, 10), rng.uniform(0.2, 0.6, 2 * n))]
@@ -108,6 +111,11 @@ def test_ball_points_are_the_grid_points_in_the_ball(n):
     assert np.all(np.diff(got[:, 0].real) >= 0)
     assert np.array_equal(got[:, 0].real, inside[:, 0].real)
     assert set(map(tuple, got)) == set(map(tuple, inside))
+    field = gaussian_field(1.0, [0.7 - 0.4j] * n, n)
+    val, loc = fs.sup_field_norm(field)
+    monkeypatch.setattr(quadrature, "_BLOCK_POINTS", block_points)
+    blocked_val, blocked_loc = fs.sup_field_norm(field)
+    assert blocked_val == val and np.array_equal(blocked_loc, loc)
 
 
 def test_sup_field_norm_finds_offcenter_peak():
