@@ -36,7 +36,6 @@ from .funcspace import (
     KernelTerm,
     Params,
     Polynomial,
-    evaluate,
     fock_sobolev_norm,
     kernel,
     log_abs,
@@ -53,23 +52,19 @@ from .measures import (
     DensityMeasure,
     atoms_on_lattice,
     averaging_sequence,
-    ball_mass,
     ball_mass_many,
-    berezin_value,
     discretize,
     effective_radius,
     gaussian,
     lebesgue,
     polygrowth,
     ring,
-    sequence_lp,
     total_weighted_mass,
 )
 from .quadrature import (
     DivergentIntegral,
     Integral,
     QuadratureError,
-    QuasiNormError,
     ScalarField,
     integrate_gaussian,
     scalar_field,

@@ -197,35 +197,44 @@ def _parse_poly(data, n: int, label: str) -> Polynomial:
         raise ConfigError(f"{label}: {exc}") from exc
 
 
+# the required and the optional keys of each weight kind, besides "kind"
+_WEIGHT_KEYS = {"one": (set(), set()), "polynomial": ({"coeffs"}, set()),
+                "kernel": ({"center"}, {"coeff", "normalized", "sobolev_scaled"})}
+
+
+def _flag(data: dict, key: str, default: bool) -> bool:
+    value = data.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"symbol.u.{key}: expected true or false, got {value!r}")
+    return value
+
+
 def _parse_weight(data, n: int):
     if data is None:
         return one(n)
-    _require_keys(
-        data, {"kind"},
-        {"center", "coeff", "normalized", "sobolev_scaled", "coeffs", "terms"},
-        "symbol.u",
-    )
+    if not isinstance(data, dict):
+        raise ConfigError("symbol.u: expected a JSON object")
+    if "kind" not in data:
+        raise ConfigError("symbol.u: missing 'kind'")
     kind = data["kind"]
+    if not isinstance(kind, str) or kind not in _WEIGHT_KEYS:
+        raise ConfigError(f"symbol.u: unknown kind {kind!r}")
+    required, optional = _WEIGHT_KEYS[kind]
+    _require_keys(data, {"kind"} | required, optional, "symbol.u")
     if kind == "one":
         return one(n)
-    if kind == "kernel":
-        if "center" not in data:
-            raise ConfigError("symbol.u: kernel weight needs 'center'")
-        center = [_parse_complex(c, "symbol.u.center") for c in data["center"]]
-        if len(center) != n:
-            raise ConfigError(f"symbol.u.center needs {n} coordinates")
-        return kernel(
-            center,
-            n=n,
-            coeff=_parse_complex(data.get("coeff", 1.0), "symbol.u.coeff"),
-            normalized=bool(data.get("normalized", True)),
-            sobolev_scaled=bool(data.get("sobolev_scaled", False)),
-        )
     if kind == "polynomial":
-        if "coeffs" not in data:
-            raise ConfigError("symbol.u: polynomial weight needs 'coeffs'")
         return _parse_poly(data["coeffs"], n, "symbol.u.coeffs")
-    raise ConfigError(f"symbol.u: unknown kind {kind!r}")
+    center = [_parse_complex(c, "symbol.u.center") for c in data["center"]]
+    if len(center) != n:
+        raise ConfigError(f"symbol.u.center needs {n} coordinates")
+    return kernel(
+        center,
+        n=n,
+        coeff=_parse_complex(data.get("coeff", 1.0), "symbol.u.coeff"),
+        normalized=_flag(data, "normalized", True),
+        sobolev_scaled=_flag(data, "sobolev_scaled", False),
+    )
 
 
 @_reading("symbol")

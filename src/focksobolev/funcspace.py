@@ -17,8 +17,10 @@ weighted integral against ``|z|^{mp}`` with the normalising constant
 chosen so the constant function 1 has norm 1 for every p, m and n.
 
 All kernel arithmetic runs through log-amplitudes so that large centers
-cannot overflow before the Gaussian weight is applied. A hard cap at
-exponent 709 guards the points where a caller asks for a plain value.
+cannot overflow before the Gaussian weight is applied. OVERFLOW_CAP = 709
+is the last exponent that exp keeps finite: the composition transform
+reads inf past it, and a pullback weight past its own cap raises
+:class:`EvaluationOverflow`.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ __all__ = [
     "EvaluationOverflow",
     "polynomial",
     "kernel",
-    "evaluate",
     "log_abs",
     "log_weight",
     "norm_constant",
@@ -61,7 +62,7 @@ OVERFLOW_CAP = 709.0
 
 
 class EvaluationOverflow(ArithmeticError):
-    """Requested a plain (non-log) value whose exponent exceeds the float range."""
+    """A weight whose exponent exceeds the float range (see compop.pullback_measure)."""
 
 
 @dataclass(frozen=True)
@@ -172,24 +173,6 @@ def kernel(
     return KernelCombo(n=n, terms=(term,))
 
 
-def _as_points(z, n: int) -> tuple[np.ndarray, bool]:
-    """Normalise input to a complex array (N, n); flag scalar input."""
-    arr = np.asarray(z, dtype=complex)
-    if arr.ndim == 0:
-        if n != 1:
-            raise ValueError("scalar input is only valid for n = 1")
-        return arr.reshape(1, 1), True
-    if arr.ndim == 1:
-        if arr.shape[0] == n:
-            return arr.reshape(1, n), True
-        if n == 1:
-            return arr.reshape(-1, 1), False
-        raise ValueError(f"cannot interpret shape {arr.shape} as points in C^{n}")
-    if arr.shape[-1] != n:
-        raise ValueError(f"cannot interpret shape {arr.shape} as points in C^{n}")
-    return arr.reshape(-1, n), False
-
-
 def _poly_values(f: Polynomial, pts: np.ndarray) -> np.ndarray:
     out = np.zeros(pts.shape[0], dtype=complex)
     # one term buffer for every coefficient; a first power of 1 is read
@@ -222,29 +205,6 @@ def _kernel_log_terms(f: KernelCombo, pts: np.ndarray, params: Params) -> np.nda
         row += log_c
         row -= shift
     return out
-
-
-def evaluate(f: EntireFunction, z, params: Params):
-    """Value of f at one point or a batch of points.
-
-    Raises :class:`EvaluationOverflow` when a kernel exponent would exceed
-    the float range.
-    """
-    pts, scalar = _as_points(z, f.n)
-    if isinstance(f, Polynomial):
-        vals = _poly_values(f, pts)
-    else:
-        if not f.terms:
-            vals = np.zeros(pts.shape[0], dtype=complex)
-        else:
-            logs = _kernel_log_terms(f, pts, params)
-            worst = float(np.max(logs.real))
-            if worst > OVERFLOW_CAP:
-                raise EvaluationOverflow(
-                    f"kernel exponent {worst:.1f} exceeds the cap {OVERFLOW_CAP}"
-                )
-            vals = np.exp(logs).sum(axis=0)
-    return complex(vals[0]) if scalar else vals
 
 
 def log_abs(f: EntireFunction, pts: np.ndarray, params: Params) -> np.ndarray:

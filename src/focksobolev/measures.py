@@ -22,7 +22,7 @@ from scipy.spatial import cKDTree
 from scipy.special import ive
 
 from .grid import leggauss, to_real
-from .quadrature import QuasiNormError, truncation_radius
+from .quadrature import truncation_radius
 
 __all__ = [
     "AtomicMeasure",
@@ -34,11 +34,8 @@ __all__ = [
     "ring",
     "atoms_on_lattice",
     "discretize",
-    "ball_mass",
     "ball_mass_many",
     "averaging_sequence",
-    "berezin_value",
-    "sequence_lp",
     "total_weighted_mass",
     "effective_radius",
 ]
@@ -250,11 +247,6 @@ def _radial_transform(mu: DensityMeasure, c: float, s: float, extent: float) -> 
     return radii, values, dr * _sphere(radii, mu.n)
 
 
-def ball_mass(mu: Measure, center, radius: float) -> float:
-    """mu(B(center, radius)), the strict Euclidean ball; see ``ball_mass_many``."""
-    return float(ball_mass_many(mu, center, radius)[0])
-
-
 # Block sizes bound the temporaries, and with them peak memory: candidate
 # (centre, atom) pairs per block.
 _PAIR_BUDGET = 250_000
@@ -292,9 +284,9 @@ def ball_mass_many(mu: Measure, centers: np.ndarray, radius: float) -> np.ndarra
     return out
 
 
-# averaging_sequence, berezin_value, sequence_lp and ball_mass have no library
-# caller (carleson reads these objects in bulk): tests use them as references,
-# and perfbench's tracer looks up averaging_sequence by name.
+# No library path calls averaging_sequence (carleson reads the sequence in
+# bulk). It stays because perfbench's tracer looks it up by name, and tests
+# use it as a reference.
 def averaging_sequence(mu: Measure, lat, r: float, s: float) -> np.ndarray:
     """Averaging-function values mu(B(c, r)) / (1 + |c|)^s at the lattice centers."""
     centers = lat.as_complex()
@@ -376,24 +368,6 @@ def _contract(out: np.ndarray, c: float, axes) -> np.ndarray:
         factor = _gaussian(ax[:, None], ax[:, None], c)
         out = np.moveaxis(np.tensordot(factor, out, axes=(1, k)), 0, k)
     return out
-
-
-def berezin_value(mu: AtomicMeasure, w, t: float, s: float, alpha: float) -> float:
-    """int exp(-t alpha |z - w|^2 / 2) (1 + |z|)^{-s} dmu(z), atomic mu."""
-    wv = np.asarray(w, dtype=complex).reshape(1, mu.n)
-    return float(_gauss_transform(mu, t * alpha / 2.0, s, wv)[0])
-
-
-def sequence_lp(values: np.ndarray, k: float) -> float:
-    """l^k size of a nonnegative sequence; k = inf takes the supremum."""
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        return 0.0
-    if math.isinf(k):
-        return float(np.max(v))
-    if k < 1:
-        raise QuasiNormError(f"sequence exponent {k} is below 1")
-    return float(np.sum(v ** k) ** (1.0 / k))
 
 
 def total_weighted_mass(mu: Measure, s: float, radius: float) -> float:

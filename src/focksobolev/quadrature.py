@@ -22,8 +22,8 @@ level grows with the field's reach against R. The level doubles from a
 quarter of the cap until two successive levels agree to REL_TOL, at most
 up to the pair (cap, 2 cap); their difference is the error estimate and
 the finer value is returned. The points are evaluated in blocks of whole
-radii, fixed by the level, and block sums are combined through a fixed
-pairwise tree.
+radii, fixed by the level, and the block sums are added by math.fsum,
+which rounds once, so the total does not depend on their order.
 
 A sup norm scans the ball about the origin of radius 1.1 R + reach + 1 on
 the grid of step 0.75 / sqrt(c) at n = 1 and 2, then runs a pattern search
@@ -47,7 +47,6 @@ from .grid import (cube_axis, eight_directions, grid_points, leggauss, resolve_c
 
 __all__ = [
     "QuadratureError",
-    "QuasiNormError",
     "DivergentIntegral",
     "ScalarField",
     "Integral",
@@ -82,10 +81,6 @@ _MAX_TAIL_SCAN = 1e4
 
 class QuadratureError(Exception):
     """Base class for quadrature failures."""
-
-
-class QuasiNormError(QuadratureError):
-    """Raised for exponents in the quasi-norm range 0 < p < 1."""
 
 
 class DivergentIntegral(QuadratureError):
@@ -249,16 +244,6 @@ def _fit_envelope_const(field: ScalarField) -> float:
     return max(k, 1e-300)
 
 
-def _pairwise_sum(values: np.ndarray) -> float:
-    """Sum a 1-d array through a fixed pairwise tree."""
-    s = np.asarray(values, dtype=float)
-    while s.size > 1:
-        if s.size % 2:
-            s = np.append(s, 0.0)
-        s = s[0::2] + s[1::2]
-    return float(s[0]) if s.size else 0.0
-
-
 def _ball_points(axes: Sequence[np.ndarray], radius: float) -> np.ndarray:
     """The points of the tensor grid on axes within radius of the origin,
     complex (N, n), slab by slab along the first axis. The other axes'
@@ -299,7 +284,7 @@ def _polar(field: ScalarField, center: np.ndarray, radius: float, cells: int) ->
     on [0, radius] carry the Jacobian s^{2n-1}, so a |z|^{mp} cone at the
     centre is the smooth factor s^{mp}. The points are evaluated in blocks
     of whole radii, at most _BLOCK_POINTS points (or one radius) each, and
-    the block sums are combined by _pairwise_sum."""
+    the block sums are added by math.fsum."""
     n = field.n
     u, g = leggauss(cells)
     s = radius * (u + 1.0) / 2.0
@@ -319,7 +304,7 @@ def _polar(field: ScalarField, center: np.ndarray, radius: float, cells: int) ->
         pts = center + (s[run, None, None] * unit[None, :, :]).reshape(-1, n)
         vals = np.asarray(field.evaluate(pts), dtype=float)
         sums.append(float(np.sum(vals * (ws[run, None] * wa[None, :]).ravel())))
-    return _pairwise_sum(np.array(sums))
+    return math.fsum(sums)
 
 
 def _tail_bound(field: ScalarField, radius: float) -> float:

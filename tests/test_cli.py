@@ -261,6 +261,12 @@ def _params(**changes):
     pytest.param(_symbol({"matrix": [[0.5]],
                           "u": {"kind": "kernel", "center": [0], "coeff": ["x", 1]}}),
                  "symbol.u.coeff", id="kernel-coeff-string"),
+    pytest.param(_symbol({"matrix": [[0.5]], "u": {"kind": "kernel", "center": [1],
+                                                   "normalized": "false"}}),
+                 "symbol.u.normalized", id="kernel-normalized-string"),
+    pytest.param(_symbol({"matrix": [[0.5]],
+                          "u": {"kind": "one", "terms": "anything", "center": "zz"}}),
+                 "symbol.u", id="one-weight-foreign-keys"),
     pytest.param(_params(m=1.5), "params.m", id="m-fraction"),
     pytest.param(_params(n=1.7), "params.n", id="n-fraction"),
     pytest.param(_params(n=True), "params.n", id="n-bool"),
@@ -275,6 +281,16 @@ def test_malformed_structured_input_is_a_config_error(cli, args, field):
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr.startswith(f"error: {field}")
+
+
+def test_kernel_weight_unnormalized(cli):
+    """A JSON false drops the kernel weight's normalisation (true gives 1.4747)."""
+    res = cli(_symbol({"matrix": [[0.5]], "u": {"kind": "kernel", "center": [1],
+                                                "normalized": False}}))
+    assert res.returncode == 0, res.stderr
+    _, rows = parse_jsonl(res.stdout)
+    sup = rows[0]["criterion_values"]["log_transform_sup"]
+    assert sup == pytest.approx(2.474729885849392, rel=1e-12)
 
 
 @pytest.mark.parametrize("args", [

@@ -9,6 +9,7 @@ import focksobolev as fs
 from focksobolev import compop
 from focksobolev.carleson import EXPANSION, STAGE_RADIUS
 from focksobolev.grid import directions, to_real
+from focksobolev.measures import _gauss_transform
 
 
 def test_identity_bounded_not_compact(params_m0):
@@ -137,9 +138,18 @@ def test_pullback_transform_identity(params_m0):
     sym = fs.affine_symbol([[0.5]])
     lam = fs.pullback_measure(sym, params_m0)
     for w in (0.0 + 0.0j, 1.0 + 0.5j):
-        a = fs.berezin_value(lam, w, params_m0.q, 0.0, params_m0.alpha)
+        a = _gauss_transform(lam, params_m0.q * params_m0.alpha / 2.0, 0.0, np.array([[w]]))[0]
         b = fs.berezin_compop(sym, params_m0, np.array([w]))
         assert abs(a - b) / b < 1e-3
+
+
+def test_pullback_measure_overflow_guard():
+    """A weight exponent past the float range raises: here the unnormalised
+    kernel at centre 100 under psi = z/2 at p = 4, q = 2 reaches 2266."""
+    params = fs.Params(n=1, alpha=1.0, m=0, p=4.0, q=2.0)
+    sym = fs.affine_symbol([[0.5]], u=fs.kernel([100.0], n=1, normalized=False))
+    with pytest.raises(fs.EvaluationOverflow, match="exponent 2266 exceeds 700"):
+        fs.pullback_measure(sym, params)
 
 
 def test_pullback_consistency_contraction(params_m0):

@@ -90,25 +90,20 @@ def test_kernel_norm_n2():
 
 
 def test_evaluate_polynomial():
+    """log |1 - 3 z^2| at z = 2 is log 11."""
     params = fs.Params(n=1, alpha=1.0, m=0, p=2.0, q=2.0)
     f = fs.polynomial({(0,): 1.0, (2,): -3.0}, 1)
-    assert fs.evaluate(f, 2.0 + 0.0j, params) == pytest.approx(-11.0)
+    assert fs.log_abs(f, np.array([[2.0 + 0.0j]]), params)[0] == pytest.approx(math.log(11.0))
 
 
 def test_evaluate_kernel_matches_exponential():
+    """log |exp(z conj(w))| is Re(z conj(w)) at alpha = 1."""
     params = fs.Params(n=1, alpha=1.0, m=0, p=2.0, q=2.0)
     w = 1.0 + 0.5j
     f = fs.kernel([w], n=1, normalized=False)
     z = 0.5 - 0.25j
-    expect = np.exp(z * np.conj(w))
-    assert fs.evaluate(f, z, params) == pytest.approx(expect)
-
-
-def test_evaluate_overflow_guard():
-    params = fs.Params(n=1, alpha=1.0, m=0, p=2.0, q=2.0)
-    f = fs.kernel([40.0 + 0.0j], n=1, normalized=False)
-    with pytest.raises(fs.EvaluationOverflow):
-        fs.evaluate(f, 40.0 + 0.0j, params)
+    expect = (z * np.conj(w)).real
+    assert fs.log_abs(f, np.array([[z]]), params)[0] == pytest.approx(expect)
 
 
 def test_norm_constant_reciprocal_moment():
