@@ -18,7 +18,6 @@ from .compop import (
     PolynomialMap,
     SymbolPair,
     affine_symbol,
-    berezin_compop,
     classify_compop,
     direct_operator_norm,
     essential_norm_estimate,

@@ -26,9 +26,10 @@ function takes the scan grid at n = 1 and the lattice centres at n = 2,
 plus the heavy atoms in the sup regime. At n = 1 the ball masses read mu
 itself. At n = 2 they read the stage measure, which the transform also
 sums: the atoms in the cube of radius T, or a density restricted to the
-ball |z| <= T. A density is radial: its ball masses and its transform
-are integrals in |z|, and the transform is read at radii rather than on
-a w-grid.
+ball |z| <= T. An atomic transform is read on a coarse w-grid; in the
+sup regime the pattern search of :func:`grid.pattern_search` climbs from
+its best point or heavy atom. A density is radial: its ball masses and
+its transform are integrals in |z|, and the transform is read at radii.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .funcspace import (
     probe_family,
 )
 from .geometry import Lattice, make_lattice
-from .grid import cube_axis, grid_points, to_real
+from .grid import cube_axis, grid_points, pattern_search
 from .measures import (
     AtomicMeasure,
     Measure,
@@ -72,6 +73,9 @@ __all__ = [
 _ATOM_CAP = 3000
 _LOG_NOTHING = math.log(1e-300)
 _SCAN_STEP = 0.25
+# The sup regime's transform search stops below this many coarse w-steps;
+# quadrature's 2^-26 costs about 50 ms more per n = 2 lattice-atoms verdict.
+_SUP_STOP = 2.0 ** -10
 
 # The staging constants: the stage expansion factor, the base stage radius
 # per n for a measure without an effective radius, the growth tolerance of
@@ -149,25 +153,6 @@ def _capped_atoms(mu: Measure) -> np.ndarray:
     return mu.locations[np.sort(order)]
 
 
-def _local_refine(fn, start: np.ndarray, radius: float, n: int) -> float:
-    """Refine a maximum of fn (of points or of grid axes) on two shrinking
-    grids of 13 points per axis."""
-    steps = 13
-    best_pt = start
-    best = float(fn(start.reshape(1, n))[0])
-    rad = radius
-    for _ in range(2):
-        offs = np.linspace(-rad, rad, steps)
-        axes = [x + offs for x in to_real(best_pt[None, :])[0]]
-        vals = fn(axes).ravel()
-        i = int(np.argmax(vals))
-        if vals[i] > best:
-            best = float(vals[i])
-            best_pt = grid_points(axes)[i]
-        rad = 2.0 * rad / (steps - 1)
-    return best
-
-
 def _size(v: np.ndarray, k: Optional[float], cell) -> float:
     """Size of a criterion's values: the max in the sup regime (k None),
     else (sum v^k cell)^(1/k), with one cell for all values or one each;
@@ -215,7 +200,8 @@ def _stage_values(mu: Measure, params: Params, t: float, s: float, r: float,
 
     values: dict = {}
     if atomic:
-        # a coarse w-grid whose maxima are then refined off the grid
+        # a coarse w-grid; in the sup regime its best point or heavy atom
+        # starts the pattern search, stopped below _SUP_STOP w_step
         w_step = 2.0 * h if n == 1 else max(2.0 * h, 0.8)
         axes = [cube_axis(T, w_step)] * (2 * n)
         transform = lambda where: _gauss_transform(mu_T, c, s, where)
@@ -226,8 +212,11 @@ def _stage_values(mu: Measure, params: Params, t: float, s: float, r: float,
         if regime == "sup":
             cand = np.concatenate([w_pts[inball], extra])
             cv = np.concatenate([scan[1], transform(extra)])
-            values["transform"] = _local_refine(
-                transform, cand[int(np.argmax(cv))], w_step, n) if cv.size else 0.0
+            values["transform"] = 0.0
+            if cv.size:
+                j = int(np.argmax(cv))
+                values["transform"] = pattern_search(
+                    transform, cand[j:j + 1], cv[j:j + 1], w_step, _SUP_STOP * w_step)[0]
         else:
             values["transform"] = _size(scan[1], k, w_step ** (2 * n))
     else:

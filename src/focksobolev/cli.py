@@ -41,6 +41,7 @@ from .compop import (
     one,
 )
 from .funcspace import (
+    EvaluationOverflow,
     Params,
     Polynomial,
     kernel,
@@ -584,7 +585,7 @@ def main(argv: Optional[list] = None) -> int:
         records = [{"command": args.command, **rec} for rec in records]
         config = {"command": args.command, **config, "version": __version__}
         emit_report(records, config, args.format, args.out)
-    except ConfigError as exc:
+    except (ConfigError, EvaluationOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _IOFailure as exc:

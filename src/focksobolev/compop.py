@@ -72,7 +72,6 @@ __all__ = [
     "affine_symbol",
     "one",
     "log_berezin_compop",
-    "berezin_compop",
     "transform_profile",
     "weight_profile",
     "pullback_measure",
@@ -340,11 +339,6 @@ def _safe_exp(x: float) -> float:
     return math.inf if x > OVERFLOW_CAP else math.exp(x)
 
 
-def berezin_compop(sym: SymbolPair, params: Params, w) -> float:
-    """Composition transform value at w (inf once past the float range)."""
-    return _safe_exp(log_berezin_compop(sym, params, w))
-
-
 def _log_gap(coarse: np.ndarray, fine: np.ndarray) -> float:
     """Largest difference of two arrays of logs; -inf in both agrees."""
     with np.errstate(invalid="ignore"):
@@ -522,17 +516,10 @@ def classify_compop(sym: SymbolPair, params: Params,
     # below the diagonal, or a sup-norm source: classify the pullback.
     # The atom cloud must extend past the outer classification stage or
     # the staged growth test would read the truncation as decay, so the
-    # stages are fixed first and the z-grid is sized to fill them.
-    try:
-        lam = pullback_measure(sym, params)
-    except EvaluationOverflow as exc:
-        notes.append(f"pullback overflow: {exc}")
-        return CompOpVerdict(
-            regime="pullback", p=p, q=q, bounded=False, compact=False,
-            divergent=True, norm_estimate=math.inf, criterion_values={},
-            profile_radii=(), profile_values=(), stage_radii=(),
-            notes=tuple(notes),
-        )
+    # stages are fixed first and the z-grid is sized to fill them. A
+    # pullback weight past the float range raises EvaluationOverflow: it
+    # says nothing about boundedness.
+    lam = pullback_measure(sym, params)
     verdict = classify_carleson(lam, params, t=q, stage_radius=STAGE_RADIUS[n])
     bounded = verdict.is_carleson
     compact = bounded

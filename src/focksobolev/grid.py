@@ -2,9 +2,10 @@
 (Re z1, Im z1, Re z2, Im z2). A grid is given by its 2n real axes and its
 points are laid out in ij order, the last axis varying fastest.
 ``resolve_cells`` picks a grid's cells per axis by doubling until two
-successive grids agree. ``directions`` is the one set of unit directions
-that radial profiles and probe centres scan; ``eight_directions`` is the
-sparser eight of them that kernel centres and envelope fits sample.
+successive grids agree; ``pattern_search`` is the one local maximiser.
+``directions`` is the one set of unit directions that radial profiles
+and probe centres scan; ``eight_directions`` is the sparser eight of
+them that kernel centres and envelope fits sample.
 ``leggauss`` is the one cache of Gauss-Legendre nodes.
 """
 
@@ -100,3 +101,28 @@ def resolve_cells(evaluate: Callable[[int], T], start: int, cap: int,
         if err <= tol(fine) or not levels:
             return fine, err, cells
         coarse = fine
+
+
+def pattern_search(evaluate: Callable[[np.ndarray], np.ndarray], at: np.ndarray,
+                   best: np.ndarray, step: float, stop: float) -> tuple:
+    """Climb from the start points at (complex (S, n)) with values best (S,).
+
+    Each round makes one evaluate call on the 3^{2n} - 1 neighbours of
+    every live start, at its step along each real axis and diagonal. A
+    start moves to its best neighbour if that is larger and halves its
+    step otherwise; it stops once the step is below stop.
+
+    Returns (value, complex point (n,)) of the best start.
+    """
+    n = at.shape[1]
+    at, best, steps = at.copy(), best.copy(), np.full(len(at), float(step))
+    moves = np.delete(grid_points([np.array([-1.0, 0.0, 1.0])] * (2 * n)), 3 ** (2 * n) // 2, 0)
+    while (live := np.flatnonzero(steps >= stop)).size:
+        trial = at[live, None] + steps[live, None, None] * moves
+        tv = np.asarray(evaluate(trial.reshape(-1, n)), dtype=float).reshape(len(live), -1)
+        k = np.argmax(tv, axis=1)
+        up = tv[np.arange(len(live)), k] > best[live]
+        at[live[up]], best[live[up]] = trial[up, k[up]], tv[up, k[up]]
+        steps[live[~up]] /= 2.0
+    i = int(np.argmax(best))
+    return float(best[i]), at[i]

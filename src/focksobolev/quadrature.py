@@ -26,10 +26,9 @@ radii, fixed by the level, and the block sums are added by math.fsum,
 which rounds once, so the total does not depend on their order.
 
 A sup norm scans the ball about the origin of radius 1.1 R + reach + 1 on
-the grid of step 0.75 / sqrt(c) at n = 1 and 2, then runs a pattern search
-from its 8 largest points more than two steps apart, one field evaluation
-per round: a start moves to its best of 3^{2n} - 1 neighbours if that is
-larger and halves its step otherwise, until it is below 2^-26 scan steps.
+the grid of step 0.75 / sqrt(c) at n = 1 and 2, then runs
+:func:`grid.pattern_search` from its 8 largest points more than two steps
+apart, with the scan step as start step, until it is below 2^-26 of it.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 from scipy.special import gammaincc
 
-from .grid import (cube_axis, eight_directions, grid_points, leggauss, resolve_cells,
-                   to_complex, to_real)
+from .grid import (cube_axis, eight_directions, grid_points, leggauss, pattern_search,
+                   resolve_cells, to_complex, to_real)
 
 __all__ = [
     "QuadratureError",
@@ -64,8 +63,8 @@ DEFAULT_CELLS = {1: 256, 2: 32}
 # Two grids whose values agree to this relative difference end the doubling.
 REL_TOL = 1e-6
 # The sup search's scan step, in units of the field's Gaussian scale
-# 1/sqrt(decay); the separated scan maxima it refines; and the refine's stop
-# in scan steps, where a peak of that scale is flat to rounding.
+# 1/sqrt(decay); the separated scan maxima that start the pattern search;
+# and its stop in scan steps, where a peak of that scale is flat to rounding.
 _SUP_STEP = 0.75
 _SUP_STARTS = 8
 _SUP_STOP = 2.0 ** -26
@@ -384,14 +383,4 @@ def sup_field_norm(field: ScalarField) -> tuple[float, np.ndarray]:
         starts.append(j := int(np.argmax(free)))
         # squared distances between grid points are whole multiples of h^2
         free[sum((x - x[j]) ** 2 for x in xy) < 4.5 * h * h] = -math.inf
-    at, best, steps = pts[starts], vals[starts], np.full(len(starts), h)
-    moves = np.delete(grid_points([np.array([-1.0, 0.0, 1.0])] * (2 * n)), 3 ** (2 * n) // 2, 0)
-    while (live := np.flatnonzero(steps >= _SUP_STOP * h)).size:
-        trial = at[live, None] + steps[live, None, None] * moves
-        tv = np.asarray(field.evaluate(trial.reshape(-1, n)), dtype=float).reshape(len(live), -1)
-        k = np.argmax(tv, axis=1)
-        up = tv[np.arange(len(live)), k] > best[live]
-        at[live[up]], best[live[up]] = trial[up, k[up]], tv[up, k[up]]
-        steps[live[~up]] /= 2.0
-    i = int(np.argmax(best))
-    return float(best[i]), at[i]
+    return pattern_search(field.evaluate, pts[starts], vals[starts], h, _SUP_STOP * h)

@@ -36,6 +36,6 @@ def test_package_names_resolve_to_their_modules():
 
 
 @pytest.mark.parametrize("name", ["ball_mass", "berezin_value", "sequence_lp", "evaluate",
-                                  "QuasiNormError"])
+                                  "QuasiNormError", "berezin_compop"])
 def test_retired_helpers_are_gone(name):
     assert not hasattr(fs, name)

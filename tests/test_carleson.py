@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import focksobolev as fs
-from focksobolev.carleson import growth_divergent
+from focksobolev.carleson import _capped_atoms, _stage_geometry, growth_divergent
+from focksobolev.grid import cube_axis, grid_points, to_real
+from focksobolev.measures import _gauss_transform
 
 
 def params(p, q, m=0, n=1):
@@ -269,3 +271,56 @@ def test_gaussian_density_always_carleson(rate, m):
     v = fs.classify_carleson(fs.gaussian(rate, 1), params(2.0, 2.0, m=m))
     assert v.is_carleson
     assert v.is_vanishing
+
+
+def _reference_refine(fn, start, radius, n):
+    """The two-grid refine that the pattern search replaced: 13 points per
+    axis about the best point so far, on a window of half-width radius and
+    then one of radius / 6."""
+    best_pt, best = start, float(fn(start.reshape(1, n))[0])
+    for rad in (radius, radius / 6.0):
+        offs = np.linspace(-rad, rad, 13)
+        axes = [x + offs for x in to_real(best_pt[None, :])[0]]
+        vals = fn(axes).ravel()
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best, best_pt = float(vals[i]), grid_points(axes)[i]
+    return best
+
+
+def _sup_cases():
+    """Atomic measures in the sup regime: the lattice atoms at n = 1, 2 and
+    the n = 1 pullbacks of criterion 7, with their classify_carleson
+    arguments."""
+    for n in (1, 2):
+        mu = next(sc.measure for sc in fs.measure_suite(n) if sc.name == "lattice-atoms")
+        for m in (0, 1):
+            yield f"lattice-atoms-n{n}-m{m}", mu, params(2.0, 2.0, m=m, n=n), None
+    for m in (0, 1):
+        P = params(2.0, 2.0, m=m)
+        for sc in fs.composition_suite(P):
+            yield f"{sc.name}-m{m}", fs.pullback_measure(sc.symbol, P), P, 6.0
+
+
+def test_sup_transform_never_below_the_two_grid_refine():
+    """The outer stage's sup-regime transform is at least its best coarse
+    candidate (a w-grid point in the ball or a heavy atom) and at least what
+    the old two-grid refine found from that candidate."""
+    for name, mu, P, stage_radius in _sup_cases():
+        v = fs.classify_carleson(mu, P, stage_radius=stage_radius)
+        assert v.regime == "sup"
+        n, T = P.n, v.stage_radii[1]
+        h = _stage_geometry(mu, n, 1.0, stage_radius)[1]
+        mu_T = fs.discretize(mu, T)
+        transform = lambda where: _gauss_transform(mu_T, P.q * P.alpha / 2.0, P.m * P.q, where)
+        w_step = 2.0 * h if n == 1 else max(2.0 * h, 0.8)
+        axes = [cube_axis(T, w_step)] * (2 * n)
+        w_pts = grid_points(axes)
+        inball = np.linalg.norm(w_pts, axis=1) <= T
+        extra = _capped_atoms(mu)
+        cand = np.concatenate([w_pts[inball], extra])
+        cv = np.concatenate([transform(axes).ravel()[inball], transform(extra)])
+        j = int(np.argmax(cv))
+        got = v.criterion_values["transform"]
+        assert got >= cv[j], name
+        assert got >= _reference_refine(transform, cand[j], w_step, n) * (1.0 - 1e-8), name

@@ -283,6 +283,17 @@ def test_malformed_structured_input_is_a_config_error(cli, args, field):
     assert res.stderr.startswith(f"error: {field}")
 
 
+def test_overflowing_pullback_weight_is_a_config_error(cli):
+    """Below the diagonal the unnormalised kernel at centre 100 under z/2
+    overflows the pullback weight: exit 2 with a message, and no rows."""
+    symbol = {"matrix": [[0.5]], "u": {"kind": "kernel", "center": [100], "normalized": False}}
+    res = cli(["compop", "--params", json.dumps(dict(PARAMS, p=4.0)),
+               "--symbol", json.dumps(symbol)])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: pullback weight exponent 2266 exceeds 700")
+
+
 def test_kernel_weight_unnormalized(cli):
     """A JSON false drops the kernel weight's normalisation (true gives 1.4747)."""
     res = cli(_symbol({"matrix": [[0.5]], "u": {"kind": "kernel", "center": [1],

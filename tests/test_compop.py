@@ -94,7 +94,7 @@ def test_contraction_transform_closed_form(params_m0):
     pi * exp(-3|w|^2 / 4) at alpha = 1, q = 2."""
     sym = fs.affine_symbol([[0.5]])
     for w, expect in [(0.0, math.pi), (2.0, math.pi * math.exp(-3.0))]:
-        val = fs.berezin_compop(sym, params_m0, np.array([w + 0.0j]))
+        val = math.exp(fs.log_berezin_compop(sym, params_m0, np.array([w + 0.0j])))
         assert abs(val - expect) / expect < 1e-6
 
 
@@ -139,7 +139,7 @@ def test_pullback_transform_identity(params_m0):
     lam = fs.pullback_measure(sym, params_m0)
     for w in (0.0 + 0.0j, 1.0 + 0.5j):
         a = _gauss_transform(lam, params_m0.q * params_m0.alpha / 2.0, 0.0, np.array([[w]]))[0]
-        b = fs.berezin_compop(sym, params_m0, np.array([w]))
+        b = math.exp(fs.log_berezin_compop(sym, params_m0, np.array([w])))
         assert abs(a - b) / b < 1e-3
 
 
@@ -150,6 +150,16 @@ def test_pullback_measure_overflow_guard():
     sym = fs.affine_symbol([[0.5]], u=fs.kernel([100.0], n=1, normalized=False))
     with pytest.raises(fs.EvaluationOverflow, match="exponent 2266 exceeds 700"):
         fs.pullback_measure(sym, params)
+
+
+def test_classify_compop_raises_on_an_overflowing_pullback():
+    """The overflow is not a verdict: by the affine rule (|A| = 0.5) this
+    operator is compact, so reading the overflow as divergence was wrong."""
+    params = fs.Params(n=1, alpha=1.0, m=0, p=4.0, q=2.0)
+    sym = fs.affine_symbol([[0.5]], u=fs.kernel([100.0], n=1, normalized=False))
+    assert fs.linear_symbol_check([[0.5]], None)["admissible_compact"]
+    with pytest.raises(fs.EvaluationOverflow, match="exponent 2266 exceeds 700"):
+        fs.classify_compop(sym, params)
 
 
 def test_pullback_consistency_contraction(params_m0):
