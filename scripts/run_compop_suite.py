@@ -4,7 +4,9 @@ direct probe norms and essential norm estimates.
 
 Each scenario row shows the classification verdict, the norm estimate
 from the transform criterion, the direct probe norm, and, for bounded
-scenarios with p = q, the essential norm estimate.
+scenarios with p = q, the essential norm estimate. A scenario whose
+pullback weight overflows the float range gets no verdict, only its
+direct probe norm.
 """
 
 import argparse
@@ -33,8 +35,14 @@ def main() -> None:
     print(f"{'scenario':<20} {'bounded':>7} {'compact':>7} "
           f"{'estimate':>9} {'direct':>9} {'essential':>9}")
     for scen in fs.composition_suite(params):
-        v = fs.classify_compop(scen.symbol, params)
         direct = fs.direct_operator_norm(scen.symbol, params)
+        try:
+            v = fs.classify_compop(scen.symbol, params)
+        except fs.EvaluationOverflow:
+            # an overflowing pullback weight is no verdict
+            print(f"{scen.name:<20} {'-':>7} {'-':>7} {'-':>9} {fmt(direct):>9} {'-':>9}"
+                  "  <- unexpected: pullback overflow, no verdict")
+            continue
         ess = "-"
         if can_essential and v.bounded:
             ess = fmt(fs.essential_norm_estimate(scen.symbol, params))

@@ -460,19 +460,27 @@ def _cmd_suite(args) -> tuple:
     params = parse_params(args.params)
     rows = []
     for scen in composition_suite(params):
-        verdict = classify_compop(scen.symbol, params)
         row = {
             "kind": "compop", "name": scen.name,
             "expected_bounded": scen.expect_bounded,
             "expected_compact": scen.expect_compact,
-            "bounded": verdict.bounded, "compact": verdict.compact,
-            "norm_estimate": verdict.norm_estimate,
-            "regime": verdict.regime,
-            "agreement": bool(
-                verdict.bounded == scen.expect_bounded
-                and verdict.compact == scen.expect_compact
-            ),
         }
+        try:
+            verdict = classify_compop(scen.symbol, params)
+        except EvaluationOverflow as exc:
+            # an overflowing pullback weight is no verdict: the row says so,
+            # claims no agreement, and the other scenarios still run
+            row.update(bounded=None, compact=None, norm_estimate=None,
+                       regime="pullback-overflow", note=str(exc), agreement=None)
+        else:
+            row.update(
+                bounded=verdict.bounded, compact=verdict.compact,
+                norm_estimate=verdict.norm_estimate, regime=verdict.regime,
+                agreement=bool(
+                    verdict.bounded == scen.expect_bounded
+                    and verdict.compact == scen.expect_compact
+                ),
+            )
         rows.append(row)
     if not math.isinf(params.q):
         for mscen in measure_suite(params.n):

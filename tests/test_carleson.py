@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import focksobolev as fs
-from focksobolev.carleson import _capped_atoms, _stage_geometry, growth_divergent
-from focksobolev.grid import cube_axis, grid_points, to_real
-from focksobolev.measures import _gauss_transform
+from focksobolev import carleson
+from focksobolev.carleson import _capped_atoms, growth_divergent
+from focksobolev.grid import grid_points, pattern_search, to_real
 
 
 def params(p, q, m=0, n=1):
@@ -302,25 +302,25 @@ def _sup_cases():
             yield f"{sc.name}-m{m}", fs.pullback_measure(sc.symbol, P), P, 6.0
 
 
-def test_sup_transform_never_below_the_two_grid_refine():
+def test_sup_transform_never_below_the_two_grid_refine(monkeypatch):
     """The outer stage's sup-regime transform is at least its best coarse
-    candidate (a w-grid point in the ball or a heavy atom) and at least what
-    the old two-grid refine found from that candidate."""
+    candidate and at least what the old two-grid refine finds from it. The
+    candidate, its value, the w-grid step and the transform are the ones
+    the outer stage hands the pattern search; the candidate is no lower
+    than any heavy atom."""
+    starts = []
+
+    def spy(evaluate, at, best, step, stop):
+        starts.append((evaluate, at[0], float(best[0]), step))
+        return pattern_search(evaluate, at, best, step, stop)
+
+    monkeypatch.setattr(carleson, "pattern_search", spy)
     for name, mu, P, stage_radius in _sup_cases():
+        starts.clear()
         v = fs.classify_carleson(mu, P, stage_radius=stage_radius)
-        assert v.regime == "sup"
-        n, T = P.n, v.stage_radii[1]
-        h = _stage_geometry(mu, n, 1.0, stage_radius)[1]
-        mu_T = fs.discretize(mu, T)
-        transform = lambda where: _gauss_transform(mu_T, P.q * P.alpha / 2.0, P.m * P.q, where)
-        w_step = 2.0 * h if n == 1 else max(2.0 * h, 0.8)
-        axes = [cube_axis(T, w_step)] * (2 * n)
-        w_pts = grid_points(axes)
-        inball = np.linalg.norm(w_pts, axis=1) <= T
-        extra = _capped_atoms(mu)
-        cand = np.concatenate([w_pts[inball], extra])
-        cv = np.concatenate([transform(axes).ravel()[inball], transform(extra)])
-        j = int(np.argmax(cv))
+        assert v.regime == "sup" and starts, name
+        transform, at, coarse, w_step = starts[-1]
         got = v.criterion_values["transform"]
-        assert got >= cv[j], name
-        assert got >= _reference_refine(transform, cand[j], w_step, n) * (1.0 - 1e-8), name
+        assert coarse >= np.max(transform(_capped_atoms(mu)), initial=-np.inf), name
+        assert got >= coarse, name
+        assert got >= _reference_refine(transform, at, w_step, P.n) * (1.0 - 1e-8), name

@@ -294,6 +294,22 @@ def test_overflowing_pullback_weight_is_a_config_error(cli):
     assert res.stderr.startswith("error: pullback weight exponent 2266 exceeds 700")
 
 
+def test_suite_reports_an_overflowing_scenario_and_runs_the_rest(cli):
+    """At p = 4, q = 3 the square pullback's weight overflows: its row says
+    so and claims no agreement, and every other scenario keeps its verdict."""
+    res = cli(["suite", "--params", json.dumps(dict(PARAMS, p=4.0, q=3.0))])
+    assert res.returncode == 0
+    rows = [json.loads(line) for line in res.stdout.splitlines()[1:]]
+    compop = {r["name"]: r for r in rows if r["kind"] == "compop"}
+    assert len(compop) == 8
+    square = compop.pop("square")
+    assert square["regime"] == "pullback-overflow"
+    assert square["bounded"] is square["compact"] is square["agreement"] is None
+    assert square["note"].startswith("pullback weight exponent")
+    assert all(r["agreement"] is True for r in compop.values())
+    assert len(rows) == 12 and all(r["agreement"] for r in rows if r["kind"] == "carleson")
+
+
 def test_kernel_weight_unnormalized(cli):
     """A JSON false drops the kernel weight's normalisation (true gives 1.4747)."""
     res = cli(_symbol({"matrix": [[0.5]], "u": {"kind": "kernel", "center": [1],
