@@ -101,11 +101,14 @@ def _exponent(value, label: str) -> float:
         if value.lower() in ("inf", "infinity"):
             return math.inf
         raise ConfigError(f"{label}: exponent string must be 'inf', got {value!r}")
-    try:
-        out = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{label}: exponent must be a number or 'inf'") from exc
-    return out
+    return _real(value, label)
+
+
+def _real(value, label: str) -> float:
+    """A JSON number; bools, strings and every other type are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{label}: expected a number, got {value!r}")
+    return float(value)
 
 
 def _integer(value, label: str) -> int:
@@ -130,7 +133,7 @@ def parse_params(text: str) -> Params:
     _require_keys(data, {"n", "alpha", "m", "p", "q"}, set(), "params")
     return Params(
         n=_integer(data["n"], "params.n"),
-        alpha=float(data["alpha"]),
+        alpha=_real(data["alpha"], "params.alpha"),
         m=_integer(data["m"], "params.m"),
         p=_exponent(data["p"], "params.p"),
         q=_exponent(data["q"], "params.q"),
@@ -138,12 +141,12 @@ def parse_params(text: str) -> Params:
 
 
 def _parse_points(raw, n: int, label: str) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 * n:
-        raise ConfigError(
-            f"{label}: each point needs {2 * n} reals (re/im per coordinate)"
-        )
-    return to_complex(arr)
+    """A list of points, each 2n reals (re/im per coordinate); [] has none."""
+    if not (isinstance(raw, list)
+            and all(isinstance(pt, list) and len(pt) == 2 * n for pt in raw)):
+        raise ConfigError(f"{label}: each point needs {2 * n} reals (re/im per coordinate)")
+    reals = [_real(x, label) for pt in raw for x in pt]
+    return to_complex(np.array(reals).reshape(len(raw), 2 * n))
 
 
 # the keys each measure kind requires, besides "kind"
@@ -164,12 +167,12 @@ def parse_measure(text: str, n: int):
     mn = _integer(data.get("n", n), "measure.n")
     if kind == "atoms":
         loc = _parse_points(data["locations"], mn, "measure.locations")
-        wts = data.get("weights")
-        weights = np.ones(loc.shape[0]) if wts is None else np.asarray(wts, dtype=float)
-        mu = AtomicMeasure(locations=loc, weights=weights, n=mn)
+        wts = [_real(w, "measure.weights") for w in data.get("weights", [1.0] * len(loc))]
+        mu = AtomicMeasure(locations=loc, weights=wts, n=mn)
     else:
         mu = DensityMeasure(kind=kind, n=mn, **{
-            key: float(val) for key, val in data.items() if key not in ("kind", "n")})
+            key: _real(val, f"measure.{key}") for key, val in data.items()
+            if key not in ("kind", "n")})
     if mu.n != n:
         raise ConfigError(f"measure dimension {mu.n} does not match params n={n}")
     return mu
@@ -177,9 +180,7 @@ def parse_measure(text: str, n: int):
 
 def _parse_complex(value, label: str) -> complex:
     parts = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
-    if not all(isinstance(x, (int, float)) for x in parts):
-        raise ConfigError(f"{label}: expected number or [re, im]")
-    return complex(float(parts[0]), float(parts[1]))
+    return complex(*(_real(x, label) for x in parts))
 
 
 def _parse_poly(data, n: int, label: str) -> Polynomial:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Union
 
 import numpy as np
@@ -49,19 +50,21 @@ from .funcspace import (
     OVERFLOW_CAP,
     EntireFunction,
     EvaluationOverflow,
-    KernelCombo,
     Params,
     Polynomial,
+    _field_norm,
+    _kernel_centres,
+    _weighted_field,
+    fock_sobolev_norm,
     log_abs,
     log_weight,
-    norm_constant,
     norm_integrand_field,
     polynomial,
     probe_family,
 )
 from .grid import centred_grid, directions, resolve_cells
 from .measures import AtomicMeasure
-from .quadrature import DEFAULT_EPS_TAIL, truncation_radius
+from .quadrature import ScalarField
 
 __all__ = [
     "AffineMap",
@@ -91,7 +94,6 @@ _PROFILE_RADII = {1: 31, 2: 21}
 _POLY_Z_RADIUS = {1: 4.0, 2: 3.0}
 # base stage of the weight profile in z, read at 40 radii
 _Z_RADIUS = {1: 7.0, 2: 5.0}
-_COMPOSE_CELLS = {1: 192, 2: 24}
 _WEIGHT_LOG_CAP = 700.0
 # exp of anything below this is exactly 0.0 in float64
 _EXP_ZERO_BELOW = -746.0
@@ -125,10 +127,6 @@ class AffineMap:
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
         return np.conj(self.matrix).T @ np.asarray(w, dtype=complex).reshape(self.n)
-
-    @property
-    def op_norm(self) -> float:
-        return float(np.linalg.svd(self.matrix, compute_uv=False)[0])
 
 
 @dataclass(frozen=True)
@@ -537,55 +535,43 @@ def classify_compop(sym: SymbolPair, params: Params,
     )
 
 
-def _compose_log_norm(sym: SymbolPair, f: EntireFunction, params: Params,
-                      exponent: float, radius: float, cells: int) -> float:
-    """log of the target-space norm of u * (f o psi) on a fixed grid.
+def _image_field(sym: SymbolPair, f: EntireFunction, params: Params,
+                 exponent: float) -> ScalarField:
+    """The norm integrand field of the image u * (f o psi) at the exponent.
 
-    The same grid serves every symbol so that identical integrands give
-    bit-identical results.
+    Its kernel centres, for psi(z) = Az + b, are A* of f's centres shifted
+    by u's; a polynomial factor adds none, and f o psi has none for a
+    polynomial psi. For the identity pair the field is f's own, bit for bit.
     """
-    a, m, n = params.alpha, params.m, params.n
-    offs, h = centred_grid(radius, cells, n)
-    la = log_abs(sym.u, offs, params) + log_abs(f, sym.psi.apply(offs), params)
-    if math.isinf(exponent):
-        return float(np.max(log_weight(la, offs, params, 1.0)))
-    L = log_weight(la, offs, params, exponent)
-    log_int = _logsumexp(L) + 2 * n * math.log(h)
-    log_c = math.log(norm_constant(exponent, m, n, a))
-    return (log_c + log_int) / exponent
+    uc = _kernel_centres(sym.u)
+    fc = [sym.psi.adjoint(w) for w in _kernel_centres(f)] if sym.is_affine else []
+    centres = [w + v for w in fc for v in uc] if fc and uc else fc or uc
+    deg_psi = 1 if sym.is_affine else sym.psi.degree
+
+    def log_abs_at(pts: np.ndarray) -> np.ndarray:
+        return log_abs(sym.u, pts, params) + log_abs(f, sym.psi.apply(pts), params)
+
+    return _weighted_field(log_abs_at, params.n, params, exponent,
+                           f.degree * deg_psi + sym.u.degree, centres)
 
 
 def direct_operator_norm(sym: SymbolPair, params: Params) -> float:
-    """Largest norm ratio over a probe family; inf once any ratio tops 1e3.
+    """Largest norm ratio ||u (f o psi)||_q / ||f||_p over a probe family;
+    inf once any ratio tops 1e3.
 
-    Numerator and denominator run through the same log-space integrator
-    on the same grid, so the identity symbol scores exactly one.
+    Both norms use the norm quadrature: the denominator is
+    :func:`fock_sobolev_norm`, the numerator the same step on the image's
+    norm integrand field. The identity's field is f's own, so the identity
+    scores exactly one at p = q.
     """
-    p, q, n = params.p, params.q, params.n
     family = probe_family(params, seed=3, kernel_radius=3.0, monomial_degree=3, combos=3)
-    ident = identity_symbol(n)
-    dec = params.alpha * min(p if not math.isinf(p) else q,
-                             q if not math.isinf(q) else p) / 2.0
-    opn = sym.psi.op_norm if sym.is_affine else 1.0
-    # the weight's peaks sit within its envelope's reach; a probe's kernel
-    # centres within f_reach, carried out to opn * f_reach by psi
-    u_reach = norm_integrand_field(sym.u, params, 1.0).reach
     best = 0.0
     for _, f in family:
-        grow = max(p if not math.isinf(p) else 1.0, q if not math.isinf(q) else 1.0) * (
-            params.m + f.degree + sym.u.degree)
-        base = truncation_radius(dec, grow, DEFAULT_EPS_TAIL, n)
-        f_reach = f.max_center_norm if isinstance(f, KernelCombo) else 0.0
-        radius = base + max(f_reach, opn * f_reach + u_reach)
-        cells = _COMPOSE_CELLS[n]
-        den = _compose_log_norm(ident, f, params, p, radius, cells)
-        if den == -math.inf:
-            continue
-        num = _compose_log_norm(sym, f, params, q, radius, cells)
-        log_ratio = num - den
-        if log_ratio > math.log(1e3):
+        num = _field_norm(partial(_image_field, sym, f, params), params, params.q)[0]
+        ratio = num / fock_sobolev_norm(f, params)
+        if not ratio <= 1e3:
             return math.inf
-        best = max(best, math.exp(log_ratio))
+        best = max(best, ratio)
     return best
 
 

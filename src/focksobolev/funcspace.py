@@ -127,14 +127,6 @@ class KernelCombo:
         """Polynomial growth degree: a kernel grows like a Gaussian, not a power."""
         return 0
 
-    @property
-    def max_center_norm(self) -> float:
-        if not self.terms:
-            return 0.0
-        return max(
-            float(np.linalg.norm(np.asarray(t.center, dtype=complex))) for t in self.terms
-        )
-
 
 EntireFunction = Union[Polynomial, KernelCombo]
 
@@ -257,33 +249,44 @@ def log_weight(la: np.ndarray, pts: np.ndarray, params: Params, q: float) -> np.
     return out
 
 
+def _kernel_centres(f: EntireFunction) -> list:
+    """The centres of f's kernel terms; a polynomial has none."""
+    return [t.center for t in f.terms] if isinstance(f, KernelCombo) else []
+
+
+def _weighted_field(log_abs_at, n: int, params: Params, p: float, degree: int,
+                    centres: list) -> ScalarField:
+    """Field z -> |z|^{mp} |g(z)|^p exp(-alpha p |z|^2 / 2) with envelope,
+    from log_abs_at(pts) = log|g| for a g of polynomial degree ``degree``
+    times kernels at ``centres``.
+
+    The envelope rule: a single kernel centre is the envelope's centre;
+    several centre it at the origin, padded by their largest norm.
+    """
+
+    def _eval(pts: np.ndarray) -> np.ndarray:
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = np.exp(log_weight(log_abs_at(pts), pts, params, p))
+        return np.where(np.isnan(out), 0.0, out)
+
+    center, pad = None, 0.0
+    if len(centres) == 1:
+        center = centres[0]
+    elif centres:
+        pad = max(float(np.linalg.norm(np.asarray(c, dtype=complex))) for c in centres)
+    return scalar_field(_eval, n=n, decay=params.alpha * p / 2.0,
+                        growth=params.m * p + p * degree, center=center, pad=pad)
+
+
 def norm_integrand_field(f: EntireFunction, params: Params, p: float) -> ScalarField:
     """Field z -> |z|^{mp} |f(z)|^p exp(-alpha p |z|^2 / 2) with envelope.
 
     The envelope is centred at the centre of a one-kernel f; a combination
-    of several kernels is centred at the origin, padded by its largest
+    of several kernels is centred at the origin, padded by their largest
     centre norm.
     """
-
-    def _eval(pts: np.ndarray) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            out = np.exp(log_weight(log_abs(f, pts, params), pts, params, p))
-        return np.where(np.isnan(out), 0.0, out)
-
-    center, pad = None, 0.0
-    if isinstance(f, KernelCombo):
-        if len(f.terms) == 1:
-            center = f.terms[0].center
-        else:
-            pad = f.max_center_norm
-    return scalar_field(
-        _eval,
-        n=f.n,
-        decay=params.alpha * p / 2.0,
-        growth=params.m * p + p * f.degree,
-        center=center,
-        pad=pad,
-    )
+    return _weighted_field(lambda pts: log_abs(f, pts, params), f.n, params, p, f.degree,
+                           _kernel_centres(f))
 
 
 def fock_sobolev_norm(f: EntireFunction, params: Params) -> float:
@@ -308,10 +311,17 @@ def norm_with_error(f: EntireFunction, params: Params, cells: Optional[int] = No
     """
     if f.n != params.n:
         raise ValueError("function and parameter dimensions disagree")
-    p = params.p
+    return _field_norm(lambda p: norm_integrand_field(f, params, p), params, params.p, cells)
+
+
+def _field_norm(field_at, params: Params, p: float, cells: Optional[int] = None) -> tuple:
+    """(norm, error estimate, cells) at exponent p of the norm whose
+    integrand field at exponent e is field_at(e): the quadrature of
+    field_at(p) times :func:`norm_constant`, to the power 1/p, or for p
+    infinite the sup of field_at(1). See :func:`norm_with_error`."""
     if math.isinf(p):
-        return sup_field_norm(norm_integrand_field(f, params, 1.0))[0], None, None
-    value, err, cells = integrate_gaussian(norm_integrand_field(f, params, p), cells)
+        return sup_field_norm(field_at(1.0))[0], None, None
+    value, err, cells = integrate_gaussian(field_at(p), cells)
     c = norm_constant(p, params.m, params.n, params.alpha)
     norm = (c * value) ** (1.0 / p) if value > 0.0 else 0.0
     low = (c * max(value - err, 0.0)) ** (1.0 / p)

@@ -250,6 +250,10 @@ def _params(**changes):
     return ["verify-norms", "--params", json.dumps(dict(PARAMS, **changes))]
 
 
+def _measure(measure, params=PARAMS):
+    return ["carleson", "--params", json.dumps(params), "--measure", json.dumps(measure)]
+
+
 @pytest.mark.parametrize("args,field", [
     pytest.param(["carleson", "--params", json.dumps(PARAMS),
                   "--measure", '{"kind": "lebesgue", "n": "x"}'], "measure.n",
@@ -272,6 +276,16 @@ def _params(**changes):
     pytest.param(_params(n=True), "params.n", id="n-bool"),
     pytest.param(_symbol({"components": [[{"beta": [1.5], "coeff": 0.5}]]}),
                  "symbol.components.beta", id="beta-fraction"),
+    pytest.param(_measure({"kind": "gaussian", "rate": True}), "measure.rate",
+                 id="rate-bool"),
+    pytest.param(_measure({"kind": "gaussian", "rate": "2"}), "measure.rate",
+                 id="rate-string"),
+    pytest.param(_params(alpha="1"), "params.alpha", id="alpha-string"),
+    pytest.param(_measure({"kind": "atoms", "locations": [["1", "0"]]}),
+                 "measure.locations", id="location-strings"),
+    pytest.param(_measure({"kind": "atoms", "locations": [[1, 0]], "weights": [True]}),
+                 "measure.weights", id="weight-bool"),
+    pytest.param(_symbol({"matrix": [[True]]}), "symbol.matrix", id="matrix-entry-bool"),
 ])
 def test_malformed_structured_input_is_a_config_error(cli, args, field):
     """A wrong type or a non-integral integer in --params, --measure or
@@ -281,6 +295,16 @@ def test_malformed_structured_input_is_a_config_error(cli, args, field):
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr.startswith(f"error: {field}")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_empty_atom_list_is_the_zero_measure(cli, n):
+    """No atoms is the zero measure: Carleson and vanishing, every criterion 0."""
+    res = cli(_measure({"kind": "atoms", "locations": []}, dict(PARAMS, n=n)))
+    assert res.returncode == 0, res.stderr
+    _, rows = parse_jsonl(res.stdout)
+    assert rows[0]["is_carleson"] is rows[0]["is_vanishing"] is True
+    assert set(rows[0]["criterion_values"].values()) == {0.0}
 
 
 def test_overflowing_pullback_weight_is_a_config_error(cli):

@@ -122,6 +122,30 @@ def test_direct_norm_contraction(params_m0):
     assert val == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("m", [0, 1])
+def test_direct_norm_identity_exact_n2(m):
+    """The identity's image field is f's own, so every probe ratio is 1."""
+    P = fs.Params(n=2, alpha=1.0, m=m, p=2.0, q=2.0)
+    assert fs.direct_operator_norm(fs.identity_symbol(2), P) == 1.0
+
+
+@pytest.mark.parametrize("n,p,q,name,expect", [
+    (1, math.inf, 2.0, "contraction", 1.0),
+    (1, 2.0, math.inf, "identity", 1.0),
+    (1, math.inf, 2.0, "translation", math.exp(3.0)),
+    (2, 2.0, 2.0, "rotation", 1.0),
+])
+def test_direct_norm_pinned(n, p, q, name, expect):
+    """Exact probe maxima at m = 0, where a unit kernel has norm 1 for every
+    exponent. Under z/2, k_0 = 1 keeps its norm from p = inf to q = 2; the
+    point bound |f(z)| e^{-|z|^2/2} <= ||f||_2 is sharp on kernels; z + 1
+    takes k_w to e^{<1, w>} k_w, largest at the probe centre w = 3; and a
+    unitary map is an isometry."""
+    P = fs.Params(n=n, alpha=1.0, m=0, p=p, q=q)
+    sym = next(sc.symbol for sc in fs.composition_suite(P) if sc.name == name)
+    assert fs.direct_operator_norm(sym, P) == pytest.approx(expect, abs=1e-9)
+
+
 def test_essential_norm_compact_case(params_m0):
     val = fs.essential_norm_estimate(fs.affine_symbol([[0.5]]), params_m0)
     assert val <= 1e-3
