@@ -402,12 +402,15 @@ def embedding_ratio(f, mu: Measure, params: Params) -> float:
         base = norm_integrand_field(f, replace(params, m=0), q)
 
         def _eval(pts: np.ndarray) -> np.ndarray:
-            return base.evaluate(pts) * mu.density(pts)
+            # fmax reads the nan of 0 * inf, a probe's 0 where the density
+            # overflows far out, as 0, as in measure theory
+            with np.errstate(invalid="ignore"):
+                return np.fmax(base.evaluate(pts) * mu.density(pts), 0.0)
 
-        extra_decay = mu.rate if mu.kind == "gaussian" else 0.0
-        # (1+|z|)^power <= 1 for a decaying power: no extra growth.
-        extra_growth = max(mu.power, 0.0) if mu.kind == "polygrowth" else 0.0
-        decay = base.decay + extra_decay
+        decay = base.decay + (mu.rate if mu.kind in ("gaussian", "power-gaussian") else 0.0)
+        # (1+|z|)^power <= 1 for a decaying power: no extra growth
+        grows = mu.kind in ("polygrowth", "power-gaussian")
+        extra_growth = max(mu.power, 0.0) if grows else 0.0
         center = base.center
         if center is not None:
             # exp(-c|z-w|^2 - b|z|^2) peaks at cw/(c+b): complete the square.

@@ -23,7 +23,9 @@ below it and for a sup-norm source, and the weight profile
 
     |z|^m |u(z)| (1+|psi(z)|)^{-m} exp((a/2)(|psi(z)|^2 - |z|^2))
 
-for a sup-norm target.
+for a sup-norm target. A radial pair (psi(z) = cUz, U unitary, under a
+constant weight) pulls back to an exact radial density, any other pair
+to the atoms of its z-grid.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .funcspace import (
     Polynomial,
     _field_norm,
     _kernel_centres,
+    _poly_values,
     _weighted_field,
     fock_sobolev_norm,
     log_abs,
@@ -63,7 +66,7 @@ from .funcspace import (
     probe_family,
 )
 from .grid import centred_grid, directions, resolve_cells
-from .measures import AtomicMeasure
+from .measures import AtomicMeasure, DensityMeasure
 from .quadrature import ScalarField
 
 __all__ = [
@@ -149,8 +152,6 @@ class PolynomialMap:
         return len(self.components)
 
     def apply(self, pts: np.ndarray) -> np.ndarray:
-        from .funcspace import _poly_values
-
         cols = [_poly_values(c, pts) for c in self.components]
         return np.stack(cols, axis=1)
 
@@ -435,6 +436,29 @@ def pullback_measure(sym: SymbolPair, params: Params, radius: Optional[float] = 
     return AtomicMeasure(locations=psi_v[keep], weights=wts[keep], n=n)
 
 
+def _radial_pullback(sym: SymbolPair, params: Params) -> Optional[DensityMeasure]:
+    """The exact pullback of a radial pair, psi(z) = cUz with A*A = |c|^2 I
+    to 1e-12 relative, c != 0, no offset and a weight u0 != 0 of degree 0:
+    the density |u0|^q |c|^{-2n-qm} s^{qm} exp((q a/2)(1 - |c|^{-2}) s^2) at
+    s = |w|. None for any other pair, and for a rate above 100, a density
+    narrower than the radial rule resolves (at n = 2 its transform errs by
+    1.4e-6 at rate 99, by 4.4e-4 at 1110); the atoms' z-grid resolves it."""
+    u, n, q = sym.u, params.n, params.q
+    if not (sym.is_affine and isinstance(u, Polynomial) and not u.is_zero()
+            and u.degree == 0 and not np.any(sym.psi.offset)):
+        return None
+    gram = sym.psi.matrix.conj().T @ sym.psi.matrix
+    c2 = float(np.trace(gram).real) / n
+    if c2 == 0.0 or np.max(np.abs(gram - c2 * np.eye(n))) > 1e-12 * c2:
+        return None
+    rate = q * params.alpha / 2.0 * (1.0 / c2 - 1.0)
+    if rate > 100.0:
+        return None
+    return DensityMeasure(
+        kind="power-gaussian", n=n, power=q * params.m, rate=rate,
+        scale=abs(u.coeffs[0][1]) ** q * c2 ** (-n - q * params.m / 2.0))
+
+
 @dataclass(frozen=True)
 class CompOpVerdict:
     """Boundedness and compactness outcome for one symbol pair."""
@@ -511,23 +535,21 @@ def classify_compop(sym: SymbolPair, params: Params,
             stage_radii=(R1, R2), notes=tuple(notes),
         )
 
-    # below the diagonal, or a sup-norm source: classify the pullback.
-    # The atom cloud must extend past the outer classification stage or
-    # the staged growth test would read the truncation as decay, so the
-    # stages are fixed first and the z-grid is sized to fill them. A
-    # pullback weight past the float range raises EvaluationOverflow: it
-    # says nothing about boundedness.
-    lam = pullback_measure(sym, params)
+    # below the diagonal, or a sup-norm source: classify the pullback, a
+    # radial pair's as its exact density. Any other pair's atom cloud must
+    # reach past the outer classification stage or the staged growth test
+    # would read the truncation as decay, so the stages are fixed first and
+    # the z-grid is sized to fill them. A pullback weight past the float
+    # range raises EvaluationOverflow: it says nothing about boundedness.
+    lam = _radial_pullback(sym, params) or pullback_measure(sym, params)
     verdict = classify_carleson(lam, params, t=q, stage_radius=STAGE_RADIUS[n])
-    bounded = verdict.is_carleson
-    compact = bounded
     notes.append("boundedness and compactness coincide in this regime")
     notes.extend(verdict.notes)
     tval = verdict.criterion_values.get("transform", 0.0)
     norm_est = math.inf if verdict.divergent else tval ** (1.0 / q)
     return CompOpVerdict(
-        regime="pullback-" + verdict.regime, p=p, q=q, bounded=bounded,
-        compact=compact, divergent=verdict.divergent, norm_estimate=norm_est,
+        regime="pullback-" + verdict.regime, p=p, q=q, bounded=verdict.is_carleson,
+        compact=verdict.is_carleson, divergent=verdict.divergent, norm_estimate=norm_est,
         criterion_values=dict(verdict.criterion_values),
         profile_radii=(), profile_values=(),
         stage_radii=verdict.stage_radii, notes=tuple(notes),

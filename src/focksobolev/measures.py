@@ -2,9 +2,11 @@
 
 Measures come in two concrete flavours: finite atom lists and densities
 against volume from a small catalog (Lebesgue, Gaussian, polynomial
-growth, a compact ring). Atomic sums are exact. Every catalog density is
-radial, so each of its objects is a one-dimensional integral in s = |z|,
-taken by one radial rule: Gauss-Legendre on panels in s.
+growth, a compact ring, and a power times a Gaussian of either sign,
+the pullback of a radial symbol pair). Atomic sums are exact. Every
+catalog density is radial, so each of its objects is a one-dimensional
+integral in s = |z|, taken by one radial rule: Gauss-Legendre on panels
+in s.
 
 The two observables driving the embedding theory are the ball mass
 ``mu(B(w, r))`` scaled by ``(1 + |w|)^{-s}`` and the Gaussian-kernel
@@ -19,7 +21,7 @@ from typing import Optional, Union
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.special import ive
+from scipy.special import i0e, i1e
 
 from .grid import leggauss, to_real
 from .quadrature import truncation_radius
@@ -74,10 +76,12 @@ class AtomicMeasure:
 class DensityMeasure:
     """Measure rho(z) dV with rho from a fixed catalog.
 
-    kind is one of "lebesgue", "gaussian", "polygrowth", "ring"; ``rate``
-    is the Gaussian decay, ``power`` the polynomial growth exponent,
-    ``ring_radius``/``ring_width`` the annulus geometry, ``scale`` a
-    global multiplier.
+    kind is one of "lebesgue", "gaussian", "polygrowth", "ring",
+    "power-gaussian"; ``rate`` is the Gaussian decay, ``power`` the
+    polynomial growth exponent, ``ring_radius``/``ring_width`` the annulus
+    geometry, ``scale`` a global multiplier. "power-gaussian" is
+    scale * |z|^power * exp(-rate |z|^2), with power >= 0 and a rate of
+    either sign.
     """
 
     kind: str
@@ -89,7 +93,7 @@ class DensityMeasure:
     ring_width: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("lebesgue", "gaussian", "polygrowth", "ring"):
+        if self.kind not in ("lebesgue", "gaussian", "polygrowth", "ring", "power-gaussian"):
             raise ValueError(f"unknown density kind {self.kind!r}")
         if not all(map(math.isfinite, (self.scale, self.rate, self.power,
                                        self.ring_radius, self.ring_width))):
@@ -98,6 +102,8 @@ class DensityMeasure:
             raise ValueError("scale must be nonnegative")
         if self.kind == "gaussian" and not (self.rate > 0):
             raise ValueError("gaussian density needs a positive rate")
+        if self.kind == "power-gaussian" and not (self.power >= 0):
+            raise ValueError("power-gaussian density needs a nonnegative power")
         if self.kind == "ring" and not (self.ring_radius > 0 and self.ring_width > 0):
             raise ValueError("ring density needs positive radius and width")
 
@@ -114,6 +120,9 @@ class DensityMeasure:
         elif self.kind == "polygrowth":
             with np.errstate(over="ignore"):  # a large power is inf far out
                 out = (1.0 + r) ** self.power
+        elif self.kind == "power-gaussian":
+            with np.errstate(over="ignore"):  # a negative rate is inf far out
+                out = r ** self.power * np.exp(-self.rate * r ** 2)
         else:
             half = self.ring_width / 2.0
             out = (np.abs(r - self.ring_radius) <= half).astype(float)
@@ -228,8 +237,8 @@ def _radial_transform(mu: DensityMeasure, c: float, s: float, extent: float) -> 
     restricted to |z| <= extent, at radii |w| in [0, extent].
 
     The sphere average of exp(-c |w - z|^2) over |z| = s is
-    exp(-c (s - |w|)^2) A_n(2 c s |w|), with A_1 = ive(0, x) and
-    A_2 = 2 ive(1, x) / x. Returns (radii, values, weights): the radii are
+    exp(-c (s - |w|)^2) A_n(2 c s |w|), with A_1 = i0e(x) and
+    A_2 = 2 i1e(x) / x. Returns (radii, values, weights): the radii are
     the radial rule's nodes on unit panels of [0, extent], and the weights
     integrate a function of |w| over the ball |w| <= extent.
     """
@@ -241,7 +250,7 @@ def _radial_transform(mu: DensityMeasure, c: float, s: float, extent: float) -> 
     z, w = _radial_rule(*_cut(mu, np.stack([radii - tail, radii]),
                               np.stack([radii, radii + tail]), extent))
     x = np.maximum(2.0 * c * z * rho, 1e-300)
-    mean = ive(0, x) if mu.n == 1 else 2.0 * ive(1, x) / x
+    mean = i0e(x) if mu.n == 1 else 2.0 * i1e(x) / x
     values = _integrate(w, mu.profile(z), (1.0 + z) ** (-s), _sphere(z, mu.n),
                         np.exp(-c * (z - rho) ** 2) * mean).sum(axis=0)
     return radii, values, dr * _sphere(radii, mu.n)

@@ -19,6 +19,7 @@ from .compop import AffineMap, PolynomialMap, SymbolPair, linear_symbol_check, o
 from .funcspace import Params, Polynomial, kernel, polynomial
 from .geometry import make_lattice
 from .measures import (
+    AtomicMeasure,
     Measure,
     atoms_on_lattice,
     gaussian,
@@ -116,10 +117,10 @@ def expected_measure_verdict(mu: Measure, params: Params) -> bool:
     nonpositive growth suffices at or above the diagonal, while below it
     (and for a sup-norm source) the k-th power must be integrable.
     """
-    from .measures import AtomicMeasure
-
     if isinstance(mu, AtomicMeasure):
         return True
+    if mu.kind == "power-gaussian":
+        raise ValueError("no catalog expectation for a power-gaussian density")
     if mu.kind in ("gaussian", "ring") or mu.scale == 0:
         return True
     power = mu.power if mu.kind == "polygrowth" else 0.0

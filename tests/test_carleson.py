@@ -157,19 +157,35 @@ def test_embedding_lower_bound_when_probed():
 
 
 @pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("rate", [0.0, 4.0])
+@pytest.mark.parametrize("rate", [0.0, 4.0, -0.75])
 def test_kernel_embedding_ratio_closed_form(n, rate):
     """|k_w(z)|^2 e^{-|z|^2} = e^{-|z-w|^2}, and ||k_w|| = 1, so against
     Lebesgue measure (rate 0) the ratio is pi^{n/2} at every w, and against
-    e^{-b|z|^2} it is ((pi/(1+b))^n e^{-b|w|^2/(1+b)})^{1/2}."""
+    e^{-b|z|^2} it is ((pi/(1+b))^n e^{-b|w|^2/(1+b)})^{1/2}; a negative b
+    is a power-gaussian's, e^{3|z|^2/4} that of the expansion 2z's pullback."""
     P = params(2.0, 2.0, n=n)
-    mu = fs.lebesgue(n) if rate == 0.0 else fs.gaussian(rate, n)
+    mu = (fs.lebesgue(n) if rate == 0.0 else fs.gaussian(rate, n) if rate > 0
+          else fs.DensityMeasure("power-gaussian", n, rate=rate))
     direction = np.array([1.0]) if n == 1 else np.array([0.6, 0.8j])
     for radius in (0.0, 2.0, 3.0, 4.0):
         ratio = fs.embedding_ratio(fs.kernel(radius * direction, n=n), mu, P)
         exact = math.sqrt((math.pi / (1.0 + rate)) ** n
                           * math.exp(-rate * radius ** 2 / (1.0 + rate)))
         assert abs(ratio - exact) <= 1e-12 * exact
+
+
+def test_power_gaussian_embedding_ratio_adds_the_power():
+    """With the power 2 and the rate -1/2, the ratio of the constant 1 at
+    n = 1 is (scale * 2 pi * int s^3 e^{-s^2/2} ds)^{1/2} = (4 pi scale)^{1/2}."""
+    mu = fs.DensityMeasure("power-gaussian", 1, scale=0.3, rate=-0.5, power=2.0)
+    ratio = fs.embedding_ratio(fs.one(1), mu, params(2.0, 2.0))
+    assert ratio == pytest.approx(math.sqrt(4.0 * math.pi * 0.3), rel=1e-12)
+
+
+def test_power_gaussian_has_no_catalog_expectation():
+    mu = fs.DensityMeasure("power-gaussian", 1, rate=3.0)
+    with pytest.raises(ValueError, match="power-gaussian"):
+        fs.expected_measure_verdict(mu, params(4.0, 2.0))
 
 
 def test_stage_radius_override():

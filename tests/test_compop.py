@@ -495,3 +495,68 @@ def test_n1_pairing_bit_equal_to_matmul():
         got = compop._add_w((psi_v, L, 0.0), 1.0, 1.0, wv)
         want = L + (psi_v @ np.conj(wv)).real - float(np.vdot(wv, wv).real) / 2.0
         assert np.array_equal(got, want)
+
+
+RADIAL_PAIRS = {"identity", "contraction", "rotation", "expansion", "swap"}
+DENSITY_NOTE = "density integrated over the radius"
+
+
+@pytest.mark.parametrize("m,p", [(1, 4.0), (0, math.inf)])
+def test_radial_pairs_agree_with_their_atomic_pullback_n1(m, p):
+    """Below the diagonal and for a sup-norm source, a radial pair is
+    classified through its exact pullback density, and the verdict is that
+    of the atomic pullback on the same stages."""
+    P = fs.Params(n=1, alpha=1.0, m=m, p=p, q=2.0)
+    seen = set()
+    for sc in fs.composition_suite(P):
+        if sc.name not in RADIAL_PAIRS:
+            continue
+        seen.add(sc.name)
+        v = fs.classify_compop(sc.symbol, P)
+        assert DENSITY_NOTE in v.carleson.notes, sc.name
+        atoms = fs.classify_carleson(fs.pullback_measure(sc.symbol, P), P, t=P.q,
+                                     stage_radius=STAGE_RADIUS[1])
+        assert (v.bounded, v.divergent) == (atoms.is_carleson, atoms.divergent), sc.name
+    assert seen == RADIAL_PAIRS - {"swap"}
+
+
+@pytest.mark.parametrize("m,p", [(1, 4.0), (0, math.inf)])
+def test_radial_pairs_follow_the_affine_rule_n2(m, p):
+    """At n = 2 the radial route's verdicts are linear_symbol_check's: below
+    the diagonal bounded and compact coincide and need |c| < 1."""
+    P = fs.Params(n=2, alpha=1.0, m=m, p=p, q=2.0)
+    seen = set()
+    for sc in fs.composition_suite(P):
+        if sc.name not in RADIAL_PAIRS:
+            continue
+        seen.add(sc.name)
+        v = fs.classify_compop(sc.symbol, P)
+        assert DENSITY_NOTE in v.carleson.notes, sc.name
+        chk = fs.linear_symbol_check(sc.symbol.psi.matrix, sc.symbol.psi.offset)
+        assert v.bounded == v.compact == chk["admissible_compact"], sc.name
+    assert seen == RADIAL_PAIRS
+
+
+ATOMIC_PAIRS = {
+    "translation": fs.affine_symbol([[1.0]], [1.0]),
+    "unequal-scales": fs.affine_symbol(np.diag([0.5, 0.25])),
+    "degree-1-weight": fs.affine_symbol([[0.5]], u=fs.polynomial({(1,): 1.0}, 1)),
+    "kernel-weight": fs.affine_symbol([[0.5]], u=fs.kernel([1.0], n=1)),
+    "zero-weight": fs.affine_symbol([[1.0]], u=fs.polynomial({}, 1)),
+    "zero-matrix": fs.affine_symbol([[0.0]]),
+    "narrow": fs.affine_symbol([[0.05]]),
+}
+
+
+@pytest.mark.parametrize("name,sym", ATOMIC_PAIRS.items(), ids=list(ATOMIC_PAIRS))
+def test_other_pairs_keep_the_atomic_pullback(monkeypatch, name, sym):
+    """Pairs that are not radial, and a radial one whose density is narrower
+    than the radial rule resolves, keep the atoms of their z-grid (here a
+    coarse one, to keep the n = 2 case cheap)."""
+    real = compop.pullback_measure
+    monkeypatch.setattr(compop, "pullback_measure",
+                        lambda s, params: real(s, params, radius=3.0, step=0.5))
+    P = fs.Params(n=sym.n, alpha=1.0, m=1, p=4.0, q=2.0)
+    assert compop._radial_pullback(sym, P) is None
+    v = fs.classify_compop(sym, P)
+    assert "atomic sums are exact" in v.carleson.notes, name

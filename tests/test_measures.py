@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import focksobolev as fs
+from focksobolev import compop
 from focksobolev.carleson import _stage_lattice
 from focksobolev.grid import cube_axis, grid_points
 from focksobolev.measures import _gauss_transform, _radial_ball_masses, _radial_transform
@@ -35,6 +36,7 @@ def test_atomic_measure_rejects_non_finite_input(location, weight):
 @pytest.mark.parametrize("kind,field", [
     ("lebesgue", "scale"), ("polygrowth", "power"),
     ("ring", "ring_radius"), ("ring", "ring_width"),
+    ("power-gaussian", "rate"), ("power-gaussian", "power"),
 ])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_density_measure_rejects_non_finite_input(kind, field, value):
@@ -192,6 +194,48 @@ def test_density_transform_closed_form(n):
                                           rel=1e-13)
 
 
+@pytest.mark.parametrize("rate", [3.0, 0.0, -0.75])
+def test_power_gaussian_validation(rate):
+    """A rate of either sign is a power-gaussian; a negative power is not.
+    (A rate or power that is not finite is refused with the other kinds'.)"""
+    mu = fs.DensityMeasure("power-gaussian", 2, scale=2.0, rate=rate, power=2.0)
+    s = np.array([0.0, 1.5])
+    np.testing.assert_allclose(mu.profile(s), 2.0 * s ** 2 * np.exp(-rate * s ** 2), rtol=1e-15)
+    with pytest.raises(ValueError, match="nonnegative power"):
+        fs.DensityMeasure("power-gaussian", 2, rate=rate, power=-1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_radial_pullback_transform_closed_form(n):
+    """The contraction z/2 at m = 0, q = 2, a = 1 pulls back to the density
+    4^n exp(-3|z|^2), whose transform at kernel rate 1 is pi^n exp(-3 rho^2 / 4),
+    the composition transform that criterion 6 pins at w = 0 and 2. On the
+    stage |z| <= 4 every radius's integrand, a Gaussian of rate 4 about rho / 4,
+    has its window |s - rho / 4| <= (40 / 4)^(1/2) inside the stage."""
+    P = fs.Params(n=n, alpha=1.0, m=0, p=4.0, q=2.0)
+    lam = compop._radial_pullback(fs.affine_symbol(0.5 * np.eye(n)), P)
+    assert (lam.kind, lam.scale, lam.rate, lam.power) == ("power-gaussian", 4.0 ** n, 3.0, 0.0)
+    T = 4.0
+    radii, values, _ = _radial_transform(lam, 1.0, 0.0, T)
+    inner = radii / 4.0 + math.sqrt(10.0) <= T
+    assert inner.sum() > 150
+    np.testing.assert_allclose(values[inner], math.pi ** n * np.exp(-0.75 * radii[inner] ** 2),
+                               rtol=1e-13)
+
+
+def test_gaussian_transform_closed_form_n2():
+    """gaussian(b) at kernel rate c has the transform
+    (pi/(b+c))^2 exp(-b c rho^2/(b+c)) at n = 2, pinned to 1e-14 down to the
+    first radial node, where the sphere average 2 I_1(x) e^{-x} / x is taken
+    at its smallest arguments."""
+    b, c, T = 1.0, 1.0, 9.0
+    radii, values, _ = _radial_transform(fs.gaussian(b, 2), c, 0.0, T)
+    inner = radii <= T - math.sqrt(40.0 / c)
+    assert inner[0] and radii[0] < 1e-6
+    exact = (math.pi / (b + c)) ** 2 * np.exp(-b * c * radii[inner] ** 2 / (b + c))
+    np.testing.assert_allclose(values[inner], exact, rtol=1e-14)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_density_weighted_mass_closed_form(n):
     """Weighted masses against their closed forms: ring(2, 0.5) is
@@ -297,6 +341,7 @@ def test_discretize_atomic_passthrough():
 def test_effective_radius_kinds():
     assert fs.effective_radius(fs.lebesgue(1)) is None
     assert fs.effective_radius(fs.polygrowth(2.0, 1)) is None
+    assert fs.effective_radius(fs.DensityMeasure("power-gaussian", 1, rate=3.0)) is None
     assert fs.effective_radius(fs.gaussian(1.0, 1)) is not None
     ring = fs.ring(2.0, 0.2, 1)
     assert fs.effective_radius(ring) == pytest.approx(ring.compact_extent)

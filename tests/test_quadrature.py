@@ -16,7 +16,7 @@ from scipy.special import ive
 
 import focksobolev as fs
 from focksobolev import quadrature
-from focksobolev.grid import cell_axis, grid_points, resolve_cells, to_real
+from focksobolev.grid import cell_axis, cube_axis, grid_points, resolve_cells, to_real
 from focksobolev.quadrature import _BLOCK_POINTS, _ball_points
 
 
@@ -147,6 +147,36 @@ def _reference_sup(field):
         axes = [x + cell_axis(16, 2.0 * half / 16) for x in to_real(best[1][None, :])[0]]
         half /= 8.0
     return best
+
+
+def _masking_starts(pts, vals, h):
+    """The start selection that ``_sup_starts`` replaced: up to eight masking
+    passes over the whole scan, each taking the largest value left (the
+    first index on a tie) and masking every point within two steps of it."""
+    xy, starts, free = to_real(pts).T.copy(), [], vals.copy()
+    while len(starts) < 8 and np.max(free) > -math.inf:
+        starts.append(j := int(np.argmax(free)))
+        free[sum((x - x[j]) ** 2 for x in xy) < 4.5 * h * h] = -math.inf
+    return starts
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("support", [2.5, 0.3])
+def test_sup_starts_match_the_masking_loop(n, support):
+    """Four peaks of plateaus, values floored to eighths so that many tie,
+    and -inf outside |z| <= support: the same starts in the same order, all
+    eight of them on the wide support and fewer on the narrow one."""
+    h = 0.25
+    pts = _ball_points([cube_axis(3.0, h)] * (2 * n), 3.0)
+    peaks = np.array([[1.0], [-1.0], [1j], [0.5 - 0.5j]])
+    if n == 2:
+        peaks = np.hstack([peaks, peaks[::-1]])
+    d2 = np.sum(np.abs(pts[:, None, :] - peaks[None, :, :]) ** 2, axis=2)
+    vals = np.floor(8.0 * np.max(np.exp(-d2), axis=1)) / 8.0
+    vals[np.linalg.norm(pts, axis=1) > support] = -math.inf
+    starts = quadrature._sup_starts(pts, vals, h).tolist()
+    assert starts == _masking_starts(pts, vals, h)
+    assert (len(starts) == 8) == (support > 1.0)
 
 
 def _sup_fields(n, m):
