@@ -98,8 +98,6 @@ _POLY_Z_RADIUS = {1: 4.0, 2: 3.0}
 # base stage of the weight profile in z, read at 40 radii
 _Z_RADIUS = {1: 7.0, 2: 5.0}
 _WEIGHT_LOG_CAP = 700.0
-# exp of anything below this is exactly 0.0 in float64
-_EXP_ZERO_BELOW = -746.0
 
 
 @dataclass(frozen=True)
@@ -226,29 +224,25 @@ def _add_w(terms: tuple, a: float, q: float, w: np.ndarray) -> np.ndarray:
 
 
 def _logsumexp(L: np.ndarray) -> float:
-    """scipy's ``logsumexp`` of a 1-d array, bit for bit, without its
-    underflowing exps.
+    """log sum exp(L) of a 1-d array, from the terms that can move it.
 
-    The same steps in the same order: the entries at the max are counted
-    and left out, the rest summed as exp(L - max), then
-    log1p(sum / count) + log(count) + max. numpy's exp is 25-140 times
-    slower where it underflows, and below ``_EXP_ZERO_BELOW`` it gives
-    exactly 0.0, so those terms stay at the zero they would add. A max
-    that is not finite goes to scipy.
+    Only the terms within log(2^-53 / L.size) of the max are kept: the rest
+    add under 2^-53 of the sum, so the log moves by under 2^-53 beyond
+    rounding, and no exp that underflows is taken. The kept terms take
+    scipy's steps in its order, so the result is bit-identical to scipy's
+    ``logsumexp`` of them: the entries at the max are counted and left out,
+    the rest summed as exp(L - max), then log1p(sum / count) + log(count)
+    + max. A max that is not finite goes to scipy.
     """
     top = np.max(L)
     if not np.isfinite(top):
         with np.errstate(over="ignore"):
             return float(logsumexp(L))
-    at_top = L == top
+    d = L[L >= top + math.log(2.0 ** -53 / L.size)] - top
+    at_top = d == 0.0
     count = np.float64(np.count_nonzero(at_top))
-    d = L - top
     d[at_top] = -np.inf
-    if np.min(L) - top >= _EXP_ZERO_BELOW:
-        terms = np.exp(d)
-    else:
-        terms = np.exp(d, out=np.zeros_like(d), where=d >= _EXP_ZERO_BELOW)
-    return float(np.log1p(np.sum(terms) / count) + np.log(count) + top)
+    return float(np.log1p(np.sum(np.exp(d)) / count) + np.log(count) + top)
 
 
 def _log_integrand(sym: SymbolPair, params: Params, q: float, w: np.ndarray,
@@ -355,7 +349,8 @@ def transform_profile(sym: SymbolPair, params: Params) -> tuple:
     to ``_Z_CELLS`` until the logs at w = 0 and at the outer radius along
     every direction agree to ``_PROFILE_LOG_TOL`` on two successive grids.
     The z-staging runs for non-affine symbols only; it flags a z-integral
-    that grows beyond GROWTH_TOL on the grid enlarged by half.
+    that grows beyond GROWTH_TOL on the grid enlarged by half; the profile
+    reads that grid alone, so once the flag is set it sums no other.
     """
     q = params.q
     n = params.n
@@ -378,9 +373,10 @@ def transform_profile(sym: SymbolPair, params: Params) -> tuple:
     for i, rho in enumerate(radii):
         cand = dirs if rho > 0 else dirs[:1]
         for k, d in enumerate(cand):
-            vals = transform_at(rho * d, known.get((i, k), ()))
-            if staged and stage_grew(vals[0], vals[1], GROWTH_TOL):
-                z_divergent = True
+            # once the z-integral grew, only the enlarged grid is read: the
+            # base grid's value is a nan placeholder, not a sum
+            vals = transform_at(rho * d, known.get((i, k), (math.nan,) if z_divergent else ()))
+            z_divergent = z_divergent or (staged and stage_grew(vals[0], vals[1], GROWTH_TOL))
             out[i] = max(out[i], vals[-1])
     return radii, out, z_divergent
 
@@ -440,9 +436,7 @@ def _radial_pullback(sym: SymbolPair, params: Params) -> Optional[DensityMeasure
     """The exact pullback of a radial pair, psi(z) = cUz with A*A = |c|^2 I
     to 1e-12 relative, c != 0, no offset and a weight u0 != 0 of degree 0:
     the density |u0|^q |c|^{-2n-qm} s^{qm} exp((q a/2)(1 - |c|^{-2}) s^2) at
-    s = |w|. None for any other pair, and for a rate above 100, a density
-    narrower than the radial rule resolves (at n = 2 its transform errs by
-    1.4e-6 at rate 99, by 4.4e-4 at 1110); the atoms' z-grid resolves it."""
+    s = |w|. None for any other pair."""
     u, n, q = sym.u, params.n, params.q
     if not (sym.is_affine and isinstance(u, Polynomial) and not u.is_zero()
             and u.degree == 0 and not np.any(sym.psi.offset)):
@@ -451,11 +445,9 @@ def _radial_pullback(sym: SymbolPair, params: Params) -> Optional[DensityMeasure
     c2 = float(np.trace(gram).real) / n
     if c2 == 0.0 or np.max(np.abs(gram - c2 * np.eye(n))) > 1e-12 * c2:
         return None
-    rate = q * params.alpha / 2.0 * (1.0 / c2 - 1.0)
-    if rate > 100.0:
-        return None
     return DensityMeasure(
-        kind="power-gaussian", n=n, power=q * params.m, rate=rate,
+        kind="power-gaussian", n=n, power=q * params.m,
+        rate=q * params.alpha / 2.0 * (1.0 / c2 - 1.0),
         scale=abs(u.coeffs[0][1]) ** q * c2 ** (-n - q * params.m / 2.0))
 
 

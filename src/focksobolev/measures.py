@@ -191,10 +191,15 @@ def _radial_rule(a, b) -> tuple:
 
 
 def _cut(mu: DensityMeasure, a, b, extent: float) -> tuple:
-    """Panels [a, b] cut to the density's support within |z| <= extent."""
+    """Panels [a, b] cut to the density's support within |z| <= extent; a
+    decaying power-gaussian's to its bulk, however narrow that is."""
     lo, hi = 0.0, extent
     if mu.kind == "ring":
         lo, hi = max(mu.ring_radius - mu.ring_width / 2.0, 0.0), min(mu.compact_extent, extent)
+    elif mu.kind == "power-gaussian" and mu.rate > 0:
+        # past this radius s^power exp(-rate s^2) is below e^-40 of its peak
+        P, R = mu.power, mu.rate
+        hi = min(math.sqrt(P / (2.0 * R)) + math.sqrt((40.0 + P) / R), extent)
     return np.clip(a, lo, hi), np.clip(b, lo, hi)
 
 
