@@ -25,11 +25,11 @@ sequence takes the lattice centres with |c| <= T - r. The averaging
 function takes the scan grid at n = 1 and the lattice centres at n = 2,
 plus the heavy atoms in the sup regime. At n = 1 the ball masses read mu
 itself. At n = 2 they read the stage measure, which the transform also
-sums: the atoms in the cube of radius T, or a density restricted to the
-ball |z| <= T. An atomic transform is read on a coarse w-grid; in the
-sup regime the pattern search of :func:`grid.pattern_search` climbs from
-its best point or heavy atom. A density is radial: its ball masses and
-its transform are integrals in |z|, and the transform is read at radii.
+sums: mu restricted to the ball |z| <= T, for atoms as for a density.
+An atomic transform is read on a coarse w-grid; in the sup regime the
+pattern search of :func:`grid.pattern_search` climbs from its best
+point or heavy atom. A density is radial: its ball masses and its
+transform are integrals in |z|, and the transform is read at radii.
 """
 
 from __future__ import annotations
@@ -169,9 +169,9 @@ def _size(v: np.ndarray, k: Optional[float], cell) -> float:
 def _stage_values(mu: Measure, params: Params, t: float, s: float, r: float,
                   regime: str, k: Optional[float], T: float, h: float,
                   lattice: np.ndarray) -> tuple:
-    """Criterion values of the stage measure of radius T: atoms in the
-    cube, a density in the ball |z| <= T. ``lattice`` holds the outer
-    stage's lattice centres; those with |c| <= T are this stage's.
+    """Criterion values of the stage measure of radius T, mu restricted to
+    the ball |z| <= T. ``lattice`` holds the outer stage's lattice
+    centres; those with |c| <= T are this stage's.
 
     Returns (values dict, (scan radii, scan transform values)) where the
     scan pair feeds the vanishing rule's shell profile.

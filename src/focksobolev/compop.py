@@ -254,7 +254,7 @@ def _pullback_geometry(sym: SymbolPair, n: int) -> tuple:
     """Default z-grid for the pullback: radius covering the outer
     classification stage through psi, and the matching step.
 
-    An affine map needs preimages of the whole outer stage cube, so the
+    An affine map needs preimages of the whole outer stage ball, so the
     radius scales with the pseudoinverse; a cap keeps the atom count at
     desk scale and only bites where the weights are already negligible.
     """
@@ -396,8 +396,7 @@ def weight_profile(sym: SymbolPair, params: Params) -> tuple:
     return radii, out
 
 
-def pullback_measure(sym: SymbolPair, params: Params, radius: Optional[float] = None,
-                     step: Optional[float] = None) -> AtomicMeasure:
+def pullback_measure(sym: SymbolPair, params: Params) -> AtomicMeasure:
     """Discrete pullback: atoms at psi(z_i) carrying the operator weights.
 
     Cell weights are ``|u|^q |z|^{qm} exp(-q a |z|^2/2) h^{2n}`` with
@@ -409,11 +408,7 @@ def pullback_measure(sym: SymbolPair, params: Params, radius: Optional[float] = 
     if math.isinf(q):
         raise ValueError("the pullback construction needs a finite exponent q")
     n, a = params.n, params.alpha
-    default_radius, default_step = _pullback_geometry(sym, n)
-    if radius is None:
-        radius = default_radius
-    if step is None:
-        step = default_step
+    radius, step = _pullback_geometry(sym, n)
     cells = max(2, int(math.ceil(2.0 * radius / step)))
     offs, h = centred_grid(radius, cells, n)
     psi_v = sym.psi.apply(offs)

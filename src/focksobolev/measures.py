@@ -173,8 +173,8 @@ def effective_radius(mu: Measure) -> Optional[float]:
 
 
 def discretize(mu: AtomicMeasure, radius: float) -> AtomicMeasure:
-    """The atoms of mu in the centred cube of the given radius."""
-    keep = np.max(np.abs(to_real(mu.locations)), axis=1) <= radius
+    """The atoms of mu in the ball |z| <= radius, as a density is cut."""
+    keep = np.linalg.norm(mu.locations, axis=1) <= radius
     return AtomicMeasure(mu.locations[keep], mu.weights[keep], mu.n)
 
 
@@ -326,15 +326,21 @@ def _khatri_rao(factors: list) -> np.ndarray:
     return out
 
 
-def _node_index(axes, real: np.ndarray) -> Optional[np.ndarray]:
-    """Flat grid index of every atom if all sit on grid nodes, else None."""
-    idx = []
-    for k, ax in enumerate(axes):
-        i = np.minimum(np.searchsorted(ax, real[:, k]), ax.size - 1)
-        if not np.array_equal(ax[i], real[:, k]):
+def _own_grid(real: np.ndarray, dw: np.ndarray, shape: tuple, budget: int):
+    """Damped weights scattered onto the tensor grid of the atoms' own
+    per-axis coordinates, and that grid's axes. None when the grid tops
+    the budget or its first contraction costs more multiply-adds than the
+    Khatri-Rao product, decided from the unique counts alone."""
+    axes = []
+    for col in real.T:
+        axes.append(np.unique(col))
+        if math.prod(g.size for g in axes) > budget:
             return None
-        idx.append(i)
-    return np.ravel_multi_index(tuple(idx), [ax.size for ax in axes])
+    sizes = [g.size for g in axes]
+    if math.prod(sizes) * shape[0] > len(dw) * math.prod(shape):
+        return None
+    idx = np.ravel_multi_index([np.searchsorted(g, x) for g, x in zip(axes, real.T)], sizes)
+    return np.bincount(idx, weights=dw, minlength=math.prod(sizes)).reshape(sizes), axes
 
 
 def _gauss_transform(mu: AtomicMeasure, c: float, s: float, where) -> np.ndarray:
@@ -343,12 +349,14 @@ def _gauss_transform(mu: AtomicMeasure, c: float, s: float, where) -> np.ndarray
     ``where`` is either a complex (P, n) array of points, giving P values,
     or the 2n real axes of a tensor grid, giving values in the grid's
     shape, ij-ordered like ``grid.grid_points``. On a grid the Gaussian
-    factors over the real axes. Atoms that all sit on the grid's nodes
-    (the pullback through a map that takes its z-grid onto the w-grid) are
-    contracted axis by axis. Any other atoms go through the matrix
-    product (A_1 .. A_n) diag(mu) (A_n+1 .. A_2n)^T of the per-axis
-    factors A_k[i, j] = exp(-c (x_k,i - z_j,k)^2), with each group of n
-    combined by a row-wise Khatri-Rao product.
+    factors over the real axes. Atoms whose own per-axis coordinates span
+    a small tensor grid (a pullback through a map that sends each real
+    axis to a multiple of one axis) have their weights scattered onto
+    that grid, which is contracted axis by axis with the factors
+    exp(-c (x_i - g_j)^2). Any other atoms go through the matrix product
+    (A_1 .. A_n) diag(mu) (A_n+1 .. A_2n)^T of the per-axis factors
+    A_k[i, j] = exp(-c (x_k,i - z_j,k)^2), with each group of n combined
+    by a row-wise Khatri-Rao product.
     """
     n = mu.n
     real = to_real(mu.locations)
@@ -362,10 +370,13 @@ def _gauss_transform(mu: AtomicMeasure, c: float, s: float, where) -> np.ndarray
             out[lo:lo + chunk] = _gaussian(x[lo:lo + chunk], real, c) @ dw
         return out
     shape = tuple(ax.size for ax in where)
-    nodes = _node_index(where, real)
-    if nodes is not None:
-        dense = np.bincount(nodes, weights=dw, minlength=math.prod(shape))
-        return _contract(dense.reshape(shape), c, where)
+    own = _own_grid(real, dw, shape, budget)
+    if own is not None:
+        out, grid = own
+        # each contraction eats the leading grid axis and appends its w-axis
+        for ax, g in zip(where, grid):
+            out = np.tensordot(out, _gaussian(ax[:, None], g[:, None], c), axes=(0, 1))
+        return out
     rows = (math.prod(shape[:n]), math.prod(shape[n:]))
     out = np.zeros(rows)
     chunk = max(1, budget // max(rows))
@@ -374,14 +385,6 @@ def _gauss_transform(mu: AtomicMeasure, c: float, s: float, where) -> np.ndarray
         fac = [_gaussian(ax[:, None], real[part, k:k + 1], c) for k, ax in enumerate(where)]
         out += (_khatri_rao(fac[:n]) * dw[part]) @ _khatri_rao(fac[n:]).T
     return out.reshape(shape)
-
-
-def _contract(out: np.ndarray, c: float, axes) -> np.ndarray:
-    """The grid transform of damped weights on the grid's own nodes."""
-    for k, ax in enumerate(axes):
-        factor = _gaussian(ax[:, None], ax[:, None], c)
-        out = np.moveaxis(np.tensordot(factor, out, axes=(1, k)), 0, k)
-    return out
 
 
 def total_weighted_mass(mu: Measure, s: float, radius: float) -> float:

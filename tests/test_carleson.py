@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import focksobolev as fs
-from focksobolev import carleson
+from focksobolev import carleson, compop
 from focksobolev.carleson import _capped_atoms, growth_divergent
 from focksobolev.grid import grid_points, pattern_search, to_real
 
@@ -124,11 +124,13 @@ def test_verdict_matches_analytic_rule_n2():
         assert got == want, (mu.kind, p, q, m)
 
 
-def test_large_atomic_transform_is_exact():
-    """A 38,416-atom contraction pullback at n=2: the transform supremum is
-    the composition transform at w = 0, which is pi^2."""
+def test_large_atomic_transform_is_exact(monkeypatch):
+    """A 38,416-atom contraction pullback at n=2, on a z-grid of radius 3.5
+    and step 0.5: the transform supremum is the composition transform at
+    w = 0, which is pi^2."""
     P = params(2.0, 2.0, n=2)
-    lam = fs.pullback_measure(fs.affine_symbol(0.5 * np.eye(2)), P, radius=3.5, step=0.5)
+    monkeypatch.setattr(compop, "_pullback_geometry", lambda sym, n: (3.5, 0.5))
+    lam = fs.pullback_measure(fs.affine_symbol(0.5 * np.eye(2)), P)
     assert len(lam) == 38_416
     v = fs.classify_carleson(lam, P)
     assert v.criterion_values["transform"] == pytest.approx(math.pi ** 2, rel=1e-3)

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.special import gamma, gammainc
 
 import focksobolev as fs
-from focksobolev import compop
+from focksobolev import compop, measures
 from focksobolev.carleson import _stage_lattice
 from focksobolev.grid import cube_axis, grid_points
 from focksobolev.measures import _gauss_transform, _radial_ball_masses, _radial_transform
@@ -332,31 +332,76 @@ def test_berezin_value_matches_direct_sum():
 @pytest.mark.parametrize("on_nodes", [False, True])
 def test_gauss_transform_matches_brute_force(n, on_nodes):
     """Grid and scattered values of the transform kernel against a plain
-    sum over atoms, for atoms off the grid and for Gaussian cell masses
-    on the grid's nodes."""
+    sum over atoms: for atoms off the grid and the empty measure, and for
+    Gaussian cell masses on the grid's nodes and on those nodes shifted
+    off the grid (the translation layout: a tensor grid of their own)."""
     radius, step, c, s = 2.0, 0.5, 0.8, 1.5
     rng = np.random.default_rng(11)
     if on_nodes:
-        pts = grid_points([cube_axis(radius, step)] * (2 * n))
-        mu = fs.AtomicMeasure(pts, fs.gaussian(1.0, n).density(pts) * step ** (2 * n), n)
+        nodes = grid_points([cube_axis(radius, step)] * (2 * n))
+        cases = [fs.AtomicMeasure(pts, fs.gaussian(1.0, n).density(pts) * step ** (2 * n), n)
+                 for pts in (nodes, nodes + (0.3 - 0.2j))]
     else:
         loc = rng.normal(scale=1.2, size=(40, 2 * n))
-        mu = fs.AtomicMeasure(loc[:, :n] + 1j * loc[:, n:], rng.uniform(0.1, 2.0, 40), n)
-    damp = mu.weights * (1.0 + np.linalg.norm(mu.locations, axis=1)) ** (-s)
-
-    def brute(pts):
-        return np.array([
-            np.sum(damp * np.exp(-c * np.sum(np.abs(mu.locations - w) ** 2, axis=1)))
-            for w in pts
-        ])
-
+        cases = [fs.AtomicMeasure(loc[:, :n] + 1j * loc[:, n:], rng.uniform(0.1, 2.0, 40), n),
+                 fs.AtomicMeasure(np.empty((0, n), dtype=complex), np.empty(0), n)]
     axes = [cube_axis(radius, step)] * (2 * n)
-    on_grid = _gauss_transform(mu, c, s, axes)
-    assert on_grid.shape == (axes[0].size,) * (2 * n)
-    np.testing.assert_allclose(on_grid.ravel(), brute(grid_points(axes)), rtol=1e-12)
     xy = rng.uniform(-radius, radius, size=(50, 2 * n))
-    pts = xy[:, :n] + 1j * xy[:, n:]
-    np.testing.assert_allclose(_gauss_transform(mu, c, s, pts), brute(pts), rtol=1e-12)
+    scattered = xy[:, :n] + 1j * xy[:, n:]
+    for mu in cases:
+        damp = mu.weights * (1.0 + np.linalg.norm(mu.locations, axis=1)) ** (-s)
+
+        def brute(pts):
+            return np.array([
+                np.sum(damp * np.exp(-c * np.sum(np.abs(mu.locations - w) ** 2, axis=1)))
+                for w in pts
+            ])
+
+        on_grid = _gauss_transform(mu, c, s, axes)
+        assert on_grid.shape == (axes[0].size,) * (2 * n)
+        np.testing.assert_allclose(on_grid.ravel(), brute(grid_points(axes)), rtol=1e-12)
+        np.testing.assert_allclose(_gauss_transform(mu, c, s, scattered), brute(scattered),
+                                   rtol=1e-12)
+
+
+def test_khatri_rao_serves_only_atoms_without_a_small_grid(monkeypatch):
+    """The n = 1 translation, damped-contraction and square pullbacks are
+    read on their atoms' own tensor grid; 40 scattered atoms at n = 2 have
+    none that is cheaper than the Khatri-Rao product."""
+    calls = []
+    real = measures._khatri_rao
+
+    def spy(factors):
+        calls.append(len(factors))
+        return real(factors)
+
+    monkeypatch.setattr(measures, "_khatri_rao", spy)
+    P = fs.Params(n=1, alpha=1.0, m=1, p=4.0, q=2.0)
+    names = {"translation", "damped-contraction", "square"}
+    for sc in fs.composition_suite(P):
+        if sc.name in names:
+            names.remove(sc.name)
+            assert "atomic sums are exact" in fs.classify_compop(sc.symbol, P).carleson.notes
+    assert not names and not calls
+    loc = np.random.default_rng(3).normal(size=(40, 4))
+    mu = fs.AtomicMeasure(loc[:, :2] + 1j * loc[:, 2:], np.ones(40), 2)
+    _gauss_transform(mu, 1.0, 0.0, [cube_axis(2.0, 0.5)] * 4)
+    assert calls
+
+
+def test_gauss_transform_never_builds_an_oversized_own_grid():
+    """60 scattered atoms at n = 2 span a 60^4-node grid of their own, 104
+    MB of weights, above the transform's budget: it is never allocated."""
+    loc = np.random.default_rng(4).normal(size=(60, 4))
+    mu = fs.AtomicMeasure(loc[:, :2] + 1j * loc[:, 2:], np.ones(60), 2)
+    axes = [cube_axis(2.0, 0.5)] * 4
+    tracemalloc.start()
+    try:
+        _gauss_transform(mu, 1.0, 0.0, axes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_averaging_sequence_on_lattice(unit_lattice):
@@ -368,7 +413,9 @@ def test_averaging_sequence_on_lattice(unit_lattice):
 
 
 def test_discretize_atomic_passthrough():
-    mu = fs.AtomicMeasure(np.array([0.0 + 0.0j, 5.0 + 0.0j]), np.array([1.0, 2.0]), 1)
+    """The stage measure keeps the atoms in the ball, not in the cube."""
+    mu = fs.AtomicMeasure(np.array([0.0 + 0.0j, 5.0 + 0.0j, 1.5 + 1.5j]),
+                          np.array([1.0, 2.0, 3.0]), 1)
     kept = fs.discretize(mu, radius=2.0)
     assert len(kept.weights) == 1
     assert kept.weights[0] == pytest.approx(1.0)
