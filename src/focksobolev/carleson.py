@@ -18,14 +18,20 @@ an effective radius; GROWTH_TOL and VANISH_TOL are the growth and
 vanishing tolerances. These staging constants are shared with
 :mod:`compop` and are not options.
 
-Each stage of radius T reads all of its ball masses in one call: at the
-centres with |c| <= T of the outer stage's lattice, at n = 1 on a scan
-grid of step 0.25, and in the sup regime at the heaviest atoms. The
-sequence takes the lattice centres with |c| <= T - r. The averaging
-function takes the scan grid at n = 1 and the lattice centres at n = 2,
-plus the heavy atoms in the sup regime. At n = 1 the ball masses read mu
-itself. At n = 2 they read the stage measure, which the transform also
-sums: mu restricted to the ball |z| <= T, for atoms as for a density.
+The ball masses are read at the outer stage's centres: the lattice
+centres with |c| <= T2, at n = 1 a scan grid of step 0.25 with
+|w| <= T2, and in the sup regime the heaviest atoms. Stage T keeps the
+atoms and the centres with |c| <= T. Its sequence takes the lattice
+centres with |c| <= T - r, its averaging function the scan grid at n = 1
+or the lattice at n = 2, plus the atoms. At n = 2 the masses read the
+stage measure, mu restricted to |z| <= T, which the transform also sums,
+so each stage reads its own. At n = 1 they read mu itself, and one read
+serves every stage: a stage's lattice and scan grid are the outer ones
+cut to |c| <= T, in order, and a ball's mass does not depend on the
+other centres (but for rounding where :func:`ball_mass_many` reads atoms
+in several blocks). Read on mu_T, only the centres with |c| > T - r would
+need a re-read: the other balls lie in |z| < T, where mu_T is mu.
+
 An atomic transform is read on a coarse w-grid; in the sup regime the
 pattern search of :func:`grid.pattern_search` climbs from its best
 point or heavy atom. A density is radial: its ball masses and its
@@ -34,6 +40,7 @@ transform are integrals in |z|, and the transform is read at radii.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -135,14 +142,9 @@ def _stage_geometry(mu: Measure, n: int, r: float,
     return base, base / 96.0 if n == 1 else base / 10.0
 
 
-_lattice_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _stage_lattice(T: float, r: float, n: int) -> Lattice:
-    key = (round(T, 6), round(r, 6), n)
-    if key not in _lattice_cache:
-        _lattice_cache[key] = make_lattice(max(T, 2.0 * r), r, n)
-    return _lattice_cache[key]
+    return make_lattice(max(T, 2.0 * r), r, n)
 
 
 def _capped_atoms(mu: Measure) -> np.ndarray:
@@ -166,37 +168,45 @@ def _size(v: np.ndarray, k: Optional[float], cell) -> float:
     return float(np.sum(v ** k) * cell) ** (1.0 / k)
 
 
+def _outer_centres(T2: float, r: float, n: int, extra: np.ndarray) -> tuple:
+    """The outer stage's ball-mass centres, their norms and their parts: 0
+    for the lattice centres with |c| <= T2, 1 for the n = 1 scan grid with
+    |w| <= T2, 2 for the sup regime's heavy-atom candidates ``extra``."""
+    scan = grid_points([cube_axis(T2, _SCAN_STEP)] * 2) if n == 1 else extra[:0]
+    parts = [x[np.linalg.norm(x, axis=1) <= T2]
+             for x in (_stage_lattice(T2, r, n).as_complex(), scan)] + [extra]
+    centres = np.concatenate(parts)
+    return centres, np.linalg.norm(centres, axis=1), np.repeat([0, 1, 2], [len(x) for x in parts])
+
+
+def _ball_masses(mu: Measure, centres: np.ndarray, cnorm: np.ndarray, r: float,
+                 extent: float) -> np.ndarray:
+    """mu(B(c, r)) at the centres: atoms as given, a density restricted to
+    |z| <= extent."""
+    if isinstance(mu, AtomicMeasure):
+        return ball_mass_many(mu, centres, r)
+    return _radial_ball_masses(mu, cnorm, r, extent)
+
+
 def _stage_values(mu: Measure, params: Params, t: float, s: float, r: float,
                   regime: str, k: Optional[float], T: float, h: float,
-                  lattice: np.ndarray) -> tuple:
+                  extra: np.ndarray, centres: np.ndarray, cnorm: np.ndarray,
+                  part: np.ndarray, mass: Optional[np.ndarray]) -> tuple:
     """Criterion values of the stage measure of radius T, mu restricted to
-    the ball |z| <= T. ``lattice`` holds the outer stage's lattice
-    centres; those with |c| <= T are this stage's.
+    the ball |z| <= T. ``centres``, ``cnorm`` and ``part`` are this stage's
+    ball-mass centres (see :func:`_outer_centres`), ``mass`` their masses at
+    n = 1, which read mu itself; at n = 2 they are read here.
 
     Returns (values dict, (scan radii, scan transform values)) where the
     scan pair feeds the vanishing rule's shell profile.
     """
     n, c = params.n, t * params.alpha / 2.0
     atomic = isinstance(mu, AtomicMeasure)
-    extra = _capped_atoms(mu) if regime == "sup" else np.empty((0, n), dtype=complex)
-
-    # every ball mass in one read: the lattice centres, then the n = 1 scan
-    # grid, then the sup regime's heavy-atom candidates. It runs before the
-    # transform, so the two peaks in memory do not add up.
-    lattice = lattice[np.linalg.norm(lattice, axis=1) <= T]
-    parts = [lattice]
-    if n == 1:
-        scan_pts = grid_points([cube_axis(T, _SCAN_STEP)] * 2)
-        parts.append(scan_pts[np.linalg.norm(scan_pts, axis=1) <= T])
-    centres = np.concatenate(parts + [extra])
-    cnorm = np.linalg.norm(centres, axis=1)
-    if atomic:
-        mu_T = discretize(mu, T)
-        mass = ball_mass_many(mu if n == 1 else mu_T, centres, r)
-    else:
-        mass = _radial_ball_masses(mu, cnorm, r, math.inf if n == 1 else T)
+    mu_T = discretize(mu, T) if atomic else mu
+    if mass is None:
+        # read before the transform, so the two peaks in memory do not add up
+        mass = _ball_masses(mu_T, centres, cnorm, r, T)
     avg = mass / (1.0 + cnorm) ** s
-    nlat = lattice.shape[0]
 
     values: dict = {}
     if atomic:
@@ -223,10 +233,10 @@ def _stage_values(mu: Measure, params: Params, t: float, s: float, r: float,
         *scan, dv = _radial_transform(mu, c, s, T)
         values["transform"] = _size(scan[1], k, dv)
     if n == 1:
-        values["averaging"] = _size(avg[nlat:], k, _SCAN_STEP ** 2)
+        values["averaging"] = _size(avg[part > 0], k, _SCAN_STEP ** 2)
     else:
         values["averaging"] = _size(avg, k, 1.0)
-    values["sequence"] = _size(avg[:nlat][cnorm[:nlat] <= T - r], k, 1.0)
+    values["sequence"] = _size(avg[(part == 0) & (cnorm <= T - r)], k, 1.0)
     if regime == "mass":
         values["weighted_mass"] = total_weighted_mass(mu, s, T)
     return values, scan
@@ -312,12 +322,16 @@ def classify_carleson(
     T1, h = _stage_geometry(mu, params.n, r, stage_radius)
     T2 = EXPANSION * T1
     T0 = T1 / EXPANSION
-    # the greedy scan and the D4 points both come in norm order, so the
-    # outer lattice's centres within T are those of the lattice built for T
-    lattice = _stage_lattice(T2, r, params.n).as_complex()
-    vals0, _ = _stage_values(mu, params, t, s, r, regime, k, T0, h, lattice)
-    vals1, _ = _stage_values(mu, params, t, s, r, regime, k, T1, h, lattice)
-    vals2, scan = _stage_values(mu, params, t, s, r, regime, k, T2, h, lattice)
+    extra = _capped_atoms(mu) if regime == "sup" else np.empty((0, params.n), dtype=complex)
+    centres, cnorm, part = _outer_centres(T2, r, params.n, extra)
+    # at n = 1 every stage's masses read mu itself: one read serves all three
+    mass = _ball_masses(mu, centres, cnorm, r, math.inf) if params.n == 1 else None
+    stages = []
+    for T in (T0, T1, T2):
+        sel = (cnorm <= T) | (part == 2)
+        stages.append(_stage_values(mu, params, t, s, r, regime, k, T, h, extra, centres[sel],
+                                    cnorm[sel], part[sel], None if mass is None else mass[sel]))
+    (vals0, _), (vals1, _), (vals2, scan) = stages
 
     growth = {key: _growth_ratio(vals1[key], vals2[key]) for key in vals1}
     divergent = any(

@@ -54,53 +54,44 @@ class LatticeReport:
     seed: int
 
 
-def _candidate_grid_n1(domain_radius: float, r: float) -> np.ndarray:
-    h = r / 4.0
+def _greedy_n1(domain_radius: float, r: float) -> np.ndarray:
+    """Greedy scan of the step-r/4 grid in the disk, by norm, then x, then
+    y: a node is accepted when strictly farther than r from every accepted
+    center. Each accepted center blocks the nodes within r of it by the
+    float test (cx - x)^2 + (cy - y)^2 <= r^2, on a stencil of 5 steps."""
+    reach, h, r2 = 5, r / 4.0, r * r
+    width = 2 * reach + 1
     k = int(math.floor(domain_radius / h))
-    ax = np.arange(-k, k + 1) * h
-    xx, yy = np.meshgrid(ax, ax, indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    keep = (pts ** 2).sum(axis=1) <= domain_radius ** 2 * (1 + 1e-12)
-    pts = pts[keep]
-    nrm = (pts ** 2).sum(axis=1)
-    order = np.lexsort((pts[:, 1], pts[:, 0], nrm))
-    return pts[order]
-
-
-def _greedy_select(pts: np.ndarray, r: float) -> np.ndarray:
-    """Greedy maximal scan: accept a candidate when strictly farther than r
-    from every accepted center.
-
-    Accepted centers are bucketed in square cells of side a hair over r,
-    so only the 3x3 cells about a candidate can hold one within r of it;
-    the hair keeps rounding in x / side from putting one two cells away.
-    """
-    r2 = r * r
-    side = r * (1.0 + 1e-9)
-    cells: dict = {}
+    # the node axis, padded by the stencil's reach
+    ax = np.arange(-k - reach, k + reach + 1) * h
+    inner = ax[reach:-reach]
+    nrm = inner[:, None] ** 2 + inner ** 2
+    i, j = np.nonzero(nrm <= domain_radius ** 2 * (1 + 1e-12))
+    order = np.lexsort((inner[j], inner[i], nrm[i, j]))
+    blocked = np.zeros((ax.size, ax.size), dtype=bool)
     chosen = []
-    for x, y in pts.tolist():
-        i, j = math.floor(x / side), math.floor(y / side)
-        near = (c for di in (-1, 0, 1) for dj in (-1, 0, 1)
-                for c in cells.get((i + di, j + dj), ()))
-        if all((cx - x) * (cx - x) + (cy - y) * (cy - y) > r2 for cx, cy in near):
-            chosen.append((x, y))
-            cells.setdefault((i, j), []).append((x, y))
-    return np.array(chosen, dtype=float).reshape(-1, 2)
+    for a, b in zip(i[order].tolist(), j[order].tolist()):
+        if not blocked[a + reach, b + reach]:
+            chosen.append((a, b))
+            dx, dy = inner[a] - ax[a:a + width, None], inner[b] - ax[b:b + width]
+            blocked[a:a + width, b:b + width] |= dx * dx + dy * dy <= r2
+    return inner[np.array(chosen)]
 
 
 def _d4_points(domain_radius: float, r: float) -> np.ndarray:
+    """Points of the scaled D4 checkerboard (integer points with an even
+    coordinate sum, times a) in the ball, in order of norm, then of the
+    coordinates. The squared norms are one broadcast cube over the axis,
+    summed in coordinate order."""
     a = (r / math.sqrt(2.0)) * (1.0 + _D4_PAD)
     k = int(math.ceil(domain_radius / a)) + 1
-    rng = np.arange(-k, k + 1)
-    g = np.stack(np.meshgrid(rng, rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 4)
-    g = g[(g.sum(axis=1) % 2) == 0]
-    pts = g * a
-    nrm2 = (pts ** 2).sum(axis=1)
-    keep = nrm2 <= domain_radius ** 2 * (1 + 1e-12)
-    pts = pts[keep]
-    nrm2 = nrm2[keep]
-    order = np.lexsort((pts[:, 3], pts[:, 2], pts[:, 1], pts[:, 0], nrm2))
+    v = np.arange(-k, k + 1) * a
+    sq, odd = v ** 2, np.arange(-k, k + 1) % 2 == 1
+    nrm2 = sq[:, None, None, None] + sq[:, None, None] + sq[:, None] + sq
+    even = ~(odd[:, None, None, None] ^ odd[:, None, None] ^ odd[:, None] ^ odd)
+    keep = even & (nrm2 <= domain_radius ** 2 * (1 + 1e-12))
+    pts = v[np.stack(np.nonzero(keep), axis=1)]
+    order = np.lexsort((pts[:, 3], pts[:, 2], pts[:, 1], pts[:, 0], nrm2[keep]))
     return pts[order]
 
 
@@ -116,7 +107,7 @@ def make_lattice(domain_radius: float, r: float, n: int = 1) -> Lattice:
     if domain_radius < 2 * r:
         raise ValueError("domain_radius must be at least 2r")
     if n == 1:
-        centers = _greedy_select(_candidate_grid_n1(domain_radius, r), r)
+        centers = _greedy_n1(domain_radius, r)
         kind = "greedy-grid"
     elif n == 2:
         centers = _d4_points(domain_radius, r)

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 import focksobolev as fs
 from focksobolev import carleson, compop
 from focksobolev.carleson import _capped_atoms, growth_divergent
-from focksobolev.grid import grid_points, pattern_search, to_real
+from focksobolev.grid import cube_axis, grid_points, pattern_search, to_real
+from focksobolev.measures import _radial_ball_masses
 
 
 def params(p, q, m=0, n=1):
@@ -342,3 +343,74 @@ def test_sup_transform_never_below_the_two_grid_refine(monkeypatch):
         assert coarse >= np.max(transform(_capped_atoms(mu)), initial=-np.inf), name
         assert got >= coarse, name
         assert got >= _reference_refine(transform, at, w_step, P.n) * (1.0 - 1e-8), name
+
+
+def _stage_centres(mu, regime, T, T2, r, n):
+    """A stage's ball-mass centres built on their own: its lattice centres,
+    at n = 1 its own scan grid, then the sup regime's heavy atoms."""
+    lat = carleson._stage_lattice(T2, r, n).as_complex()
+    parts = [lat[np.linalg.norm(lat, axis=1) <= T]]
+    if n == 1:
+        scan = grid_points([cube_axis(T, carleson._SCAN_STEP)] * 2)
+        parts.append(scan[np.linalg.norm(scan, axis=1) <= T])
+    if regime == "sup":
+        parts.append(_capped_atoms(mu))
+    return np.concatenate(parts)
+
+
+def _mass_read_cases():
+    below, diag = params(4.0, 2.0, m=1), params(2.0, 2.0)
+    suite = {sc.name: sc for sc in fs.composition_suite(below)}
+    lattice_atoms = {n: next(sc.measure for sc in fs.measure_suite(n)
+                             if sc.name == "lattice-atoms") for n in (1, 2)}
+    # square's 784 atoms are read in one block; damped-contraction's 9216
+    # in several, whose sizes follow the pair count of the call
+    yield "lattice-atoms-sup", lattice_atoms[1], diag, 1, 0.0
+    yield "lattice-atoms-integral", lattice_atoms[1], below, 1, 0.0
+    yield "square-pullback", suite["square"].symbol, below, 1, 0.0
+    yield "damped-contraction-pullback", suite["damped-contraction"].symbol, below, 1, 5e-15
+    yield "gaussian", fs.gaussian(1.0, 1), diag, 1, 0.0
+    yield "polygrowth", fs.polygrowth(2.0, 1), below, 1, 0.0
+    yield "lattice-atoms-n2", lattice_atoms[2], params(2.0, 2.0, n=2), 2, 0.0
+    yield "gaussian-n2", fs.gaussian(1.0, 2), params(4.0, 2.0, n=2), 2, 0.0
+
+
+@pytest.mark.parametrize("name, mu, P, n, rtol", list(_mass_read_cases()),
+                         ids=[c[0] for c in _mass_read_cases()])
+def test_one_ball_mass_read_per_n1_verdict(monkeypatch, name, mu, P, n, rtol):
+    """An n = 1 verdict reads its ball masses once, at the outer stage's
+    centres, and each stage keeps its own: they equal a direct read on that
+    stage's centres, bit for bit when the atoms are read in one block. An
+    n = 2 verdict reads the stage measure, once per stage."""
+    calls = []
+    for fn in ("ball_mass_many", "_radial_ball_masses"):
+        real = getattr(carleson, fn)
+        monkeypatch.setattr(carleson, fn, lambda *a, real=real: calls.append(a) or real(*a))
+    stages = []
+    real_stage = carleson._stage_values
+
+    def stage_spy(mu, params, t, s, r, regime, k, T, h, extra, centres, cnorm, part, mass):
+        stages.append((mu, regime, T, r, centres, cnorm, mass))
+        return real_stage(mu, params, t, s, r, regime, k, T, h, extra, centres, cnorm, part, mass)
+
+    monkeypatch.setattr(carleson, "_stage_values", stage_spy)
+    if isinstance(mu, fs.SymbolPair):
+        fs.classify_compop(mu, P)
+    else:
+        fs.classify_carleson(mu, P)
+    assert len(calls) == (1 if n == 1 else 3)
+    assert len(stages) == 3
+    T2 = stages[-1][2]
+    for lam, regime, T, r, centres, cnorm, mass in stages:
+        assert np.array_equal(centres, _stage_centres(lam, regime, T, T2, r, n))
+        if n == 2:
+            assert mass is None
+            continue
+        if isinstance(lam, fs.AtomicMeasure):
+            direct = fs.ball_mass_many(lam, centres, r)
+        else:
+            direct = _radial_ball_masses(lam, cnorm, r, math.inf)
+        if rtol == 0.0:
+            assert np.array_equal(mass, direct)
+        else:
+            np.testing.assert_allclose(mass, direct, rtol=rtol, atol=0.0)

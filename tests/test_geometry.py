@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,15 +116,75 @@ _GREEDY_CASES = [(R, r) for R in (2.0, 4.0, 6.0, 7.3, 9.0, 13.5, 20.0)
                  for r in (0.3, 0.5, 0.7, 1.0, 1.3) if 2 * r <= R <= 24.5 * r]
 
 
+def _candidate_grid(R, r):
+    """The nodes of step r/4 in the disk of radius R, in order of norm, then
+    x, then y."""
+    h = r / 4.0
+    k = int(math.floor(R / h))
+    ax = np.arange(-k, k + 1) * h
+    xx, yy = np.meshgrid(ax, ax, indexing="ij")
+    pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
+    nrm = (pts ** 2).sum(axis=1)
+    keep = nrm <= R ** 2 * (1 + 1e-12)
+    pts, nrm = pts[keep], nrm[keep]
+    return pts[np.lexsort((pts[:, 1], pts[:, 0], nrm))]
+
+
 @pytest.mark.parametrize("R, r", _GREEDY_CASES)
 def test_bucketed_greedy_matches_brute_force(R, r):
-    """The cell-bucketed scan accepts exactly the centres of the plain one,
-    in the same order."""
-    pts = geometry._candidate_grid_n1(R, r)
-    got = geometry._greedy_select(pts, r)
-    want = _greedy_brute(pts, r)
+    """The stencil-blocking scan accepts exactly the centres of the plain
+    one, in the same order."""
+    got = geometry._greedy_n1(R, r)
+    want = _greedy_brute(_candidate_grid(R, r), r)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+def _d4_cube_reference(domain_radius, r):
+    """The D4 points from the whole integer cube, as four meshgrids."""
+    a = (r / math.sqrt(2.0)) * (1.0 + geometry._D4_PAD)
+    k = int(math.ceil(domain_radius / a)) + 1
+    rng = np.arange(-k, k + 1)
+    g = np.stack(np.meshgrid(rng, rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 4)
+    g = g[(g.sum(axis=1) % 2) == 0]
+    pts = g * a
+    nrm2 = (pts ** 2).sum(axis=1)
+    keep = nrm2 <= domain_radius ** 2 * (1 + 1e-12)
+    pts, nrm2 = pts[keep], nrm2[keep]
+    return pts[np.lexsort((pts[:, 3], pts[:, 2], pts[:, 1], pts[:, 0], nrm2))]
+
+
+# T = 10.5 at r = 0.5 is left out: its reference cube holds 15.8M points
+# and takes about 1.5 GB
+@pytest.mark.parametrize("T, r", [(T, r) for T in (3.5, 5.25, 6.0, 6.75, 10.5)
+                                  for r in (0.5, 0.8, 1.0, 1.3) if (T, r) != (10.5, 0.5)])
+def test_d4_points_match_cube_reference(T, r):
+    """The broadcast norm cube gives the D4 points of the four-meshgrid
+    cube, bit for bit and in the same order."""
+    got = geometry._d4_points(T, r)
+    want = _d4_cube_reference(T, r)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_d4_lattice_memory_is_bounded():
+    """The largest outer-stage D4 lattice the classifier builds, at T2 = 10.5
+    and r = 1, peaks at 20.5 MB traced; the four-meshgrid cube took 75.9 MB."""
+    tracemalloc.start()
+    try:
+        fs.make_lattice(10.5, 1.0, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
+
+
+def test_stage_lattice_cache_is_bounded():
+    """Lattices for 40 distinct radii leave at most the cache bound."""
+    carleson._stage_lattice.cache_clear()
+    for T in np.linspace(2.0, 6.0, 40):
+        carleson._stage_lattice(float(T), 1.0, 1)
+    assert carleson._stage_lattice.cache_info().currsize <= carleson._stage_lattice.cache_parameters()["maxsize"]
 
 
 def _catalogue_stage_radii(n):
