@@ -127,6 +127,7 @@ def _regime_of(params: Params) -> tuple:
 
 def _stage_geometry(mu: Measure, n: int, r: float,
                     override: Optional[float] = None) -> tuple:
+    """(base stage radius, w-step of the atomic transform's coarse grid)."""
     if override is not None:
         base = float(override)
     else:
@@ -139,7 +140,7 @@ def _stage_geometry(mu: Measure, n: int, r: float,
             base = max(5.0, min(reff + 2.0 * r, 9.0))
         else:
             base = max(3.5, min(reff + 0.5, 4.5))
-    return base, base / 96.0 if n == 1 else base / 10.0
+    return base, base / 48.0 if n == 1 else max(base / 5.0, 0.8)
 
 
 @functools.lru_cache(maxsize=8)
@@ -189,7 +190,7 @@ def _ball_masses(mu: Measure, centres: np.ndarray, cnorm: np.ndarray, r: float,
 
 
 def _stage_values(mu: Measure, params: Params, t: float, s: float, r: float,
-                  regime: str, k: Optional[float], T: float, h: float,
+                  regime: str, k: Optional[float], T: float, w_step: float,
                   extra: np.ndarray, centres: np.ndarray, cnorm: np.ndarray,
                   part: np.ndarray, mass: Optional[np.ndarray]) -> tuple:
     """Criterion values of the stage measure of radius T, mu restricted to
@@ -198,7 +199,7 @@ def _stage_values(mu: Measure, params: Params, t: float, s: float, r: float,
     n = 1, which read mu itself; at n = 2 they are read here.
 
     Returns (values dict, (scan radii, scan transform values)) where the
-    scan pair feeds the vanishing rule's shell profile.
+    scan pair feeds the vanishing rule's outer-shell test.
     """
     n, c = params.n, t * params.alpha / 2.0
     atomic = isinstance(mu, AtomicMeasure)
@@ -212,7 +213,6 @@ def _stage_values(mu: Measure, params: Params, t: float, s: float, r: float,
     if atomic:
         # a coarse w-grid; in the sup regime its best point or heavy atom
         # starts the pattern search, stopped below _SUP_STOP w_step
-        w_step = 2.0 * h if n == 1 else max(2.0 * h, 0.8)
         axes = [cube_axis(T, w_step)] * (2 * n)
         transform = lambda where: _gauss_transform(mu_T, c, s, where)
         t_grid = transform(axes).ravel()
@@ -283,16 +283,6 @@ def _log(v: float) -> float:
     return math.log(v) if v > 0.0 else -math.inf
 
 
-def _profile(scan_r: np.ndarray, scan_v: np.ndarray, T: float) -> np.ndarray:
-    """Maxima of the scan values over the unit shells out to T; nan where empty."""
-    edges = np.arange(0.0, math.ceil(T) + 1.0)
-    maxima = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sel = (scan_r >= lo) & (scan_r < hi)
-        maxima.append(float(np.max(scan_v[sel])) if np.any(sel) else math.nan)
-    return np.array(maxima)
-
-
 def classify_carleson(
     mu: Measure,
     params: Params,
@@ -319,7 +309,7 @@ def classify_carleson(
         raise ValueError("transform exponent t must be finite and positive")
     s = params.m * t
     regime, k = _regime_of(params)
-    T1, h = _stage_geometry(mu, params.n, r, stage_radius)
+    T1, w_step = _stage_geometry(mu, params.n, r, stage_radius)
     T2 = EXPANSION * T1
     T0 = T1 / EXPANSION
     extra = _capped_atoms(mu) if regime == "sup" else np.empty((0, params.n), dtype=complex)
@@ -329,7 +319,7 @@ def classify_carleson(
     stages = []
     for T in (T0, T1, T2):
         sel = (cnorm <= T) | (part == 2)
-        stages.append(_stage_values(mu, params, t, s, r, regime, k, T, h, extra, centres[sel],
+        stages.append(_stage_values(mu, params, t, s, r, regime, k, T, w_step, extra, centres[sel],
                                     cnorm[sel], part[sel], None if mass is None else mass[sel]))
     (vals0, _), (vals1, _), (vals2, scan) = stages
 
@@ -354,12 +344,11 @@ def classify_carleson(
         band = max(powered) / min(powered)
 
     if regime == "sup":
-        maxima = _profile(scan[0], scan[1], T2)
-        finite = maxima[~np.isnan(maxima)]
-        if finite.size == 0 or np.max(finite) <= 0.0:
-            vanishing = True
-        else:
-            vanishing = bool(finite[-1] <= VANISH_TOL * np.max(finite))
+        # the outermost non-empty unit shell against the overall maximum
+        scan_r, scan_v = scan
+        top = float(np.max(scan_v)) if scan_v.size else 0.0
+        vanishing = top <= 0.0 or bool(
+            np.max(scan_v[scan_r >= math.floor(np.max(scan_r))]) <= VANISH_TOL * top)
         is_vanishing = is_carleson and vanishing
     else:
         is_vanishing = is_carleson

@@ -65,7 +65,7 @@ from .funcspace import (
     polynomial,
     probe_family,
 )
-from .grid import centred_grid, directions, resolve_cells
+from .grid import centred_grid, directions
 from .measures import AtomicMeasure, DensityMeasure
 from .quadrature import ScalarField
 
@@ -87,11 +87,8 @@ __all__ = [
     "linear_symbol_check",
 ]
 
-# z-grid cells per axis of the transform, and the cap of a profile's
-# cell doubling
+# z-grid cells per axis of the transform and of its profile
 _Z_CELLS = {1: 128, 2: 16}
-_PROFILE_START_CELLS = {1: 16, 2: 4}
-_PROFILE_LOG_TOL = 1e-6
 # radii of a transform profile over its stage window
 _PROFILE_RADII = {1: 31, 2: 21}
 _POLY_Z_RADIUS = {1: 4.0, 2: 3.0}
@@ -271,22 +268,22 @@ def _pullback_geometry(sym: SymbolPair, n: int) -> tuple:
     return max(2.0, min(rad, 12.0 if n == 1 else 7.0)), step
 
 
-def _log_transform_at(sym: SymbolPair, params: Params, q: float, staged: bool,
-                      z_cells: Optional[int] = None):
+def _log_transform_at(sym: SymbolPair, params: Params, q: float, staged: bool):
     """w -> log of the composition transform at w, one value per z-grid.
 
-    The z-grid (and when staged the one enlarged by half at the same
-    step) is built once: re-centred for each w when affine, else with its
-    w-free terms kept. An affine grid is the cube of the weight's norm
-    integrand envelope (tail radius plus pad) about A*w plus its centre.
-    Values known on the leading grids come in ``known``; a grid where
-    log B - kappa is fixed (module docstring; an envelope with neither
-    growth nor pad) is summed once.
+    The z-grid of ``_Z_CELLS[n]`` cells per axis (and when staged the one
+    enlarged by half at the same step) is built once: re-centred for each
+    w when affine, else with its w-free terms kept. An affine grid is the
+    cube of the weight's norm integrand envelope (tail radius plus pad)
+    about A*w plus its centre. With ``enlarged_only`` the base grid is not
+    summed and its value is nan; a grid where log B - kappa is fixed
+    (module docstring; an envelope with neither growth nor pad) is summed
+    once.
     """
     n, a = params.n, params.alpha
     env = norm_integrand_field(sym.u, params, q)
     radius = env.tail_radius + env.pad if sym.is_affine else _POLY_Z_RADIUS[n]
-    cells = _Z_CELLS[n] if z_cells is None else z_cells
+    cells = _Z_CELLS[n]
     grids = [centred_grid(radius, cells, n)]
     if staged:
         grids.append(centred_grid(1.5 * radius, int(round(1.5 * cells)), n))
@@ -296,9 +293,9 @@ def _log_transform_at(sym: SymbolPair, params: Params, q: float, staged: bool,
         _w_free_terms(sym, params, q, offs) for offs, _ in grids]
     rest = {}  # grid index -> log B(w) - kappa(w), for a rigid integrand
 
-    def at(w, known: tuple = ()) -> list:
+    def at(w, enlarged_only: bool = False) -> list:
         wv = np.asarray(w, dtype=complex).reshape(n)
-        out = list(known)
+        out = [math.nan] if enlarged_only else []
         if sym.is_affine:
             center = sym.psi.adjoint(wv) + shift
             kappa = q * a * float((np.vdot(center, center) - np.vdot(wv, wv)).real / 2.0
@@ -332,22 +329,13 @@ def _safe_exp(x: float) -> float:
     return math.inf if x > OVERFLOW_CAP else math.exp(x)
 
 
-def _log_gap(coarse: np.ndarray, fine: np.ndarray) -> float:
-    """Largest difference of two arrays of logs; -inf in both agrees."""
-    with np.errstate(invalid="ignore"):
-        gap = np.abs(coarse - fine)
-    return float(np.max(np.where((coarse == -math.inf) & (fine == -math.inf), 0.0, gap)))
-
-
 def transform_profile(sym: SymbolPair, params: Params) -> tuple:
     """Directional maxima of log B over shells |w| = rho, with exponent params.q,
     on the stage window [0, EXPANSION * STAGE_RADIUS[n]]: 31 radii at n = 1,
     21 at n = 2.
 
-    Returns (radii, log values, z-divergence flag). The z-grid's cells are
-    chosen once per profile: they double from ``_PROFILE_START_CELLS`` up
-    to ``_Z_CELLS`` until the logs at w = 0 and at the outer radius along
-    every direction agree to ``_PROFILE_LOG_TOL`` on two successive grids.
+    Returns (radii, log values, z-divergence flag). The profile reads the
+    z-grid of :func:`log_berezin_compop`, ``_Z_CELLS[n]`` cells per axis.
     The z-staging runs for non-affine symbols only; it flags a z-integral
     that grows beyond GROWTH_TOL on the grid enlarged by half; the profile
     reads that grid alone, so once the flag is set it sums no other.
@@ -357,25 +345,13 @@ def transform_profile(sym: SymbolPair, params: Params) -> tuple:
     radii = np.linspace(0.0, EXPANSION * STAGE_RADIUS[n], _PROFILE_RADII[n])
     staged = not sym.is_affine
     dirs = directions(n)
-    probes = {(0, 0): radii[0] * dirs[0]}
-    probes.update({(len(radii) - 1, k): radii[-1] * d for k, d in enumerate(dirs)})
-
-    def probe_logs(cells: int) -> np.ndarray:
-        at = _log_transform_at(sym, params, q, False, z_cells=cells)
-        return np.array([at(w)[0] for w in probes.values()])
-
-    logs, _, cells = resolve_cells(probe_logs, _PROFILE_START_CELLS[n], _Z_CELLS[n],
-                                   _log_gap, lambda _: _PROFILE_LOG_TOL)
-    known = {key: (float(v),) for key, v in zip(probes, logs)}
-    transform_at = _log_transform_at(sym, params, q, staged, z_cells=cells)
+    transform_at = _log_transform_at(sym, params, q, staged)
     out = np.full(len(radii), -math.inf)
     z_divergent = False
     for i, rho in enumerate(radii):
-        cand = dirs if rho > 0 else dirs[:1]
-        for k, d in enumerate(cand):
-            # once the z-integral grew, only the enlarged grid is read: the
-            # base grid's value is a nan placeholder, not a sum
-            vals = transform_at(rho * d, known.get((i, k), (math.nan,) if z_divergent else ()))
+        for d in dirs if rho > 0 else dirs[:1]:
+            # once the z-integral grew, only the enlarged grid is read
+            vals = transform_at(rho * d, z_divergent)
             z_divergent = z_divergent or (staged and stage_grew(vals[0], vals[1], GROWTH_TOL))
             out[i] = max(out[i], vals[-1])
     return radii, out, z_divergent

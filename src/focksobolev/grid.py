@@ -1,8 +1,9 @@
 """Tensor grids on C^n = R^{2n}, real coordinates interleaved as
 (Re z1, Im z1, Re z2, Im z2). A grid is given by its 2n real axes and its
 points are laid out in ij order, the last axis varying fastest.
-``resolve_cells`` picks a grid's cells per axis by doubling until two
-successive grids agree; ``pattern_search`` is the one local maximiser.
+``resolve_cells`` picks a level by doubling until two successive levels
+agree; only the norm quadrature (``integrate_gaussian``) uses it.
+``pattern_search`` is the one local maximiser.
 ``directions`` is the one set of unit directions that radial profiles
 and probe centres scan; ``eight_directions`` is the sparser eight of
 them that kernel centres and envelope fits sample.

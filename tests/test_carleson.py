@@ -389,9 +389,10 @@ def test_one_ball_mass_read_per_n1_verdict(monkeypatch, name, mu, P, n, rtol):
     stages = []
     real_stage = carleson._stage_values
 
-    def stage_spy(mu, params, t, s, r, regime, k, T, h, extra, centres, cnorm, part, mass):
+    def stage_spy(mu, params, t, s, r, regime, k, T, w_step, extra, centres, cnorm, part, mass):
         stages.append((mu, regime, T, r, centres, cnorm, mass))
-        return real_stage(mu, params, t, s, r, regime, k, T, h, extra, centres, cnorm, part, mass)
+        return real_stage(mu, params, t, s, r, regime, k, T, w_step, extra, centres, cnorm, part,
+                          mass)
 
     monkeypatch.setattr(carleson, "_stage_values", stage_spy)
     if isinstance(mu, fs.SymbolPair):

@@ -294,27 +294,22 @@ def test_scalar_contractions_compact(scale):
     assert chk["admissible_compact"]
 
 
-def _profile_and_cells(monkeypatch, sym, params, **kw):
-    """transform_profile's output and the z-cells of its own grid, the last
-    one it builds."""
-    seen = []
-    real = compop._log_transform_at
-
-    def spy(*args, **kwargs):
-        seen.append(kwargs.get("z_cells"))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(compop, "_log_transform_at", spy)
-    return fs.transform_profile(sym, params, **kw), seen[-1]
+def _profile_and_cells(sym, params):
+    """transform_profile's output and the z-cells of its grid."""
+    return fs.transform_profile(sym, params), compop._Z_CELLS[params.n]
 
 
-@pytest.mark.parametrize("m,cells", [(0, 32), (1, 128)])
-def test_profile_cells_n1(monkeypatch, m, cells):
-    """Smooth at m = 0, the profile stops at 32 z-cells; the |z|^{qm} cone
-    at m = 1 keeps it at the cap of 128."""
-    P = fs.Params(n=1, alpha=1.0, m=m, p=2.0, q=2.0)
-    _, chosen = _profile_and_cells(monkeypatch, fs.affine_symbol([[0.5]]), P)
-    assert chosen == cells
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("m", [0, 1])
+def test_profile_reads_the_probe_grid(n, m):
+    """The profile at w = 0 is log_berezin_compop's value there, bit for
+    bit: both read the same z-grid. Every affine pair of the suite; the
+    square's profile reads the enlarged grid once its z-integral grew."""
+    P = fs.Params(n=n, alpha=1.0, m=m, p=2.0, q=2.0)
+    for sc in fs.composition_suite(P):
+        if sc.symbol.is_affine:
+            _, logs, _ = fs.transform_profile(sc.symbol, P)
+            assert logs[0] == fs.log_berezin_compop(sc.symbol, P, np.zeros(n)), sc.name
 
 
 def _affine_log_transform(A, b, w, q, alpha, c=None):
@@ -343,11 +338,11 @@ KERNEL_CENTERS = {1: [None, [1.0 + 0.5j], [-2.0]], 2: [None, [1.0, -0.5j], [0.0,
 
 
 @pytest.mark.parametrize("A,b", AFFINE_CASES)
-def test_affine_transform_closed_form(monkeypatch, A, b):
+def test_affine_transform_closed_form(A, b):
     """The transform of an affine symbol at m = 0 with u = 1 or a one-kernel
     weight u = k_c completes the square about A*w + c; the z-grid follows
     the weight's envelope to that centre. Measured log errors: at most
-    1.4e-13 at n = 1 (128 z-cells in log_berezin_compop, 32 in the profile)
+    1.4e-13 at n = 1 (128 z-cells in log_berezin_compop and the profile)
     and 1.9e-7 at n = 2 (16 z-cells in both), over alpha in {0.7, 1}, q in
     {2, 3}, these symbols and weights; the tolerances are about four times
     those."""
@@ -362,8 +357,8 @@ def test_affine_transform_closed_form(monkeypatch, A, b):
             for d in dirs if rho > 0 else dirs[:1]:
                 exact = _affine_log_transform(A, b, rho * d, 3.0, 0.7, c)
                 assert abs(fs.log_berezin_compop(sym, P, rho * d) - exact) <= tol
-        (radii, logs, _), cells = _profile_and_cells(monkeypatch, sym, P)
-        assert cells == (32 if n == 1 else 16)
+        (radii, logs, _), cells = _profile_and_cells(sym, P)
+        assert cells == (128 if n == 1 else 16)
         exact = [max(_affine_log_transform(A, b, r * d, 3.0, 0.7, c) for d in dirs)
                  for r in radii]
         assert np.max(np.abs(logs - exact)) <= tol
@@ -397,7 +392,7 @@ def _per_w_profile(sym, params, radii, cells):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_profile_matches_per_w_integrand(monkeypatch, n):
+def test_profile_matches_per_w_integrand(n):
     """At m = 0 an affine symbol with a constant or one-kernel weight has
     log B(w) - kappa(w) fixed on its re-centred z-grid, and the profile
     adds kappa(w) to one sum per grid. It matches a sum at every w to
@@ -429,7 +424,7 @@ def test_profile_matches_per_w_integrand(monkeypatch, n):
                                     fs.one(1)), P0))
     for cases, tol in ((near, 1e-12), (per_w, 4e-15)):
         for sym, P in cases:
-            (radii, logs, _), cells = _profile_and_cells(monkeypatch, sym, P)
+            (radii, logs, _), cells = _profile_and_cells(sym, P)
             # every fifth radius, both ends of the stage window included
             np.testing.assert_allclose(logs[::5], _per_w_profile(sym, P, radii[::5], cells),
                                        rtol=0.0, atol=tol)
@@ -437,7 +432,7 @@ def test_profile_matches_per_w_integrand(monkeypatch, n):
 
 def test_square_profile_stops_summing_the_base_grid(monkeypatch):
     """Once the n = 1 square's z-integral has grown on the grid enlarged by
-    half, its profile stops summing the base grid: 566 sums, where summing
+    half, its profile stops summing the base grid: 499 sums, where summing
     both grids at every w took 1013. The flag is already set and the
     profile reads only the enlarged grid, so it matches such a reference
     bit for bit."""
@@ -446,9 +441,9 @@ def test_square_profile_stops_summing_the_base_grid(monkeypatch):
     real = compop._logsumexp
     sums = []
     monkeypatch.setattr(compop, "_logsumexp", lambda L: sums.append(1) or real(L))
-    (radii, logs, z_div), cells = _profile_and_cells(monkeypatch, sym, P)
-    assert len(sums) == 566
-    at = compop._log_transform_at(sym, P, P.q, True, z_cells=cells)
+    radii, logs, z_div = fs.transform_profile(sym, P)
+    assert len(sums) == 499
+    at = compop._log_transform_at(sym, P, P.q, True)
     dirs = directions(1)
     grew, ref = False, []
     for rho in radii:
@@ -460,26 +455,25 @@ def test_square_profile_stops_summing_the_base_grid(monkeypatch):
 
 
 def test_affine_profile_sums_each_grid_once(monkeypatch):
-    """An m = 0 affine profile at n = 2 sums each z-grid it builds once:
-    one _log_integrand call per resolve_cells level and one for its own
-    grid. Summed at every w it took 179: 27 probes and 152 profile points."""
+    """An m = 0 affine profile at n = 2 builds one z-grid, of 16 cells, and
+    sums it once. Summed at every w it took 161, one per profile point."""
     P = fs.Params(n=2, alpha=1.0, m=0, p=2.0, q=2.0)
-    real_at, real_integrand = compop._log_transform_at, compop._log_integrand
+    real_grid, real_integrand = compop.centred_grid, compop._log_integrand
     grids, sums = [], []
 
-    def at_spy(*args, **kwargs):
-        grids.append(kwargs["z_cells"])
-        return real_at(*args, **kwargs)
+    def grid_spy(radius, cells, n):
+        grids.append(cells)
+        return real_grid(radius, cells, n)
 
     def integrand_spy(*args, **kwargs):
         sums.append(1)
         return real_integrand(*args, **kwargs)
 
-    monkeypatch.setattr(compop, "_log_transform_at", at_spy)
+    monkeypatch.setattr(compop, "centred_grid", grid_spy)
     monkeypatch.setattr(compop, "_log_integrand", integrand_spy)
     fs.transform_profile(fs.affine_symbol(0.5 * np.eye(2)), P)
-    assert grids == [4, 8, 16, 16]
-    assert len(sums) == len(grids)
+    assert grids == [16]
+    assert len(sums) == 1
 
 
 def _lse_cases():
