@@ -180,15 +180,6 @@ def _outer_centres(T2: float, r: float, n: int, extra: np.ndarray) -> tuple:
     return centres, np.linalg.norm(centres, axis=1), np.repeat([0, 1, 2], [len(x) for x in parts])
 
 
-def _ball_masses(mu: Measure, centres: np.ndarray, cnorm: np.ndarray, r: float,
-                 extent: float) -> np.ndarray:
-    """mu(B(c, r)) at the centres: atoms as given, a density restricted to
-    |z| <= extent."""
-    if isinstance(mu, AtomicMeasure):
-        return ball_mass_many(mu, centres, r)
-    return _radial_ball_masses(mu, cnorm, r, extent)
-
-
 def _stage_values(mu: Measure, params: Params, t: float, s: float, r: float,
                   regime: str, k: Optional[float], T: float, w_step: float,
                   extra: np.ndarray, centres: np.ndarray, cnorm: np.ndarray,
@@ -206,7 +197,8 @@ def _stage_values(mu: Measure, params: Params, t: float, s: float, r: float,
     mu_T = discretize(mu, T) if atomic else mu
     if mass is None:
         # read before the transform, so the two peaks in memory do not add up
-        mass = _ball_masses(mu_T, centres, cnorm, r, T)
+        mass = (ball_mass_many(mu_T, centres, r) if atomic
+                else _radial_ball_masses(mu, cnorm, r, T))
     avg = mass / (1.0 + cnorm) ** s
 
     values: dict = {}
@@ -315,7 +307,7 @@ def classify_carleson(
     extra = _capped_atoms(mu) if regime == "sup" else np.empty((0, params.n), dtype=complex)
     centres, cnorm, part = _outer_centres(T2, r, params.n, extra)
     # at n = 1 every stage's masses read mu itself: one read serves all three
-    mass = _ball_masses(mu, centres, cnorm, r, math.inf) if params.n == 1 else None
+    mass = ball_mass_many(mu, centres, r) if params.n == 1 else None
     stages = []
     for T in (T0, T1, T2):
         sel = (cnorm <= T) | (part == 2)
@@ -332,8 +324,7 @@ def classify_carleson(
     is_carleson = not divergent
 
     notes = ["band_policy=engineering"]
-    band_keys = [kk for kk in ("transform", "averaging", "sequence") if kk in vals2]
-    band_vals = [vals2[kk] for kk in band_keys]
+    band_vals = [vals2[kk] for kk in ("transform", "averaging", "sequence")]
     if all(v <= 1e-300 for v in band_vals):
         band = 1.0
     elif any(v <= 1e-300 or math.isinf(v) for v in band_vals):

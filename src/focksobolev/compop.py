@@ -36,7 +36,6 @@ from functools import partial
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .carleson import (
     EXPANSION,
@@ -229,12 +228,11 @@ def _logsumexp(L: np.ndarray) -> float:
     scipy's steps in its order, so the result is bit-identical to scipy's
     ``logsumexp`` of them: the entries at the max are counted and left out,
     the rest summed as exp(L - max), then log1p(sum / count) + log(count)
-    + max. A max that is not finite goes to scipy.
+    + max. A max that is not finite is the result, as it is scipy's.
     """
     top = np.max(L)
     if not np.isfinite(top):
-        with np.errstate(over="ignore"):
-            return float(logsumexp(L))
+        return float(top)
     d = L[L >= top + math.log(2.0 ** -53 / L.size)] - top
     at_top = d == 0.0
     count = np.float64(np.count_nonzero(at_top))
@@ -268,50 +266,41 @@ def _pullback_geometry(sym: SymbolPair, n: int) -> tuple:
     return max(2.0, min(rad, 12.0 if n == 1 else 7.0)), step
 
 
-def _log_transform_at(sym: SymbolPair, params: Params, q: float, staged: bool):
-    """w -> log of the composition transform at w, one value per z-grid.
+def _log_transform_at(sym: SymbolPair, params: Params, q: float, scale: float = 1.0):
+    """w -> log of the composition transform at w, on one z-grid.
 
-    The z-grid of ``_Z_CELLS[n]`` cells per axis (and when staged the one
-    enlarged by half at the same step) is built once: re-centred for each
-    w when affine, else with its w-free terms kept. An affine grid is the
-    cube of the weight's norm integrand envelope (tail radius plus pad)
-    about A*w plus its centre. With ``enlarged_only`` the base grid is not
-    summed and its value is nan; a grid where log B - kappa is fixed
-    (module docstring; an envelope with neither growth nor pad) is summed
-    once.
+    The z-grid has ``scale * _Z_CELLS[n]`` cells per axis over ``scale``
+    times the base radius, at the base step. It is built once: re-centred
+    for each w when affine, else with its w-free terms kept. An affine grid
+    is the cube of the weight's norm integrand envelope (tail radius plus
+    pad) about A*w plus its centre. Where log B - kappa is fixed (module
+    docstring; an envelope with neither growth nor pad) the grid is summed
+    once and later values are kappa(w) plus that difference.
     """
     n, a = params.n, params.alpha
     env = norm_integrand_field(sym.u, params, q)
     radius = env.tail_radius + env.pad if sym.is_affine else _POLY_Z_RADIUS[n]
-    cells = _Z_CELLS[n]
-    grids = [centred_grid(radius, cells, n)]
-    if staged:
-        grids.append(centred_grid(1.5 * radius, int(round(1.5 * cells)), n))
+    offs, h = centred_grid(scale * radius, int(round(scale * _Z_CELLS[n])), n)
     shift = np.asarray(env.center or np.zeros(n), dtype=complex)
     rigid = sym.is_affine and env.growth == 0.0 and env.pad == 0.0
-    terms = None if sym.is_affine else [
-        _w_free_terms(sym, params, q, offs) for offs, _ in grids]
-    rest = {}  # grid index -> log B(w) - kappa(w), for a rigid integrand
+    terms = None if sym.is_affine else _w_free_terms(sym, params, q, offs)
+    rest = None  # log B(w) - kappa(w), for a rigid integrand
 
-    def at(w, enlarged_only: bool = False) -> list:
+    def at(w) -> float:
+        nonlocal rest
         wv = np.asarray(w, dtype=complex).reshape(n)
-        out = [math.nan] if enlarged_only else []
-        if sym.is_affine:
-            center = sym.psi.adjoint(wv) + shift
-            kappa = q * a * float((np.vdot(center, center) - np.vdot(wv, wv)).real / 2.0
-                                  + np.vdot(wv, sym.psi.offset).real)
-        for j, (offs, h) in enumerate(grids[len(out):], len(out)):
-            if j in rest:
-                out.append(kappa + rest[j])
-                continue
-            if terms is None:
-                L = _log_integrand(sym, params, q, wv, offs + center[None, :])
-            else:
-                L = _add_w(terms[j], a, q, wv)
-            out.append(_logsumexp(L) + 2 * n * math.log(h))
-            if rigid:
-                rest[j] = out[-1] - kappa
-        return out
+        if terms is not None:
+            return _logsumexp(_add_w(terms, a, q, wv)) + 2 * n * math.log(h)
+        center = sym.psi.adjoint(wv) + shift
+        kappa = q * a * float((np.vdot(center, center) - np.vdot(wv, wv)).real / 2.0
+                              + np.vdot(wv, sym.psi.offset).real)
+        if rest is not None:
+            return kappa + rest
+        value = _logsumexp(_log_integrand(sym, params, q, wv, offs + center[None, :]))
+        value += 2 * n * math.log(h)
+        if rigid:
+            rest = value - kappa
+        return value
 
     return at
 
@@ -321,7 +310,7 @@ def log_berezin_compop(sym: SymbolPair, params: Params, w) -> float:
     q = params.q
     if math.isinf(q):
         raise ValueError("the transform needs a finite exponent q")
-    return _log_transform_at(sym, params, q, False)(w)[0]
+    return _log_transform_at(sym, params, q)(w)
 
 
 def _safe_exp(x: float) -> float:
@@ -336,24 +325,24 @@ def transform_profile(sym: SymbolPair, params: Params) -> tuple:
 
     Returns (radii, log values, z-divergence flag). The profile reads the
     z-grid of :func:`log_berezin_compop`, ``_Z_CELLS[n]`` cells per axis.
-    The z-staging runs for non-affine symbols only; it flags a z-integral
-    that grows beyond GROWTH_TOL on the grid enlarged by half; the profile
-    reads that grid alone, so once the flag is set it sums no other.
+    The z-staging runs for non-affine symbols only: their profile reads the
+    grid enlarged by half, and the base grid is summed too until the flag
+    of a z-integral that grows beyond GROWTH_TOL between the two is set.
     """
     q = params.q
     n = params.n
     radii = np.linspace(0.0, EXPANSION * STAGE_RADIUS[n], _PROFILE_RADII[n])
-    staged = not sym.is_affine
     dirs = directions(n)
-    transform_at = _log_transform_at(sym, params, q, staged)
+    base = _log_transform_at(sym, params, q)
+    read = base if sym.is_affine else _log_transform_at(sym, params, q, 1.5)
     out = np.full(len(radii), -math.inf)
     z_divergent = False
     for i, rho in enumerate(radii):
         for d in dirs if rho > 0 else dirs[:1]:
-            # once the z-integral grew, only the enlarged grid is read
-            vals = transform_at(rho * d, z_divergent)
-            z_divergent = z_divergent or (staged and stage_grew(vals[0], vals[1], GROWTH_TOL))
-            out[i] = max(out[i], vals[-1])
+            value = read(rho * d)
+            if read is not base and not z_divergent:
+                z_divergent = stage_grew(base(rho * d), value, GROWTH_TOL)
+            out[i] = max(out[i], value)
     return radii, out, z_divergent
 
 

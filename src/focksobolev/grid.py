@@ -1,8 +1,6 @@
 """Tensor grids on C^n = R^{2n}, real coordinates interleaved as
 (Re z1, Im z1, Re z2, Im z2). A grid is given by its 2n real axes and its
 points are laid out in ij order, the last axis varying fastest.
-``resolve_cells`` picks a level by doubling until two successive levels
-agree; only the norm quadrature (``integrate_gaussian``) uses it.
 ``pattern_search`` is the one local maximiser.
 ``directions`` is the one set of unit directions that radial profiles
 and probe centres scan; ``eight_directions`` is the sparser eight of
@@ -14,11 +12,9 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence
 
 import numpy as np
-
-T = TypeVar("T")
 
 # Gauss-Legendre nodes and weights on [-1, 1] by node count, for every rule
 # that needs them; the arrays are shared, so callers never write to them.
@@ -74,34 +70,6 @@ def centred_grid(radius: float, cells: int, n: int) -> tuple:
     """Points (cells^{2n}, n) of the cube of half-width radius, and the step."""
     step = 2.0 * radius / cells
     return grid_points([cell_axis(cells, step)] * (2 * n)), step
-
-
-def resolve_cells(evaluate: Callable[[int], T], start: int, cap: int,
-                  error: Callable[[T, T], float],
-                  tol: Callable[[T], float]) -> tuple:
-    """evaluate(cells) on the first grid that agrees with the one of half its cells.
-
-    The levels are cap, cap/2, cap/4, ..., down to the coarsest whole count
-    of at least start. They are evaluated once each, coarsest first, so the
-    fine value of one pair is the coarse value of the next. The doubling
-    stops at the first pair with error(coarse, fine) <= tol(fine), or at
-    the cap.
-
-    Returns (fine value, error(coarse, fine), fine cells).
-    """
-    levels = [cap]
-    while levels[-1] % 2 == 0 and levels[-1] // 2 >= start:
-        levels.append(levels[-1] // 2)
-    if len(levels) < 2:
-        raise ValueError("the cap must be at least twice the start")
-    coarse = evaluate(levels.pop())
-    while True:
-        cells = levels.pop()
-        fine = evaluate(cells)
-        err = error(coarse, fine)
-        if err <= tol(fine) or not levels:
-            return fine, err, cells
-        coarse = fine
 
 
 def pattern_search(evaluate: Callable[[np.ndarray], np.ndarray], at: np.ndarray,

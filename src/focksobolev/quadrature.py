@@ -18,10 +18,11 @@ s^{2n-1}, times the trapezoid rule in the angle at n = 1; at n = 2, times
 Gauss-Legendre in t = |z_1 - c_1|^2 / s^2 on [0, 1] and the trapezoid rule
 in both angles, with dsigma(S^3) = dt dtheta_1 dtheta_2 / 2. A cone
 |z|^{mp} about the center is the smooth factor s^{mp}. The angle count per
-level grows with the field's reach against R. The level doubles from a
-quarter of the cap until two successive levels agree to REL_TOL, at most
-up to the pair (cap, 2 cap); their difference is the error estimate and
-the finer value is returned. The points are evaluated in blocks of whole
+level grows with the field's reach against R. :func:`integrate_gaussian`
+doubles the level from a quarter of the cap, evaluating each level once,
+until two successive levels agree to REL_TOL, at most up to the pair
+(cap, 2 cap); their difference is the error estimate and the finer value
+is returned. The points are evaluated in blocks of whole
 radii, fixed by the level, and the block sums are added by math.fsum,
 which rounds once, so the total does not depend on their order.
 
@@ -42,7 +43,7 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .grid import (cube_axis, eight_directions, grid_points, leggauss, pattern_search,
-                   resolve_cells, to_complex, to_real)
+                   to_complex, to_real)
 
 __all__ = [
     "QuadratureError",
@@ -361,12 +362,20 @@ def integrate_gaussian(field: ScalarField, cells: Optional[int] = None) -> Integ
     if field.compact_radius is not None:
         # No point integrating far outside the support.
         radius = min(radius, field.compact_radius + float(np.linalg.norm(center)))
-    fine, diff, fine_cells = resolve_cells(
-        lambda c: _polar(field, center, radius, c), max(2, cells // 4), 2 * cells,
-        lambda coarse, fine: abs(coarse - fine), lambda fine: REL_TOL * abs(fine))
+    # the coarsest level: 2 cells halved while whole and at least max(2, cells // 4)
+    level = 2 * cells
+    while level % 2 == 0 and level // 2 >= max(2, cells // 4):
+        level //= 2
+    fine = _polar(field, center, radius, level)
+    while True:
+        coarse, level = fine, 2 * level
+        fine = _polar(field, center, radius, level)
+        diff = abs(coarse - fine)
+        if diff <= REL_TOL * abs(fine) or level == 2 * cells:
+            break
     err = max(diff, ERROR_FLOOR * abs(fine))
     err += _tail_bound(field, radius)
-    return Integral(fine, err, fine_cells)
+    return Integral(fine, err, level)
 
 
 def sup_field_norm(field: ScalarField) -> tuple[float, np.ndarray]:

@@ -443,11 +443,12 @@ def test_square_profile_stops_summing_the_base_grid(monkeypatch):
     monkeypatch.setattr(compop, "_logsumexp", lambda L: sums.append(1) or real(L))
     radii, logs, z_div = fs.transform_profile(sym, P)
     assert len(sums) == 499
-    at = compop._log_transform_at(sym, P, P.q, True)
+    base = compop._log_transform_at(sym, P, P.q)
+    enlarged = compop._log_transform_at(sym, P, P.q, 1.5)
     dirs = directions(1)
     grew, ref = False, []
     for rho in radii:
-        vals = [at(rho * d) for d in (dirs if rho > 0 else dirs[:1])]
+        vals = [(base(rho * d), enlarged(rho * d)) for d in (dirs if rho > 0 else dirs[:1])]
         grew = grew or any(stage_grew(v[0], v[1], GROWTH_TOL) for v in vals)
         ref.append(max(v[1] for v in vals))
     assert z_div and grew

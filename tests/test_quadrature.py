@@ -16,7 +16,7 @@ from scipy.special import ive
 
 import focksobolev as fs
 from focksobolev import quadrature
-from focksobolev.grid import cell_axis, cube_axis, grid_points, resolve_cells, to_real
+from focksobolev.grid import cell_axis, cube_axis, grid_points, to_real
 from focksobolev.quadrature import _BLOCK_POINTS, _ball_points
 
 
@@ -205,24 +205,25 @@ def test_integrate_gaussian_rejects_a_field_without_decay_or_support():
         fs.integrate_gaussian(field)
 
 
-def test_resolve_cells_evaluates_each_level_once():
-    """Levels halve down from the cap to the start; each is evaluated once,
-    coarsest first, and the first agreeing pair returns its finer value."""
-    seen = []
+def test_integrate_gaussian_evaluates_each_level_once(monkeypatch):
+    """At cells = 24 the levels double from 6 up to the cap 48; each is
+    evaluated once, coarsest first, and the first agreeing pair returns its
+    finer level."""
+    field = fs.scalar_field(lambda z: np.exp(-np.sum(np.abs(z) ** 2, axis=1)), 1,
+                            decay=1.0, growth=0.0)
 
-    def evaluate(cells):
-        seen.append(cells)
-        return 1.0 / cells
+    def levels(value):
+        seen = []
+        monkeypatch.setattr(quadrature, "_polar",
+                            lambda field, center, radius, cells: seen.append(cells) or value(cells))
+        return fs.integrate_gaussian(field, cells=24), seen
 
-    value, err, cells = resolve_cells(evaluate, 3, 24, lambda c, f: abs(c - f),
-                                      lambda f: 0.1)
-    assert seen == [3, 6, 12] and cells == 12
-    assert value == 1.0 / 12 and err == 1.0 / 6 - 1.0 / 12
-    seen.clear()
-    assert resolve_cells(evaluate, 3, 24, lambda c, f: abs(c - f), lambda f: 0.0)[2] == 24
-    assert seen == [3, 6, 12, 24]
-    with pytest.raises(ValueError):
-        resolve_cells(evaluate, 4, 6, lambda c, f: 0.0, lambda f: 0.0)
+    res, seen = levels(lambda cells: 1.0 / cells)  # no two levels agree
+    assert seen == [6, 12, 24, 48]
+    assert res.value == 1.0 / 48 and res.cells == 48
+    assert res.error >= 1.0 / 24 - 1.0 / 48
+    res, seen = levels(lambda cells: 1.0)
+    assert seen == [6, 12] and res.cells == 12
 
 
 def _monomial_norm(k, m, p):
