@@ -23,14 +23,14 @@ centres with |c| <= T2, at n = 1 a scan grid of step 0.25 with
 |w| <= T2, and in the sup regime the heaviest atoms. Stage T keeps the
 atoms and the centres with |c| <= T. Its sequence takes the lattice
 centres with |c| <= T - r, its averaging function the scan grid at n = 1
-or the lattice at n = 2, plus the atoms. At n = 2 the masses read the
-stage measure, mu restricted to |z| <= T, which the transform also sums,
-so each stage reads its own. At n = 1 they read mu itself, and one read
-serves every stage: a stage's lattice and scan grid are the outer ones
-cut to |c| <= T, in order, and a ball's mass does not depend on the
-other centres (but for rounding where :func:`ball_mass_many` reads atoms
-in several blocks). Read on mu_T, only the centres with |c| > T - r would
-need a re-read: the other balls lie in |z| < T, where mu_T is mu.
+or the lattice at n = 2, plus the atoms. All masses are read before the
+stages, and one read serves all three: a stage's lattice and scan grid
+are the outer ones cut to |c| <= T, in order, and a ball's mass does not
+depend on the other centres of the read. At n = 2 they read the stage
+measure mu_T, mu restricted to |z| <= T, which the transform also sums:
+stage T sums mu_T2's atoms with |z| <= T, and a density is read once per
+stage. At n = 1 they read mu itself; on mu_T, only the centres with
+|c| > T - r would need a re-read, as the other balls lie in |z| < T.
 
 An atomic transform is read on a coarse w-grid; in the sup regime the
 pattern search of :func:`grid.pattern_search` climbs from its best
@@ -60,6 +60,7 @@ from .grid import cube_axis, grid_points, pattern_search
 from .measures import (
     AtomicMeasure,
     Measure,
+    _atom_ball_masses,
     _gauss_transform,
     _radial_ball_masses,
     _radial_transform,
@@ -182,12 +183,12 @@ def _outer_centres(T2: float, r: float, n: int, extra: np.ndarray) -> tuple:
 
 def _stage_values(mu: Measure, params: Params, t: float, s: float, r: float,
                   regime: str, k: Optional[float], T: float, w_step: float,
-                  extra: np.ndarray, centres: np.ndarray, cnorm: np.ndarray,
-                  part: np.ndarray, mass: Optional[np.ndarray]) -> tuple:
+                  extra: np.ndarray, cnorm: np.ndarray, part: np.ndarray,
+                  mass: np.ndarray) -> tuple:
     """Criterion values of the stage measure of radius T, mu restricted to
-    the ball |z| <= T. ``centres``, ``cnorm`` and ``part`` are this stage's
-    ball-mass centres (see :func:`_outer_centres`), ``mass`` their masses at
-    n = 1, which read mu itself; at n = 2 they are read here.
+    the ball |z| <= T. ``cnorm`` and ``part`` are the norms and parts of
+    this stage's ball-mass centres (see :func:`_outer_centres`), ``mass``
+    their masses.
 
     Returns (values dict, (scan radii, scan transform values)) where the
     scan pair feeds the vanishing rule's outer-shell test.
@@ -195,10 +196,6 @@ def _stage_values(mu: Measure, params: Params, t: float, s: float, r: float,
     n, c = params.n, t * params.alpha / 2.0
     atomic = isinstance(mu, AtomicMeasure)
     mu_T = discretize(mu, T) if atomic else mu
-    if mass is None:
-        # read before the transform, so the two peaks in memory do not add up
-        mass = (ball_mass_many(mu_T, centres, r) if atomic
-                else _radial_ball_masses(mu, cnorm, r, T))
     avg = mass / (1.0 + cnorm) ** s
 
     values: dict = {}
@@ -306,13 +303,21 @@ def classify_carleson(
     T0 = T1 / EXPANSION
     extra = _capped_atoms(mu) if regime == "sup" else np.empty((0, params.n), dtype=complex)
     centres, cnorm, part = _outer_centres(T2, r, params.n, extra)
-    # at n = 1 every stage's masses read mu itself: one read serves all three
-    mass = ball_mass_many(mu, centres, r) if params.n == 1 else None
+    # every mass is read before the transforms, so that their peaks in
+    # memory do not add up: a column per stage (module docstring)
+    if params.n == 1:
+        masses = np.repeat(ball_mass_many(mu, centres, r)[:, None], 3, axis=1)
+    elif isinstance(mu, AtomicMeasure):
+        outer = discretize(mu, T2)
+        cut = np.linalg.norm(outer.locations, axis=1)[:, None] <= np.array([T0, T1, T2])
+        masses = _atom_ball_masses(outer, np.where(cut, outer.weights[:, None], 0.0), centres, r)
+    else:
+        masses = np.stack([_radial_ball_masses(mu, cnorm, r, T) for T in (T0, T1, T2)], axis=1)
     stages = []
-    for T in (T0, T1, T2):
+    for i, T in enumerate((T0, T1, T2)):
         sel = (cnorm <= T) | (part == 2)
-        stages.append(_stage_values(mu, params, t, s, r, regime, k, T, w_step, extra, centres[sel],
-                                    cnorm[sel], part[sel], None if mass is None else mass[sel]))
+        stages.append(_stage_values(mu, params, t, s, r, regime, k, T, w_step, extra, cnorm[sel],
+                                    part[sel], masses[sel, i]))
     (vals0, _), (vals1, _), (vals2, scan) = stages
 
     growth = {key: _growth_ratio(vals1[key], vals2[key]) for key in vals1}

@@ -278,6 +278,8 @@ def _log_transform_at(sym: SymbolPair, params: Params, q: float, scale: float = 
     once and later values are kappa(w) plus that difference.
     """
     n, a = params.n, params.alpha
+    if isinstance(sym.u, Polynomial) and sym.u.is_zero():
+        return lambda w: -math.inf  # the zero weight's transform is 0
     env = norm_integrand_field(sym.u, params, q)
     radius = env.tail_radius + env.pad if sym.is_affine else _POLY_Z_RADIUS[n]
     offs, h = centred_grid(scale * radius, int(round(scale * _Z_CELLS[n])), n)
@@ -373,6 +375,8 @@ def pullback_measure(sym: SymbolPair, params: Params) -> AtomicMeasure:
     if math.isinf(q):
         raise ValueError("the pullback construction needs a finite exponent q")
     n, a = params.n, params.alpha
+    if isinstance(sym.u, Polynomial) and sym.u.is_zero():
+        return AtomicMeasure(np.empty((0, n), dtype=complex), np.empty(0), n)
     radius, step = _pullback_geometry(sym, n)
     cells = max(2, int(math.ceil(2.0 * radius / step)))
     offs, h = centred_grid(radius, cells, n)

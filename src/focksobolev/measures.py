@@ -261,40 +261,39 @@ def _radial_transform(mu: DensityMeasure, c: float, s: float, extent: float) -> 
     return radii, values, dr * _sphere(radii, mu.n)
 
 
-# Block sizes bound the temporaries, and with them peak memory: candidate
-# (centre, atom) pairs per block.
-_PAIR_BUDGET = 250_000
-_ATOM_BLOCK = (1_000, 100_000)
+# Atoms per block of a ball-mass read: a fixed size, so a mass depends on
+# mu, its centre and the radius alone, bit for bit, whatever else is read.
+_ATOMS_PER_BLOCK = 1024
 
 
 def ball_mass_many(mu: Measure, centers: np.ndarray, radius: float) -> np.ndarray:
-    """Ball masses mu(B(c, radius)) of strict Euclidean balls at centers (N, n).
-
-    Atomic measures are summed exactly: the atoms are walked in blocks
-    whose candidate (centre, atom) pairs come from a kd-tree over the
-    centres. A density's ball mass depends on |c| alone and is one radial
-    integral (``_radial_ball_masses``), taken once per distinct |c|.
-    """
+    """Ball masses mu(B(c, radius)) of strict Euclidean balls at centers (N, n):
+    atoms summed exactly (``_atom_ball_masses``), a density by one radial
+    integral per distinct |c| (``_radial_ball_masses``)."""
     cs = np.asarray(centers, dtype=complex).reshape(-1, mu.n)
-    out = np.zeros(cs.shape[0])
-    if cs.shape[0] == 0:
-        return out
     if isinstance(mu, DensityMeasure):
         return _radial_ball_masses(mu, np.linalg.norm(cs, axis=1), radius, math.inf)
-    tree = cKDTree(to_real(cs))
+    return _atom_ball_masses(mu, mu.weights[:, None], cs, radius)[:, 0]
+
+
+def _atom_ball_masses(mu: AtomicMeasure, weights: np.ndarray, centers: np.ndarray,
+                      radius: float) -> np.ndarray:
+    """Ball masses (N, S) at centers (N, n) of mu's atoms under each column of
+    weights (len(mu), S), summed as a read of that column alone would. The
+    atoms go in blocks of _ATOMS_PER_BLOCK; a kd-tree over the centres gives
+    each block's candidate (centre, atom) pairs."""
+    out = np.zeros((centers.shape[0], weights.shape[1]))
+    tree = cKDTree(to_real(centers))
     real = to_real(mu.locations)
-    lo, block = 0, _ATOM_BLOCK[0]
-    while lo < len(mu):
+    for lo in range(0, len(mu), _ATOMS_PER_BLOCK):
         # the padded radius keeps every pair the strict test below accepts
-        pairs = cKDTree(real[lo:lo + block]).sparse_distance_matrix(
+        pairs = cKDTree(real[lo:lo + _ATOMS_PER_BLOCK]).sparse_distance_matrix(
             tree, radius * (1.0 + 1e-12), output_type="ndarray")
         i, j = pairs["i"] + lo, pairs["j"]
-        inside = np.linalg.norm(mu.locations[i] - cs[j], axis=1) < radius
-        out += np.bincount(j[inside], weights=mu.weights[i[inside]],
-                           minlength=out.size)
-        lo += block
-        # size the next block from this block's pairs per atom
-        block = int(np.clip(_PAIR_BUDGET * block // max(pairs.size, 1), *_ATOM_BLOCK))
+        inside = np.linalg.norm(mu.locations[i] - centers[j], axis=1) < radius
+        i, j = i[inside], j[inside]
+        for col, w in zip(out.T, weights.T):
+            col += np.bincount(j, weights=w[i], minlength=out.shape[0])
     return out
 
 

@@ -363,55 +363,63 @@ def _mass_read_cases():
     suite = {sc.name: sc for sc in fs.composition_suite(below)}
     lattice_atoms = {n: next(sc.measure for sc in fs.measure_suite(n)
                              if sc.name == "lattice-atoms") for n in (1, 2)}
-    # square's 784 atoms are read in one block; damped-contraction's 9216
-    # in several, whose sizes follow the pair count of the call
-    yield "lattice-atoms-sup", lattice_atoms[1], diag, 1, 0.0
-    yield "lattice-atoms-integral", lattice_atoms[1], below, 1, 0.0
-    yield "square-pullback", suite["square"].symbol, below, 1, 0.0
-    yield "damped-contraction-pullback", suite["damped-contraction"].symbol, below, 1, 5e-15
-    yield "gaussian", fs.gaussian(1.0, 1), diag, 1, 0.0
-    yield "polygrowth", fs.polygrowth(2.0, 1), below, 1, 0.0
-    yield "lattice-atoms-n2", lattice_atoms[2], params(2.0, 2.0, n=2), 2, 0.0
-    yield "gaussian-n2", fs.gaussian(1.0, 2), params(4.0, 2.0, n=2), 2, 0.0
+    # square's 784 atoms are read in one block, damped-contraction's 9216 in
+    # nine
+    yield "lattice-atoms-sup", lattice_atoms[1], diag, 1
+    yield "lattice-atoms-integral", lattice_atoms[1], below, 1
+    yield "square-pullback", suite["square"].symbol, below, 1
+    yield "damped-contraction-pullback", suite["damped-contraction"].symbol, below, 1
+    yield "gaussian", fs.gaussian(1.0, 1), diag, 1
+    yield "polygrowth", fs.polygrowth(2.0, 1), below, 1
+    yield "lattice-atoms-n2", lattice_atoms[2], params(2.0, 2.0, n=2), 2
+    yield "gaussian-n2", fs.gaussian(1.0, 2), params(4.0, 2.0, n=2), 2
+    # three blocks, some beyond each inner stage
+    rng = np.random.default_rng(2)
+    xy = rng.normal(scale=1.5, size=(3000, 4))
+    atoms = fs.AtomicMeasure(xy[:, :2] + 1j * xy[:, 2:], rng.uniform(0.1, 2.0, 3000), 2)
+    yield "random-atoms-n2", atoms, params(4.0, 2.0, n=2), 2
 
 
-@pytest.mark.parametrize("name, mu, P, n, rtol", list(_mass_read_cases()),
+@pytest.mark.parametrize("name, mu, P, n", list(_mass_read_cases()),
                          ids=[c[0] for c in _mass_read_cases()])
-def test_one_ball_mass_read_per_n1_verdict(monkeypatch, name, mu, P, n, rtol):
-    """An n = 1 verdict reads its ball masses once, at the outer stage's
-    centres, and each stage keeps its own: they equal a direct read on that
-    stage's centres, bit for bit when the atoms are read in one block. An
-    n = 2 verdict reads the stage measure, once per stage."""
+def test_one_ball_mass_read_per_n1_verdict(monkeypatch, name, mu, P, n):
+    """A verdict reads its atomic ball masses once, at the outer stage's
+    centres, at n = 1 and n = 2 alike, and each stage keeps its own: they
+    equal a direct read on that stage's centres, bit for bit. At n = 1 the
+    masses read mu itself. At n = 2 they read the stage measure: the one
+    atomic read walks the outer stage's atoms, each stage with the weights
+    of the atoms beyond it set to 0, and a density is read once per stage."""
     calls = []
-    for fn in ("ball_mass_many", "_radial_ball_masses"):
+    for fn in ("ball_mass_many", "_atom_ball_masses", "_radial_ball_masses"):
         real = getattr(carleson, fn)
         monkeypatch.setattr(carleson, fn, lambda *a, real=real: calls.append(a) or real(*a))
     stages = []
     real_stage = carleson._stage_values
 
-    def stage_spy(mu, params, t, s, r, regime, k, T, w_step, extra, centres, cnorm, part, mass):
-        stages.append((mu, regime, T, r, centres, cnorm, mass))
-        return real_stage(mu, params, t, s, r, regime, k, T, w_step, extra, centres, cnorm, part,
-                          mass)
+    def stage_spy(mu, params, t, s, r, regime, k, T, w_step, extra, cnorm, part, mass):
+        stages.append((mu, regime, T, r, cnorm, mass))
+        return real_stage(mu, params, t, s, r, regime, k, T, w_step, extra, cnorm, part, mass)
 
     monkeypatch.setattr(carleson, "_stage_values", stage_spy)
     if isinstance(mu, fs.SymbolPair):
         fs.classify_compop(mu, P)
     else:
         fs.classify_carleson(mu, P)
-    assert len(calls) == (1 if n == 1 else 3)
+    density_n2 = n == 2 and not isinstance(mu, fs.AtomicMeasure)
+    assert len(calls) == (3 if density_n2 else 1)
     assert len(stages) == 3
     T2 = stages[-1][2]
-    for lam, regime, T, r, centres, cnorm, mass in stages:
-        assert np.array_equal(centres, _stage_centres(lam, regime, T, T2, r, n))
-        if n == 2:
-            assert mass is None
-            continue
-        if isinstance(lam, fs.AtomicMeasure):
+    for lam, regime, T, r, cnorm, mass in stages:
+        centres = _stage_centres(lam, regime, T, T2, r, n)
+        assert np.array_equal(cnorm, np.linalg.norm(centres, axis=1))
+        if not isinstance(lam, fs.AtomicMeasure):
+            direct = _radial_ball_masses(lam, cnorm, r, math.inf if n == 1 else T)
+        elif n == 1:
             direct = fs.ball_mass_many(lam, centres, r)
         else:
-            direct = _radial_ball_masses(lam, cnorm, r, math.inf)
-        if rtol == 0.0:
-            assert np.array_equal(mass, direct)
-        else:
-            np.testing.assert_allclose(mass, direct, rtol=rtol, atol=0.0)
+            outer = fs.discretize(lam, T2)
+            cut = np.where(np.linalg.norm(outer.locations, axis=1) <= T, outer.weights, 0.0)
+            direct = fs.ball_mass_many(fs.AtomicMeasure(outer.locations, cut, n), centres, r)
+            np.testing.assert_allclose(
+                mass, fs.ball_mass_many(fs.discretize(lam, T), centres, r), rtol=1e-14)
+        assert np.array_equal(mass, direct)

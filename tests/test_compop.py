@@ -54,6 +54,23 @@ def test_zero_weight_trivial(params_m0):
     assert v.norm_estimate == 0.0
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_zero_weight_builds_no_grid(monkeypatch, n):
+    """The zero weight's transform is 0 and its pullback empty; neither
+    builds a z-grid or evaluates the weight, at m > 0 too."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the zero weight built a grid")
+
+    for fn in ("centred_grid", "log_abs", "norm_integrand_field"):
+        monkeypatch.setattr(compop, fn, refuse)
+    P = fs.Params(n=n, alpha=1.0, m=1, p=4.0, q=2.0)
+    zero = fs.affine_symbol(np.eye(n), None, fs.polynomial({}, n))
+    at = compop._log_transform_at(zero, P, P.q)
+    assert at(np.zeros(n)) == -math.inf and at(np.full(n, 2.0 + 1.0j)) == -math.inf
+    mu = compop.pullback_measure(zero, P)
+    assert len(mu) == 0 and mu.locations.shape == (0, n)
+
+
 def test_polynomial_symbol_flagged(params_m0):
     sq = fs.polynomial({(2,): 1.0}, 1)
     sym = fs.SymbolPair(fs.PolynomialMap((sq,)), fs.one(1))

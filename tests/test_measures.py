@@ -287,9 +287,10 @@ def test_density_weighted_mass_closed_form(n):
 
 
 def test_ball_mass_many_memory_is_bounded():
-    """Candidate pairs are enumerated in blocks of atoms, so 200,000 atoms
-    against a fine centre grid (2.5 million pairs) stay within a small
-    traced peak; enumerating every pair at once peaks near 140 MB."""
+    """Candidate pairs are enumerated in blocks of 1024 atoms, so 200,000
+    atoms against a fine centre grid (2.5 million pairs) stay within a
+    small traced peak (about 4 MB); enumerating every pair at once peaks
+    near 140 MB."""
     rng = np.random.default_rng(5)
     xy = rng.uniform(-5.0, 5.0, size=(200_000, 2))
     mu = fs.AtomicMeasure(xy[:, 0] + 1j * xy[:, 1], rng.uniform(0.1, 1.0, 200_000), 1)
@@ -300,7 +301,38 @@ def test_ball_mass_many_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 35e6
+    assert peak < 8e6
+
+
+def _call_independence_cases():
+    below = fs.Params(n=1, alpha=1.0, m=1, p=4.0, q=2.0)
+    suite = {sc.name: sc for sc in fs.composition_suite(below)}
+    # 9216 atoms, the n = 1 outer stage's lattice and scan grid at T2 = 9
+    pullback = fs.pullback_measure(suite["damped-contraction"].symbol, below)
+    lat = _stage_lattice(9.0, 1.0, 1).as_complex()
+    scan = grid_points([cube_axis(9.0, 0.25)] * 2)
+    yield "damped-contraction-n1", pullback, np.concatenate([lat, scan])
+    # about 80 centres per ball, so the pair count per atom moves with the
+    # centres asked
+    rng = np.random.default_rng(11)
+    xy = rng.uniform(-2.0, 2.0, size=(6000, 4))
+    atoms = fs.AtomicMeasure(xy[:, :2] + 1j * xy[:, 2:], rng.uniform(0.1, 2.0, 6000), 2)
+    yield "random-atoms-n2", atoms, grid_points([cube_axis(2.0, 0.5)] * 4)
+
+
+@pytest.mark.parametrize("name, mu, centres", list(_call_independence_cases()),
+                         ids=[c[0] for c in _call_independence_cases()])
+def test_ball_masses_do_not_depend_on_the_other_centres(name, mu, centres):
+    """Atoms are read in blocks of a fixed size, so a ball's mass is the
+    same, bit for bit, whichever other centres share the read: for the
+    inner half of the centres and for a random subset, on measures of more
+    than two blocks."""
+    assert len(mu) > 2 * measures._ATOMS_PER_BLOCK
+    masses = fs.ball_mass_many(mu, centres, 1.0)
+    norms = np.linalg.norm(centres, axis=1)
+    subset = np.random.default_rng(3).random(len(centres)) < 0.3
+    for sel in (norms <= np.median(norms), subset):
+        np.testing.assert_array_equal(masses[sel], fs.ball_mass_many(mu, centres[sel], 1.0))
 
 
 def test_berezin_of_lebesgue_is_constant():
