@@ -2,7 +2,7 @@
 
 Given source exponent p and target exponent q, a positive measure mu is
 tested through three comparable quantities built at mass scale r and
-damping s = m * t:
+damping s = m * q:
 
 * the kernel transform ``w -> int exp(-t a |z-w|^2/2)(1+|z|)^{-s} dmu``,
 * the averaging function ``w -> mu(B(w, r)) (1+|w|)^{-s}``,
@@ -296,7 +296,7 @@ def classify_carleson(
     t = params.q if t is None else float(t)
     if not (t > 0) or math.isinf(t):
         raise ValueError("transform exponent t must be finite and positive")
-    s = params.m * t
+    s = params.m * params.q
     regime, k = _regime_of(params)
     T1, w_step = _stage_geometry(mu, params.n, r, stage_radius)
     T2 = EXPANSION * T1
@@ -414,15 +414,8 @@ def embedding_ratio(f, mu: Measure, params: Params) -> float:
         if center is not None:
             # exp(-c|z-w|^2 - b|z|^2) peaks at cw/(c+b): complete the square.
             center = tuple(base.decay / decay * c for c in center)
-        fld = scalar_field(
-            _eval,
-            n=params.n,
-            decay=decay,
-            growth=base.growth + extra_growth,
-            center=center,
-            pad=base.pad,
-            compact_radius=mu.compact_extent,
-        )
+        fld = scalar_field(_eval, n=params.n, decay=decay, growth=base.growth + extra_growth,
+                           center=center, pad=base.pad, compact_radius=mu.compact_extent)
         num_q = integrate_gaussian(fld).value
     if num_q <= 0.0:
         return 0.0

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .grid import to_complex
 
@@ -122,6 +121,7 @@ def covering_multiplicity(lat: Lattice, rho: float, probes: np.ndarray) -> int:
 
     probes: real coordinates, shape (P, 2n).
     """
+    from scipy.spatial import cKDTree  # the lattice report alone needs scipy
     if rho <= 0:
         raise ValueError("rho must be positive")
     probes = np.asarray(probes, dtype=float).reshape(-1, 2 * lat.n)
@@ -132,8 +132,7 @@ def covering_multiplicity(lat: Lattice, rho: float, probes: np.ndarray) -> int:
 
 def _uniform_ball_probes(radius: float, dim: int, count: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    out = []
-    have = 0
+    out, have = [], 0
     while have < count:
         cand = rng.uniform(-radius, radius, size=(2 * count, dim))
         cand = cand[(cand ** 2).sum(axis=1) <= radius * radius]
@@ -148,16 +147,12 @@ def verify_lattice(lat: Lattice, probe_count: int, seed: int) -> LatticeReport:
     Probes are uniform on {|z| <= domain_radius - r}. A probe is uncovered
     when no center lies strictly within r of it.
     """
+    from scipy.spatial import cKDTree
     tree = cKDTree(lat.centers)
     dd, _ = tree.query(lat.centers, k=min(2, len(lat)))
     min_pair = float(dd[:, 1].min()) if len(lat) > 1 else math.inf
     probes = _uniform_ball_probes(lat.domain_radius - lat.r, 2 * lat.n, probe_count, seed)
     dist, _ = tree.query(probes)
     uncovered = int((dist >= lat.r).sum())
-    return LatticeReport(
-        min_pair_distance=min_pair,
-        uncovered_probe_count=uncovered,
-        max_probe_distance=float(dist.max()),
-        probe_count=probe_count,
-        seed=seed,
-    )
+    return LatticeReport(min_pair_distance=min_pair, uncovered_probe_count=uncovered,
+                         max_probe_distance=float(dist.max()), probe_count=probe_count, seed=seed)

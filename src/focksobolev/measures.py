@@ -6,7 +6,8 @@ growth, a compact ring, and a power times a Gaussian of either sign,
 the pullback of a radial symbol pair). Atomic sums are exact. Every
 catalog density is radial, so each of its objects is a one-dimensional
 integral in s = |z|, taken by one radial rule: Gauss-Legendre on panels
-in s.
+in s, in chunks of distinct radii, with numpy's Bessel kernel ``_ive``.
+Atomic ball masses find their (atom, centre) pairs in a cell list.
 
 The two observables driving the embedding theory are the ball mass
 ``mu(B(w, r))`` scaled by ``(1 + |w|)^{-s}`` and the Gaussian-kernel
@@ -15,13 +16,12 @@ transform ``w -> int exp(-t a |z - w|^2 / 2) (1 + |z|)^{-s} dmu(z)``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import i0e, i1e
 
 from .grid import leggauss, to_real
 from .quadrature import truncation_radius
@@ -215,6 +215,11 @@ def _integrate(weights: np.ndarray, *factors) -> np.ndarray:
         return np.nansum(weights * math.prod(factors), axis=-1)
 
 
+# Distinct |c| or radii per chunk of the radial rules: their (2, chunk, 48)
+# temporaries stay below glibc's mmap threshold, and _ive runs in cache.
+_RADIAL_CHUNK = 128
+
+
 def _radial_ball_masses(mu: DensityMeasure, norms: np.ndarray, radius: float,
                         extent: float) -> np.ndarray:
     """mu(B(c, radius)) at |c| = norms, for mu restricted to |z| <= extent.
@@ -226,15 +231,50 @@ def _radial_ball_masses(mu: DensityMeasure, norms: np.ndarray, radius: float,
     ||c| - radius|, then caps up to |c| + radius.
     """
     a, inverse = np.unique(norms, return_inverse=True)
-    edge = np.abs(a - radius)
-    s, w = _radial_rule(*_cut(mu, np.stack([np.maximum(a - radius, 0.0), edge]),
-                              np.stack([edge, a + radius]), extent))
-    cos = np.clip((s ** 2 + a[:, None] ** 2 - radius ** 2)
-                  / np.maximum(2.0 * s * a[:, None], 1e-300), -1.0, 1.0)
-    theta = np.arccos(cos)
-    cap = theta if mu.n == 1 else theta - np.sqrt(1.0 - cos ** 2) * cos
-    mass = _integrate(w, mu.profile(s), _sphere(s, mu.n), cap / math.pi).sum(axis=0)
+    mass = np.empty(a.size)
+    for lo in range(0, a.size, _RADIAL_CHUNK):
+        c = a[lo:lo + _RADIAL_CHUNK]
+        edge = np.abs(c - radius)
+        s, w = _radial_rule(*_cut(mu, np.stack([np.maximum(c - radius, 0.0), edge]),
+                                  np.stack([edge, c + radius]), extent))
+        cos = np.clip((s ** 2 + c[:, None] ** 2 - radius ** 2)
+                      / np.maximum(2.0 * s * c[:, None], 1e-300), -1.0, 1.0)
+        theta = np.arccos(cos)
+        cap = theta if mu.n == 1 else theta - np.sqrt(1.0 - cos ** 2) * cos
+        mass[lo:lo + _RADIAL_CHUNK] = _integrate(w, mu.profile(s), _sphere(s, mu.n),
+                                                 cap / math.pi).sum(axis=0)
     return mass[inverse.reshape(-1)]
+
+
+# Horner coefficients, highest power first, of e^{-x} I_nu(x): the power
+# series sum_k y^k / (k! (k + nu)!) in y = x^2 / 4 below _IVE_SPLIT and
+# Hankel's expansion sum_k (-1)^k a_k(nu) / x^k above, each to 2^-56 at it.
+_IVE_SPLIT = 20.0
+_IVE = {nu: ([1.0 / (math.factorial(k) * math.factorial(k + nu)) for k in range(34, -1, -1)],
+             list(itertools.accumulate(range(1, 26), initial=1.0, func=lambda a, k:
+                                       a * ((2 * k - 1) ** 2 - 4 * nu * nu) / (8 * k)))[::-1])
+        for nu in (0, 1)}
+
+
+def _horner(coefficients: list, y: np.ndarray) -> np.ndarray:
+    acc = np.full_like(y, coefficients[0])
+    for c in coefficients[1:]:
+        acc *= y
+        acc += c
+    return acc
+
+
+def _ive(nu: int, x: np.ndarray) -> np.ndarray:
+    """e^{-x} I_nu(x) for nu in {0, 1} and x >= 0, within 2.1e-15 relative of
+    the Cephes i0e and i1e: (x / 2)^nu e^{-x} times the power series below
+    _IVE_SPLIT, Hankel's expansion over sqrt(2 pi x) above."""
+    flat, out = x.ravel(), np.empty(x.size)
+    low, high = np.flatnonzero(flat < _IVE_SPLIT), np.flatnonzero(flat >= _IVE_SPLIT)
+    v = flat[low]
+    out[low] = _horner(_IVE[nu][0], v * v / 4.0) * np.exp(-v) * (v / 2.0) ** nu
+    v = flat[high]
+    out[high] = _horner(_IVE[nu][1], 1.0 / v) / np.sqrt(2.0 * math.pi * v)
+    return out.reshape(x.shape)
 
 
 def _radial_transform(mu: DensityMeasure, c: float, s: float, extent: float) -> tuple:
@@ -242,22 +282,26 @@ def _radial_transform(mu: DensityMeasure, c: float, s: float, extent: float) -> 
     restricted to |z| <= extent, at radii |w| in [0, extent].
 
     The sphere average of exp(-c |w - z|^2) over |z| = s is
-    exp(-c (s - |w|)^2) A_n(2 c s |w|), with A_1 = i0e(x) and
-    A_2 = 2 i1e(x) / x. Returns (radii, values, weights): the radii are
+    exp(-c (s - |w|)^2) A_n(2 c s |w|), with A_1 = _ive(0, x) and
+    A_2 = 2 _ive(1, x) / x. Returns (radii, values, weights): the radii are
     the radial rule's nodes on unit panels of [0, extent], and the weights
     integrate a function of |w| over the ball |w| <= extent.
     """
     edges = np.append(np.arange(0.0, extent, 1.0), extent)
     radii, dr = (x.ravel() for x in _radial_rule(edges[:-1], edges[1:]))
-    # two panels per radius, which meet at the Gaussian's peak, out to where
-    # the Gaussian factor falls below exp(-40)
-    rho, tail = radii[:, None], math.sqrt(40.0 / c)
-    z, w = _radial_rule(*_cut(mu, np.stack([radii - tail, radii]),
-                              np.stack([radii, radii + tail]), extent))
-    x = np.maximum(2.0 * c * z * rho, 1e-300)
-    mean = i0e(x) if mu.n == 1 else 2.0 * i1e(x) / x
-    values = _integrate(w, mu.profile(z), (1.0 + z) ** (-s), _sphere(z, mu.n),
-                        np.exp(-c * (z - rho) ** 2) * mean).sum(axis=0)
+    values = np.empty(radii.size)
+    tail = math.sqrt(40.0 / c)
+    for lo in range(0, radii.size, _RADIAL_CHUNK):
+        # two panels per radius, which meet at the Gaussian's peak, out to
+        # where the Gaussian factor falls below exp(-40)
+        rho = radii[lo:lo + _RADIAL_CHUNK, None]
+        z, w = _radial_rule(*_cut(mu, np.stack([rho[:, 0] - tail, rho[:, 0]]),
+                                  np.stack([rho[:, 0], rho[:, 0] + tail]), extent))
+        x = np.maximum(2.0 * c * z * rho, 1e-300)
+        mean = _ive(0, x) if mu.n == 1 else 2.0 * _ive(1, x) / x
+        values[lo:lo + _RADIAL_CHUNK] = _integrate(
+            w, mu.profile(z), (1.0 + z) ** (-s), _sphere(z, mu.n),
+            np.exp(-c * (z - rho) ** 2) * mean).sum(axis=0)
     return radii, values, dr * _sphere(radii, mu.n)
 
 
@@ -279,18 +323,48 @@ def ball_mass_many(mu: Measure, centers: np.ndarray, radius: float) -> np.ndarra
 def _atom_ball_masses(mu: AtomicMeasure, weights: np.ndarray, centers: np.ndarray,
                       radius: float) -> np.ndarray:
     """Ball masses (N, S) at centers (N, n) of mu's atoms under each column of
-    weights (len(mu), S), summed as a read of that column alone would. The
-    atoms go in blocks of _ATOMS_PER_BLOCK; a kd-tree over the centres gives
-    each block's candidate (centre, atom) pairs."""
+    weights (len(mu), S), summed as a read of that column alone would.
+
+    The centres are sorted by cell key in a cell list of side h >= radius / k,
+    k = 3 - n (the faster on the suites' reads), so a ball's pairs lie in
+    (2k + 1)^(2n - 1) runs of 2k + 1 keys along the last axis, which one
+    searchsorted per distinct atom cell of a block of _ATOMS_PER_BLOCK
+    finds. Candidates within the padded radius in real coordinates are
+    pairs, those within 1e-12 of it by the strict |z - c| < radius of
+    np.linalg.norm; in atom order, so a mass depends on mu, c and r alone."""
     out = np.zeros((centers.shape[0], weights.shape[1]))
-    tree = cKDTree(to_real(centers))
-    real = to_real(mu.locations)
-    for lo in range(0, len(mu), _ATOMS_PER_BLOCK):
-        # the padded radius keeps every pair the strict test below accepts
-        pairs = cKDTree(real[lo:lo + _ATOMS_PER_BLOCK]).sparse_distance_matrix(
-            tree, radius * (1.0 + 1e-12), output_type="ndarray")
-        i, j = pairs["i"] + lo, pairs["j"]
-        inside = np.linalg.norm(mu.locations[i] - centers[j], axis=1) < radius
+    if len(mu) == 0 or centers.shape[0] == 0:
+        return out
+    real, creal, k = to_real(mu.locations), to_real(centers), 3 - mu.n
+    # at most 8192 cells across the centres' box keeps the keys within int64
+    h = max(radius * (1.0 + 1e-9) / k, float(np.abs(creal).max()) / 4096.0)
+    ccell = np.floor(creal / h).astype(np.int64)
+    lo = ccell.min(axis=0) - 2 * k
+    span = ccell.max(axis=0) - lo + 2 * k + 1
+    stride = np.cumprod(np.append(1, span[:0:-1]))[::-1]
+    order = np.argsort((ccell - lo) @ stride, kind="stable")
+    keys, cols = ((ccell - lo) @ stride)[order], list(creal[order].T.copy())
+    ax = real.shape[1] - 1
+    runs = (np.indices((2 * k + 1,) * ax).reshape(ax, -1).T - k) @ stride[:-1] - k
+    inner, outer = (radius * (1.0 - 1e-12)) ** 2, (radius * (1.0 + 1e-12)) ** 2
+    for first in range(0, len(mu), _ATOMS_PER_BLOCK):
+        cell = np.floor(real[first:first + _ATOMS_PER_BLOCK] / h)
+        # an atom more than k cells outside the centres' box has no candidate
+        atom = np.flatnonzero(np.all((cell >= lo + k) & (cell < lo + span - k), axis=1))
+        ucell, inv = np.unique((cell[atom].astype(np.int64) - lo) @ stride, return_inverse=True)
+        start = np.searchsorted(keys, ucell[:, None] + runs)[inv].ravel()
+        count = np.searchsorted(keys, ucell[:, None] + runs + 2 * k, "right")[inv].ravel() - start
+        per_atom = count.reshape(atom.size, runs.size).sum(axis=1)
+        pos = np.arange(count.sum()) + np.repeat(start + count - np.cumsum(count), count)
+        d2 = np.zeros(pos.size)
+        for col, x in zip(cols, real[first + atom].T):
+            diff = np.repeat(x, per_atom)
+            diff -= col.take(pos)
+            d2 += np.square(diff, out=diff)
+        hit = np.flatnonzero(d2 <= outer)
+        i, j, inside = np.repeat(first + atom, per_atom)[hit], order[pos[hit]], d2[hit] < inner
+        edge = np.flatnonzero(~inside)
+        inside[edge] = np.linalg.norm(mu.locations[i[edge]] - centers[j[edge]], axis=1) < radius
         i, j = i[inside], j[inside]
         for col, w in zip(out.T, weights.T):
             col += np.bincount(j, weights=w[i], minlength=out.shape[0])
@@ -330,15 +404,17 @@ def _own_grid(real: np.ndarray, dw: np.ndarray, shape: tuple, budget: int):
     per-axis coordinates, and that grid's axes. None when the grid tops
     the budget or its first contraction costs more multiply-adds than the
     Khatri-Rao product, decided from the unique counts alone."""
-    axes = []
+    axes, where = [], []
     for col in real.T:
-        axes.append(np.unique(col))
+        g, i = np.unique(col, return_inverse=True)  # so numpy.ma (15 ms) stays unloaded
+        axes.append(g)
+        where.append(i)
         if math.prod(g.size for g in axes) > budget:
             return None
     sizes = [g.size for g in axes]
     if math.prod(sizes) * shape[0] > len(dw) * math.prod(shape):
         return None
-    idx = np.ravel_multi_index([np.searchsorted(g, x) for g, x in zip(axes, real.T)], sizes)
+    idx = np.ravel_multi_index(where, sizes)
     return np.bincount(idx, weights=dw, minlength=math.prod(sizes)).reshape(sizes), axes
 
 

@@ -8,7 +8,8 @@ carrying a declared envelope
 with K fitted by sampling the first time a tail bound reads it. The
 envelope drives the choice of truncation radius through a closed-form
 radial tail bound, and the tail contribution is folded into the reported
-error estimate.
+error estimate. The bound's regularised Gamma function Q(a, x) is pure
+Python: the series of 1 - Q below x = a + 1, a continued fraction above.
 
 The integration rule is a polar product rule on the ball about the field's
 declared center whose radius is the truncation radius plus the field's pad;
@@ -40,7 +41,6 @@ from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .grid import (cube_axis, eight_directions, grid_points, leggauss, pattern_search,
                    to_complex, to_real)
@@ -135,23 +135,37 @@ def truncation_radius(c: float, d: float, eps_tail: float, n: int = 1) -> float:
     raise QuadratureError("tail bound did not reach tolerance within scan range")
 
 
+def _gamma_q(a: float, x: float) -> float:
+    """Regularised Gamma function Q(a, x), a > 0, x >= 0: 1 - the series of P
+    below x = a + 1, Lentz's continued fraction above; 0 once e^-x x^a underflows."""
+    front = math.exp(a * math.log(x) - x - math.lgamma(a)) if x > 0 else 0.0
+    k, b, c = 0, x + 1.0 - a, 1e300
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        while term >= total * 2.0 ** -54:
+            k += 1
+            term *= x / (a + k)
+            total += term
+        return 1.0 - front * total
+    h = step = d = 1.0 / b
+    while abs(step - 1.0) >= 2.0 ** -53:
+        k, b = k + 1, b + 2.0
+        d, c = 1.0 / (b - k * (k - a) * d), b - k * (k - a) / c
+        step = c * d
+        h *= step
+    return front * h
+
+
 def _log_tail(c: float, d: float, n: int, radius: float) -> float:
     """log of the tail bound of :func:`truncation_radius` at R = radius:
     (2 pi^n / Gamma(n)) 2^{d-1} c^{-(n+d/2)} Gamma(n + d/2, c R^2), or -inf
     where the regularised Gamma function underflows to zero."""
     a = n + d / 2.0
-    frac = float(gammaincc(a, c * radius * radius))
+    frac = _gamma_q(a, c * radius * radius)
     if frac <= 0.0:
         return -math.inf
-    return (
-        math.log(2.0)
-        + n * math.log(math.pi)
-        - math.lgamma(n)
-        + (d - 1.0) * math.log(2.0)
-        - a * math.log(c)
-        + math.log(frac)
-        + math.lgamma(a)
-    )
+    return (math.log(2.0) + n * math.log(math.pi) - math.lgamma(n) + (d - 1.0) * math.log(2.0)
+            - a * math.log(c) + math.log(frac) + math.lgamma(a))
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,15 +217,9 @@ class ScalarField:
         return to_real(np.asarray(self.center, dtype=complex).reshape(1, self.n))[0]
 
 
-def scalar_field(
-    evaluate: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    decay: float,
-    growth: float,
-    center: Optional[Sequence[complex]] = None,
-    pad: float = 0.0,
-    compact_radius: Optional[float] = None,
-) -> ScalarField:
+def scalar_field(evaluate: Callable[[np.ndarray], np.ndarray], n: int, decay: float,
+                 growth: float, center: Optional[Sequence[complex]] = None, pad: float = 0.0,
+                 compact_radius: Optional[float] = None) -> ScalarField:
     """Build a ScalarField with its center as a tuple of complex numbers."""
     if n not in (1, 2):
         raise ValueError("only n in {1, 2} is supported")
@@ -226,10 +234,7 @@ def _fit_envelope_const(field: ScalarField) -> float:
     inequality holds at every sampled point by construction."""
     if field.decay <= 0 and field.compact_radius is None:
         return 1.0
-    if field.compact_radius is not None:
-        r_max = field.compact_radius
-    else:
-        r_max = field.tail_radius
+    r_max = field.tail_radius if field.compact_radius is None else field.compact_radius
     radii = np.array([0.0, 0.25, 0.5, 1.0, 2.0]) * max(r_max, 1e-6)
     dirs = _FIT_DIRECTIONS[field.n]
     ctr = field.center_coords()

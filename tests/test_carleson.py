@@ -36,6 +36,20 @@ def test_infinite_target_exponent_rejected():
         fs.classify_carleson(fs.gaussian(1.0, 1), params(2.0, math.inf))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p", [2.0, 4.0, math.inf])
+def test_transform_exponent_does_not_move_a_suite_verdict(n, p):
+    """The damping is m q, whatever the transform exponent t: at m = 1,
+    q = 2, t = 4 and r = 1 every measure of the suite gets the verdict of
+    the default t = q."""
+    P = params(p, 2.0, m=1, n=n)
+    for ms in fs.measure_suite(n):
+        base = fs.classify_carleson(ms.measure, P)
+        other = fs.classify_carleson(ms.measure, P, t=4.0, r=1.0)
+        assert ((other.is_carleson, other.is_vanishing)
+                == (base.is_carleson, base.is_vanishing)), ms.name
+
+
 def test_transform_exponent_must_be_positive():
     with pytest.raises(ValueError):
         fs.classify_carleson(fs.gaussian(1.0, 1), params(2.0, 2.0), t=-1.0)

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import gamma, gammainc
+from scipy.special import gamma, gammainc, i0e, i1e
 
 import focksobolev as fs
 from focksobolev import compop, measures
 from focksobolev.carleson import _stage_lattice
-from focksobolev.grid import cube_axis, grid_points
-from focksobolev.measures import _gauss_transform, _radial_ball_masses, _radial_transform
+from focksobolev.grid import cube_axis, grid_points, to_complex
+from focksobolev.measures import (DensityMeasure, _gauss_transform, _radial_ball_masses,
+                                  _radial_transform)
 
 
 def delta(w=0.0 + 0.0j, weight=1.0):
@@ -333,6 +334,59 @@ def test_ball_masses_do_not_depend_on_the_other_centres(name, mu, centres):
     subset = np.random.default_rng(3).random(len(centres)) < 0.3
     for sel in (norms <= np.median(norms), subset):
         np.testing.assert_array_equal(masses[sel], fs.ball_mass_many(mu, centres[sel], 1.0))
+
+
+def _tie_cases():
+    """Atoms at random and on the step-0.25 grid of the centres, so that many
+    lie at exactly the radius 1 from a centre (four steps along an axis,
+    and at n = 2 half a unit on every axis)."""
+    rng = np.random.default_rng(21)
+    step = np.arange(-8, 9) * 0.25
+    for n, count in ((1, 1100), (2, 700)):
+        on_grid = rng.choice(step, size=(count // 2, 2 * n))
+        xy = np.concatenate([rng.uniform(-2.0, 2.0, size=(count - count // 2, 2 * n)), on_grid])
+        centres = grid_points([step[4:-4] if n == 2 else step[2:-2]] * (2 * n))
+        yield n, fs.AtomicMeasure(to_complex(xy), np.ones(count), n), centres
+
+
+@pytest.mark.parametrize("n, mu, centres", list(_tie_cases()), ids=["n1", "n2"])
+def test_cell_list_pairs_are_the_strict_pairs(n, mu, centres):
+    """With one weight column per atom, the ball masses are the incidence
+    matrix of the pairs the cell list accepts: it equals the brute-force
+    strict test |z - c| < 1, ties at distance exactly 1 left out."""
+    dist = np.linalg.norm(mu.locations[:, None, :] - centres[None, :, :], axis=2)
+    assert np.count_nonzero(dist == 1.0) > 100
+    got = measures._atom_ball_masses(mu, np.eye(len(mu)), centres, 1.0)
+    np.testing.assert_array_equal(got, (dist < 1.0).T.astype(float))
+
+
+@pytest.mark.parametrize("nu, reference", [(0, i0e), (1, i1e)])
+def test_ive_matches_cephes(nu, reference):
+    """The numpy kernel e^{-x} I_nu(x) against scipy's Cephes i0e and i1e
+    from 1e-300 to 1e6, across the split at 20, within 2.1e-15 relative;
+    i1e(0) = 0 exactly. The shape of x is kept."""
+    x = np.concatenate([np.geomspace(1e-300, 1e-3, 499), np.linspace(0.0, 60.0, 60001),
+                        np.geomspace(60.0, 1e6, 2000)]).reshape(-1, 4)
+    got = measures._ive(nu, x)
+    assert got.shape == x.shape
+    np.testing.assert_allclose(got, reference(x), rtol=2.1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_radial_chunks_are_bit_identical(n, monkeypatch):
+    """The radial rules run over chunks of distinct |c| and of radii. Each
+    is summed on its own, so three chunks give one unchunked pass's ball
+    masses and transform bit for bit."""
+    pullback = DensityMeasure("power-gaussian", n, scale=4.0, rate=3.0, power=2.0)
+    norms = np.linspace(0.0, 8.0, 301)
+    for mu in (fs.gaussian(0.4, n), fs.polygrowth(1.5, n), pullback):
+        chunked = [_radial_ball_masses(mu, norms, 1.0, 7.5), *_radial_transform(mu, 1.0, 2.0, 7.0)]
+        assert chunked[1].size > 2 * measures._RADIAL_CHUNK
+        with monkeypatch.context() as m:
+            m.setattr(measures, "_RADIAL_CHUNK", 10 ** 9)
+            whole = [_radial_ball_masses(mu, norms, 1.0, 7.5), *_radial_transform(mu, 1.0, 2.0, 7.0)]
+        for a, b in zip(chunked, whole):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_berezin_of_lebesgue_is_constant():

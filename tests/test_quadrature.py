@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import ive
+from scipy.special import gammaincc, ive
 
 import focksobolev as fs
 from focksobolev import quadrature
@@ -57,6 +57,19 @@ def test_gaussian_scale_property(c):
     val, _, _ = fs.integrate_gaussian(field)
     expect = math.pi / c
     assert abs(val - expect) / expect < 1e-6
+
+
+def test_gamma_q_matches_gammaincc():
+    """The pure-Python Q(a, x) against scipy's gammaincc on the range the
+    tail bound reads (a = n + d/2 up to 20, x = c R^2 up to 200) within
+    2e-14 relative; like gammaincc it is 1 at x = 0 and underflows to 0
+    far out, where the tail's log is -inf."""
+    a = np.array([1.0, 1.5, 2.0, 2.5, 3.5, 5.0, 6.0, 9.0, 12.0, 20.0])[:, None]
+    x = np.concatenate([[0.0, 1e-8], np.arange(0.25, 200.0, 0.125)])[None, :]
+    got = np.vectorize(quadrature._gamma_q)(a, x)
+    np.testing.assert_allclose(got, gammaincc(a, x), rtol=2e-14, atol=0.0)
+    assert quadrature._gamma_q(1.0, 800.0) == gammaincc(1.0, 800.0) == 0.0
+    assert quadrature._log_tail(1.0, 0.0, 1, 30.0) == -math.inf
 
 
 def test_truncation_radius_monotone_in_tolerance():
