@@ -7,9 +7,12 @@ with a new seed per pair; the side that runs first alternates from pair
 to pair. The change checkout defaults to the one holding this script.
 Writes ``BENCH_<W>.json`` at the root of the checkout holding this
 script: every run's four end-to-end metrics, its commit and its
-correctness, plus each metric's first quartile, median and third
-quartile per side, and the number of pairs in which the change read
-lower (ties count for neither side).
+correctness and its per-operation medians, plus each metric's first
+quartile, median and third quartile per side, the number of pairs in
+which the change read lower (ties count for neither side), and per side
+each operation's median seconds: the median over the side's runs of
+each run's median over its passes, read from the run records'
+``passes[*].ops``.
 """
 
 from __future__ import annotations
@@ -34,9 +37,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(res.stdout.strip().splitlines()[-1])
     record = json.loads((checkout / "perfbench" / "runs"
                          / f"{workload}-seed{seed}-trace0.json").read_text())
+    op_s = {}
+    for p in record["passes"]:
+        for op in p["ops"]:
+            op_s.setdefault(op["name"], []).append(op["s"])
     return {"git_sha": record["git_sha"], "env": record["env"],
             "correct": result["correct"], "failed": result["failed"],
-            "metrics": {m: result["metrics"][m]["value"] for m in METRICS}}
+            "metrics": {m: result["metrics"][m]["value"] for m in METRICS},
+            "op_median_s": {name: statistics.median(s) for name, s in op_s.items()}}
 
 
 def main(argv=None) -> int:
@@ -64,8 +72,11 @@ def main(argv=None) -> int:
                         for m in METRICS} for side, rs in by_side.items()}
     lower = {m: sum(c["metrics"][m] < p["metrics"][m]
                     for p, c in zip(by_side["parent"], by_side["change"])) for m in METRICS}
+    op_median = {side: {name: statistics.median(r["op_median_s"][name] for r in rs)
+                        for name in rs[0]["op_median_s"]} for side, rs in by_side.items()}
     out = {"workload": args.workload, "seconds": args.seconds, "pairs": args.pairs,
-           "runs": runs, "q1_median_q3": quartiles, "change_lower_in_pairs": lower}
+           "runs": runs, "q1_median_q3": quartiles, "change_lower_in_pairs": lower,
+           "op_median_s": op_median}
     path = ROOT / f"BENCH_{args.workload}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(json.dumps({"q1_median_q3": quartiles, "change_lower_in_pairs": lower}))

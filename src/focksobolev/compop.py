@@ -10,12 +10,13 @@ together with its pullback measure, whose atoms sit at psi(z_i) and
 reproduce B as a measure transform. All exponent arithmetic is done in
 log space; affine symbols psi(z) = Az + b complete the square exactly,
 so their z-integrals converge for every matrix, and unboundedness shows
-up only in the growth of B along w. At m = 0 with a constant or
-one-kernel weight (centre c, else c = 0), log B(w) - kappa(w) with
-kappa(w) = (q a/2)(|A*w + c|^2 - |w|^2) + q a Re<b, w> is one sum per
-z-grid, taken once; other symbols are integrated at each w. A polynomial
-symbol of degree at most 1 is turned into its affine map; those of higher
-degree get a staged z truncation check instead.
+up only in the growth of B along w. B is read at a batch of w at once.
+At m = 0 with a constant or one-kernel weight (centre c, else c = 0),
+log B(w) - kappa(w) with kappa(w) = (q a/2)(|A*w + c|^2 - |w|^2)
++ q a Re<b, w> is one sum per z-grid, and kappa one array expression;
+other symbols are summed at each w, a non-affine one from w-free terms
+kept per grid. A polynomial symbol of degree at most 1 is turned into
+its affine map; those of higher degree get a staged z truncation check.
 
 Boundedness and compactness are decided per exponent regime: sup and
 decay of B at or above the diagonal, pullback measure classification
@@ -111,7 +112,7 @@ class AffineMap:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("matrix must be square")
         off = np.zeros(mat.shape[0]) if self.offset is None else self.offset
-        off = np.asarray(off, dtype=complex).reshape(mat.shape[0])
+        off = np.array(off, dtype=complex).reshape(mat.shape[0])  # a contiguous copy
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "offset", off)
 
@@ -120,10 +121,23 @@ class AffineMap:
         return self.matrix.shape[0]
 
     def apply(self, pts: np.ndarray) -> np.ndarray:
-        return pts @ self.matrix.T + self.offset[None, :]
+        return _times(pts, self.matrix, self.offset)
 
-    def adjoint(self, w: np.ndarray) -> np.ndarray:
-        return np.conj(self.matrix).T @ np.asarray(w, dtype=complex).reshape(self.n)
+    def adjoint(self, w) -> np.ndarray:
+        """A* w at one point (n,) or at each row of (k, n)."""
+        return _times(np.asarray(w, dtype=complex), np.conj(self.matrix).T, 0.0)
+
+
+def _times(pts: np.ndarray, mat: np.ndarray, offset) -> np.ndarray:
+    """pts @ mat.T + offset column by column, without BLAS: a threaded product
+    can stall a process for milliseconds. Entries act by their real and imaginary
+    parts, so at n = 1 the bits are BLAS's (numpy's complex product's are not)."""
+    out = np.empty(np.shape(pts)[:-1] + mat.shape[:1], dtype=complex)
+    for k, row in enumerate(mat):
+        terms = [pts[..., j] * p for j, m in enumerate(row) for p in (m.real, 1j * m.imag) if p]
+        out[..., k] = sum(terms[1:], terms[0]) if terms else 0.0
+    out += offset
+    return out
 
 
 @dataclass(frozen=True)
@@ -146,8 +160,7 @@ class PolynomialMap:
         return len(self.components)
 
     def apply(self, pts: np.ndarray) -> np.ndarray:
-        cols = [_poly_values(c, pts) for c in self.components]
-        return np.stack(cols, axis=1)
+        return np.stack([_poly_values(c, pts) for c in self.components], axis=1)
 
     @property
     def degree(self) -> int:
@@ -208,17 +221,6 @@ def _w_free_terms(sym: SymbolPair, params: Params, q: float, pts: np.ndarray) ->
     return psi_v, L, 0.0
 
 
-def _add_w(terms: tuple, a: float, q: float, w: np.ndarray) -> np.ndarray:
-    """The log integrand at w from its w-free terms."""
-    psi_v, L, discount = terms
-    if psi_v.shape[1] == 1:
-        # Re(psi conj(w)) in real arithmetic, bit-equal to the matmul's
-        pairing = psi_v.real[:, 0] * w.real[0] + psi_v.imag[:, 0] * w.imag[0]
-    else:
-        pairing = (psi_v @ np.conj(w)).real
-    return L + q * a * pairing - q * a * float(np.vdot(w, w).real) / 2.0 - discount
-
-
 def _logsumexp(L: np.ndarray) -> float:
     """log sum exp(L) of a 1-d array, from the terms that can move it.
 
@@ -230,19 +232,29 @@ def _logsumexp(L: np.ndarray) -> float:
     the rest summed as exp(L - max), then log1p(sum / count) + log(count)
     + max. A max that is not finite is the result, as it is scipy's.
     """
-    top = np.max(L)
+    top = L.max()
     if not np.isfinite(top):
         return float(top)
     d = L[L >= top + math.log(2.0 ** -53 / L.size)] - top
     at_top = d == 0.0
     count = np.float64(np.count_nonzero(at_top))
     d[at_top] = -np.inf
-    return float(np.log1p(np.sum(np.exp(d)) / count) + np.log(count) + top)
+    return float(np.log1p(np.exp(d).sum() / count) + np.log(count) + top)
 
 
-def _log_integrand(sym: SymbolPair, params: Params, q: float, w: np.ndarray,
-                   pts: np.ndarray) -> np.ndarray:
-    return _add_w(_w_free_terms(sym, params, q, pts), params.alpha, q, w)
+def _folded_sum(terms: tuple, w: np.ndarray, qa: float, buf: tuple) -> float:
+    """log sum over a z-grid of the log integrand at w, t = R^T (Re w, Im w)
+    + L - q a |w|^2 / 2 - discount, from its w-free terms (R, L, discount),
+    R = q a (Re psi, Im psi) as rows (2n, N); t is built in buf's arrays."""
+    (R, L, discount), (t, tmp), c = terms, buf, w.view(float)
+    np.multiply(R[0], c[0], out=t)
+    for row, cj in zip(R[1:], c[1:]):
+        t += np.multiply(row, cj, out=tmp)
+    t += L
+    t -= qa * float(np.vdot(w, w).real) / 2.0
+    if np.ndim(discount):
+        t -= discount
+    return _logsumexp(t)
 
 
 def _pullback_geometry(sym: SymbolPair, n: int) -> tuple:
@@ -261,58 +273,56 @@ def _pullback_geometry(sym: SymbolPair, n: int) -> tuple:
         # for a quadratic map
         return (3.5 if n == 1 else 2.4), step
     pinv_norm = float(np.linalg.norm(np.linalg.pinv(sym.psi.matrix), 2))
-    off_norm = float(np.linalg.norm(sym.psi.offset))
-    rad = pinv_norm * (T2 + off_norm) + 1.0
+    rad = pinv_norm * (T2 + float(np.linalg.norm(sym.psi.offset))) + 1.0
     return max(2.0, min(rad, 12.0 if n == 1 else 7.0)), step
 
 
 def _log_transform_at(sym: SymbolPair, params: Params, q: float, scale: float = 1.0):
-    """w -> log of the composition transform at w, on one z-grid.
+    """Points w (k, n) -> the k logs of the composition transform, on one z-grid.
 
     The z-grid has ``scale * _Z_CELLS[n]`` cells per axis over ``scale``
-    times the base radius, at the base step. It is built once: re-centred
-    for each w when affine, else with its w-free terms kept. An affine grid
-    is the cube of the weight's norm integrand envelope (tail radius plus
-    pad) about A*w plus its centre. Where log B - kappa is fixed (module
-    docstring; an envelope with neither growth nor pad) the grid is summed
-    once and later values are kappa(w) plus that difference.
+    times the base radius, at the base step, built once. An affine grid is
+    re-centred at A*w plus the weight envelope's centre (its tail radius
+    plus pad is the radius), a non-affine one keeps its w-free terms; each
+    sum is one :func:`_folded_sum`. Where log B - kappa is fixed (module
+    docstring: no envelope growth nor pad) the first w alone is summed.
     """
-    n, a = params.n, params.alpha
+    n, qa = params.n, q * params.alpha
     if isinstance(sym.u, Polynomial) and sym.u.is_zero():
-        return lambda w: -math.inf  # the zero weight's transform is 0
+        return lambda w: np.full(np.size(w) // n, -math.inf)  # the zero weight's transform
     env = norm_integrand_field(sym.u, params, q)
     radius = env.tail_radius + env.pad if sym.is_affine else _POLY_Z_RADIUS[n]
     offs, h = centred_grid(scale * radius, int(round(scale * _Z_CELLS[n])), n)
     shift = np.asarray(env.center or np.zeros(n), dtype=complex)
     rigid = sym.is_affine and env.growth == 0.0 and env.pad == 0.0
-    terms = None if sym.is_affine else _w_free_terms(sym, params, q, offs)
-    rest = None  # log B(w) - kappa(w), for a rigid integrand
+    buf, log_cell = (np.empty(len(offs)), np.empty(len(offs))), 2 * n * math.log(h)
 
-    def at(w) -> float:
-        nonlocal rest
-        wv = np.asarray(w, dtype=complex).reshape(n)
-        if terms is not None:
-            return _logsumexp(_add_w(terms, a, q, wv)) + 2 * n * math.log(h)
-        center = sym.psi.adjoint(wv) + shift
-        kappa = q * a * float((np.vdot(center, center) - np.vdot(wv, wv)).real / 2.0
-                              + np.vdot(wv, sym.psi.offset).real)
-        if rest is not None:
-            return kappa + rest
-        value = _logsumexp(_log_integrand(sym, params, q, wv, offs + center[None, :]))
-        value += 2 * n * math.log(h)
+    def fold(pts: np.ndarray) -> tuple:  # the terms of _folded_sum on the points
+        psi_v, L, discount = _w_free_terms(sym, params, q, pts)
+        return np.multiply(psi_v.view(float).T, qa, order="C"), L, discount
+
+    terms = None if sym.is_affine else fold(offs)
+
+    def at(w) -> np.ndarray:
+        W = np.ascontiguousarray(w, dtype=complex).reshape(-1, n)
+        C = sym.psi.adjoint(W) + shift if sym.is_affine else W  # grid centres, if re-centred
+        sums = np.array([_folded_sum(terms or fold(offs + c), v, qa, buf)
+                         for v, c in zip(W[:1] if rigid else W, C)]) + log_cell
         if rigid:
-            rest = value - kappa
-        return value
+            Wr, Cr = W.view(float), C.view(float)
+            kappa = qa * ((np.sum(Cr ** 2, axis=1) - np.sum(Wr ** 2, axis=1)) / 2.0
+                          + np.sum(Wr * sym.psi.offset.view(float), axis=1))
+            sums = np.concatenate([sums, kappa[1:] + (sums[0] - kappa[0])])
+        return sums
 
     return at
 
 
 def log_berezin_compop(sym: SymbolPair, params: Params, w) -> float:
     """log of the composition transform at w, with exponent params.q."""
-    q = params.q
-    if math.isinf(q):
+    if math.isinf(params.q):
         raise ValueError("the transform needs a finite exponent q")
-    return _log_transform_at(sym, params, q)(w)
+    return float(_log_transform_at(sym, params, params.q)(w)[0])
 
 
 def _safe_exp(x: float) -> float:
@@ -325,27 +335,24 @@ def transform_profile(sym: SymbolPair, params: Params) -> tuple:
     on the stage window [0, EXPANSION * STAGE_RADIUS[n]]: 31 radii at n = 1,
     21 at n = 2.
 
-    Returns (radii, log values, z-divergence flag). The profile reads the
-    z-grid of :func:`log_berezin_compop`, ``_Z_CELLS[n]`` cells per axis.
-    The z-staging runs for non-affine symbols only: their profile reads the
-    grid enlarged by half, and the base grid is summed too until the flag
+    Returns (radii, log values, z-divergence flag). All (radius, direction)
+    points are read in one call of the z-grid evaluator of
+    :func:`log_berezin_compop`, ``_Z_CELLS[n]`` cells per axis. The
+    z-staging runs for non-affine symbols only: their profile reads the
+    grid enlarged by half, and the base grid point by point until the flag
     of a z-integral that grows beyond GROWTH_TOL between the two is set.
     """
-    q = params.q
-    n = params.n
+    q, n = params.q, params.n
     radii = np.linspace(0.0, EXPANSION * STAGE_RADIUS[n], _PROFILE_RADII[n])
     dirs = directions(n)
+    shells = [dirs if rho > 0 else dirs[:1] for rho in radii]
+    W = np.array([rho * d for rho, ds in zip(radii, shells) for d in ds])
     base = _log_transform_at(sym, params, q)
-    read = base if sym.is_affine else _log_transform_at(sym, params, q, 1.5)
-    out = np.full(len(radii), -math.inf)
-    z_divergent = False
-    for i, rho in enumerate(radii):
-        for d in dirs if rho > 0 else dirs[:1]:
-            value = read(rho * d)
-            if read is not base and not z_divergent:
-                z_divergent = stage_grew(base(rho * d), value, GROWTH_TOL)
-            out[i] = max(out[i], value)
-    return radii, out, z_divergent
+    logs = (base if sym.is_affine else _log_transform_at(sym, params, q, 1.5))(W)
+    z_divergent = not sym.is_affine and any(
+        stage_grew(base(v)[0], value, GROWTH_TOL) for v, value in zip(W, logs))
+    starts = np.cumsum([0] + [len(ds) for ds in shells])[:-1]
+    return radii, np.maximum.reduceat(logs, starts), z_divergent
 
 
 def weight_profile(sym: SymbolPair, params: Params) -> tuple:
@@ -355,11 +362,9 @@ def weight_profile(sym: SymbolPair, params: Params) -> tuple:
     dirs = directions(params.n)
     out = np.full(len(radii), -math.inf)
     for i, rho in enumerate(radii):
-        cand = dirs if rho > 0 else dirs[:1]
-        pts = np.stack([rho * d for d in cand], axis=0)
+        pts = np.stack([rho * d for d in (dirs if rho > 0 else dirs[:1])])
         psi_v, L, discount = _w_free_terms(sym, params, 1.0, pts)
-        L = L + params.alpha * np.sum(np.abs(psi_v) ** 2, axis=1) / 2.0 - discount
-        out[i] = float(np.max(L))
+        out[i] = np.max(L + params.alpha * np.sum(np.abs(psi_v) ** 2, axis=1) / 2.0 - discount)
     return radii, out
 
 
@@ -382,16 +387,14 @@ def pullback_measure(sym: SymbolPair, params: Params) -> AtomicMeasure:
     offs, h = centred_grid(radius, cells, n)
     psi_v = sym.psi.apply(offs)
     log_w = log_weight(log_abs(sym.u, offs, params), offs, params, q)
-    rpsi2 = np.sum(np.abs(psi_v) ** 2, axis=1)
-    log_w = log_w + q * a * rpsi2 / 2.0 + 2 * n * math.log(h)
+    log_w = log_w + q * a * np.sum(np.abs(psi_v) ** 2, axis=1) / 2.0 + 2 * n * math.log(h)
     top = float(np.max(log_w)) if log_w.size else -math.inf
     if top > _WEIGHT_LOG_CAP:
         raise EvaluationOverflow(
             f"pullback weight exponent {top:.0f} exceeds {_WEIGHT_LOG_CAP}; "
             "shrink the pullback radius"
         )
-    with np.errstate(over="ignore"):
-        wts = np.exp(log_w)
+    wts = np.exp(log_w)  # every exponent is at most the cap
     keep = wts > 1e-300
     return AtomicMeasure(locations=psi_v[keep], weights=wts[keep], n=n)
 
@@ -459,12 +462,9 @@ def classify_compop(sym: SymbolPair, params: Params,
 
     if math.isinf(q) or p <= q:
         radii, logs, z_div, root, R1 = _stage_profile(sym, params)
-        if math.isinf(q):
-            key, regime = "log_sup", "sup-infinity"
-            little_o_note = "sup criterion fails the little-o target"
-        else:
-            key, regime = "log_transform_sup", "sup"
-            little_o_note = "transform fails the little-o target"
+        key, regime, little_o_note = (
+            ("log_sup", "sup-infinity", "sup criterion fails the little-o target") if math.isinf(q)
+            else ("log_transform_sup", "sup", "transform fails the little-o target"))
         R2 = EXPANSION * R1
         # shell maxima up to the three nested stages, then the staged trend
         sup0, sup1, sup2 = (float(np.max(logs[radii <= s + 1e-9]))
@@ -584,9 +584,8 @@ def linear_symbol_check(matrix, offset) -> dict:
     U, sigma, Vh = np.linalg.svd(psi.matrix)
     op_norm = float(sigma[0])
     unit = np.abs(sigma - 1.0) <= tol
-    overlap = 0.0
-    for i in np.nonzero(unit)[0]:
-        overlap = max(overlap, float(np.abs(np.vdot(off, U[:, i]))))
+    overlap = max((float(np.abs(np.vdot(off, U[:, i]))) for i in np.nonzero(unit)[0]),
+                  default=0.0)
     scale = 1.0 + float(np.linalg.norm(off))
     bounded = op_norm <= 1.0 + tol and overlap <= tol * scale
     compact = op_norm < 1.0 - tol

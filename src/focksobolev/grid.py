@@ -62,8 +62,8 @@ def eight_directions(n: int) -> list:
 
 def grid_points(axes: Sequence[np.ndarray]) -> np.ndarray:
     """Complex points (N, n) of the tensor grid on the 2n real axes, ij order."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return to_complex(np.stack([m.ravel() for m in mesh], axis=1))
+    xy = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)
+    return xy.reshape(-1, len(axes)).view(complex)  # (Re, Im) pairs read as complex
 
 
 def centred_grid(radius: float, cells: int, n: int) -> tuple:

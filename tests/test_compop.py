@@ -66,7 +66,8 @@ def test_zero_weight_builds_no_grid(monkeypatch, n):
     P = fs.Params(n=n, alpha=1.0, m=1, p=4.0, q=2.0)
     zero = fs.affine_symbol(np.eye(n), None, fs.polynomial({}, n))
     at = compop._log_transform_at(zero, P, P.q)
-    assert at(np.zeros(n)) == -math.inf and at(np.full(n, 2.0 + 1.0j)) == -math.inf
+    assert at(np.zeros(n))[0] == -math.inf
+    assert np.array_equal(at(np.full((3, n), 2.0 + 1.0j)), np.full(3, -math.inf))
     mu = compop.pullback_measure(zero, P)
     assert len(mu) == 0 and mu.locations.shape == (0, n)
 
@@ -91,6 +92,9 @@ def test_degree_one_polynomial_symbol_is_affine(params_m0):
     pts = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
     np.testing.assert_allclose(sym.psi.apply(pts), fs.PolynomialMap(comps).apply(pts),
                                rtol=1e-15, atol=1e-15)
+    # its offset, a column of the coefficients, is kept as a contiguous copy
+    P2 = fs.Params(n=2, alpha=1.0, m=0, p=2.0, q=2.0)
+    assert np.isfinite(fs.log_berezin_compop(sym, P2, np.array([1.0, 0.5j])))
     half = fs.SymbolPair(fs.PolynomialMap((fs.polynomial({(1,): 0.5}, 1),)), fs.one(1))
     assert fs.classify_compop(half, params_m0) == fs.classify_compop(
         fs.affine_symbol([[0.5]]), params_m0)
@@ -381,6 +385,15 @@ def test_affine_transform_closed_form(A, b):
         assert np.max(np.abs(logs - exact)) <= tol
 
 
+def _log_integrand(sym, params, q, w, pts):
+    """The log integrand at w on the points, unfolded: the log weight plus
+    q a Re<psi(z), w> - q a |w|^2 / 2 less the m > 0 discount, with the
+    pairing taken as a complex matmul."""
+    psi_v, L, discount = compop._w_free_terms(sym, params, q, pts)
+    qa = q * params.alpha
+    return L + qa * (psi_v @ np.conj(w)).real - qa * float(np.vdot(w, w).real) / 2.0 - discount
+
+
 def _per_w_profile(sym, params, radii, cells):
     """The profile from one _log_integrand sum at every w, on the z-grid
     the profile reads: for an affine symbol the cube of the weight's norm
@@ -401,7 +414,7 @@ def _per_w_profile(sym, params, radii, cells):
         for d in dirs if rho > 0 else dirs[:1]:
             w = rho * d
             center = sym.psi.adjoint(w) + shift if sym.is_affine else np.zeros(n)
-            L = compop._log_integrand(sym, params, q, w, offs + center[None, :])
+            L = _log_integrand(sym, params, q, w, offs + center[None, :])
             with np.errstate(over="ignore", divide="ignore"):
                 logs.append(float(logsumexp(L)) + 2 * n * math.log(h))
         out.append(max(logs))
@@ -412,9 +425,10 @@ def _per_w_profile(sym, params, radii, cells):
 def test_profile_matches_per_w_integrand(n):
     """At m = 0 an affine symbol with a constant or one-kernel weight has
     log B(w) - kappa(w) fixed on its re-centred z-grid, and the profile
-    adds kappa(w) to one sum per grid. It matches a sum at every w to
-    rounding: at most 2.8e-14 measured on these cases (the constant 3 over
-    2z at n = 1), tolerance 1e-12. Every other profile sums at each w, as
+    adds kappa(w), taken for every point in one array expression, to one
+    sum per grid. It matches a sum at every w to rounding: at most 2.8e-14
+    measured on these cases (the constant 3 over 2z at n = 1), tolerance
+    1e-13. Every other profile sums at each w, as
     the reference does: m = 1, a degree-1 polynomial weight, and the
     square, whose w-free terms are kept. They differ only by the terms
     that compop's log-sum-exp drops, which move a sum by under 2^-53 of it,
@@ -439,7 +453,7 @@ def test_profile_matches_per_w_integrand(n):
     if n == 1:
         per_w.append((fs.SymbolPair(fs.PolynomialMap((fs.polynomial({(2,): 1.0}, 1),)),
                                     fs.one(1)), P0))
-    for cases, tol in ((near, 1e-12), (per_w, 4e-15)):
+    for cases, tol in ((near, 1e-13), (per_w, 4e-15)):
         for sym, P in cases:
             (radii, logs, _), cells = _profile_and_cells(sym, P)
             # every fifth radius, both ends of the stage window included
@@ -465,7 +479,7 @@ def test_square_profile_stops_summing_the_base_grid(monkeypatch):
     dirs = directions(1)
     grew, ref = False, []
     for rho in radii:
-        vals = [(base(rho * d), enlarged(rho * d)) for d in (dirs if rho > 0 else dirs[:1])]
+        vals = [(base(rho * d)[0], enlarged(rho * d)[0]) for d in (dirs if rho > 0 else dirs[:1])]
         grew = grew or any(stage_grew(v[0], v[1], GROWTH_TOL) for v in vals)
         ref.append(max(v[1] for v in vals))
     assert z_div and grew
@@ -476,22 +490,89 @@ def test_affine_profile_sums_each_grid_once(monkeypatch):
     """An m = 0 affine profile at n = 2 builds one z-grid, of 16 cells, and
     sums it once. Summed at every w it took 161, one per profile point."""
     P = fs.Params(n=2, alpha=1.0, m=0, p=2.0, q=2.0)
-    real_grid, real_integrand = compop.centred_grid, compop._log_integrand
+    real_grid, real_sum = compop.centred_grid, compop._folded_sum
     grids, sums = [], []
 
     def grid_spy(radius, cells, n):
         grids.append(cells)
         return real_grid(radius, cells, n)
 
-    def integrand_spy(*args, **kwargs):
+    def sum_spy(*args, **kwargs):
         sums.append(1)
-        return real_integrand(*args, **kwargs)
+        return real_sum(*args, **kwargs)
 
     monkeypatch.setattr(compop, "centred_grid", grid_spy)
-    monkeypatch.setattr(compop, "_log_integrand", integrand_spy)
+    monkeypatch.setattr(compop, "_folded_sum", sum_spy)
     fs.transform_profile(fs.affine_symbol(0.5 * np.eye(2)), P)
     assert grids == [16]
     assert len(sums) == 1
+
+
+def _profile_points(n):
+    """The (radius, direction) points of transform_profile, in its order."""
+    radii = np.linspace(0.0, EXPANSION * STAGE_RADIUS[n], compop._PROFILE_RADII[n])
+    dirs = directions(n)
+    return np.array([rho * d for rho in radii for d in (dirs if rho > 0 else dirs[:1])])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("m", [0, 1])
+def test_batched_evaluator_matches_log_berezin_compop(n, m):
+    """One call of the z-grid evaluator on every profile point gives
+    log_berezin_compop's value at each, bit for bit, for every suite pair
+    whose integrand moves with w. A rigid pair (m = 0, a constant or
+    one-kernel weight) sums only the first point, bit for bit, and reads
+    the others as kappa(w) plus that sum's difference: within 1e-13 of a sum
+    at each, the bound test_profile_matches_per_w_integrand pins. The
+    profile is the shell maximum of the batch."""
+    P = fs.Params(n=n, alpha=1.0, m=m, p=2.0, q=2.0)
+    W = _profile_points(n)
+    for sc in fs.composition_suite(P):
+        sym = sc.symbol
+        env = fs.norm_integrand_field(sym.u, P, P.q)
+        rigid = sym.is_affine and env.growth == 0.0 and env.pad == 0.0
+        got = compop._log_transform_at(sym, P, P.q)(W)
+        want = np.array([fs.log_berezin_compop(sym, P, w) for w in W])
+        assert got[0] == want[0], sc.name
+        if rigid:
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13, err_msg=sc.name)
+        else:
+            assert np.array_equal(got, want), sc.name
+        if sym.is_affine:
+            radii, logs, _ = fs.transform_profile(sym, P)
+            shells = np.split(got, np.cumsum([len(directions(n)) if r > 0 else 1
+                                              for r in radii])[:-1])
+            assert np.array_equal(logs, [s.max() for s in shells]), sc.name
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_affine_map_products_without_blas(n):
+    """AffineMap.apply and adjoint sum over the n columns, each entry acting
+    by its real and imaginary parts, instead of calling BLAS. On random
+    complex matrices they match pts @ M.T + b and conj(M).T @ w exactly at
+    n = 1, and at n = 2 within 4 eps of the sums of the absolute terms
+    (2.2 eps measured); the identity and a real diagonal match exactly. A
+    batch gives each row the bits of that row alone."""
+    rng = np.random.default_rng(7)
+    eps = np.finfo(float).eps
+    pts = rng.normal(0, 3, (4096, n)) + 1j * rng.normal(0, 3, (4096, n))
+    for _ in range(20):
+        M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        b = rng.normal(size=n) + 1j * rng.normal(size=n)
+        A = fs.AffineMap(M, b)
+        tol = 0 if n == 1 else 4 * eps
+        assert np.all(np.abs(A.apply(pts) - (pts @ M.T + b))
+                      <= tol * (np.abs(pts) @ np.abs(M).T + np.abs(b)))
+        assert np.all(np.abs(A.adjoint(pts) - pts @ np.conj(M)) <= tol * (np.abs(pts) @ np.abs(M)))
+        w = pts[0]
+        assert np.all(np.abs(A.adjoint(w) - np.conj(M).T @ w) <= tol * (np.abs(M).T @ np.abs(w)))
+        assert np.array_equal(A.adjoint(pts)[5], A.adjoint(pts[5]))
+        assert np.array_equal(A.apply(pts)[:7], A.apply(pts[:7]))
+    for M in (np.eye(n), np.diag(rng.normal(size=n))):
+        A = fs.AffineMap(M)
+        assert np.array_equal(A.apply(pts), pts @ M.T)
+        assert np.array_equal(A.adjoint(pts), pts @ np.conj(M))
+        assert np.array_equal(A.adjoint(pts[0]), np.conj(M).T @ pts[0])
 
 
 def _lse_cases():
@@ -539,16 +620,19 @@ def test_logsumexp_bit_equal_to_scipy(L):
 
 
 def test_n1_pairing_bit_equal_to_matmul():
-    """At n = 1 the integrand's Re<psi(z), w> is taken in real arithmetic;
-    it equals the complex matmul's real part to the bit."""
+    """At n = 1 the folded integrand takes Re<psi(z), w> in real arithmetic,
+    from the rows Re psi and Im psi; the integrand it builds equals the one
+    from the complex matmul's real part to the bit."""
     rng = np.random.default_rng(5)
     psi_v = (rng.normal(0, 4, 37249) + 1j * rng.normal(0, 4, 37249))[:, None]
-    L = np.zeros(len(psi_v))
+    L = rng.normal(0, 3, len(psi_v))
+    terms = (np.ascontiguousarray(to_real(psi_v).T), L, 0.0)
+    buf = (np.empty(len(L)), np.empty(len(L)))
     for w in rng.normal(0, 5, (200, 2)):
         wv = np.array([complex(*w)])
-        got = compop._add_w((psi_v, L, 0.0), 1.0, 1.0, wv)
+        compop._folded_sum(terms, wv, 1.0, buf)
         want = L + (psi_v @ np.conj(wv)).real - float(np.vdot(wv, wv).real) / 2.0
-        assert np.array_equal(got, want)
+        assert np.array_equal(buf[0], want)
 
 
 RADIAL_PAIRS = {"identity", "contraction", "rotation", "expansion", "swap"}
