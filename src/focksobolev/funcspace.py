@@ -338,12 +338,8 @@ def _multi_indices(n: int, degree: int) -> list:
 
 def _kernel_centers_grid(n: int, radius: float) -> list:
     """Deterministic polar grid of kernel centers with |w| <= radius."""
-    centers = [np.zeros(n, dtype=complex)]
-    radii = [r for r in (1.0, 2.0, 3.0, 4.0) if r <= radius]
-    for r in radii:
-        for d in eight_directions(n):
-            centers.append(r * d)
-    return centers
+    return [np.zeros(n, dtype=complex)] + [r * d for r in (1.0, 2.0, 3.0, 4.0) if r <= radius
+                                           for d in eight_directions(n)]
 
 
 def probe_family(
@@ -367,24 +363,19 @@ def probe_family(
         out.append((f"kernel[{i}]", kernel(w, n=params.n)))
         if params.m >= 1:
             out.append((f"damped-kernel[{i}]", kernel(w, n=params.n, sobolev_scaled=True)))
-    for beta in _multi_indices(params.n, monomial_degree):
-        out.append((f"monomial{beta}", polynomial({beta: 1.0}, params.n)))
-    if combos > 0:
-        rng = np.random.default_rng(seed)
-        sites = np.array([[complex(x, y)] for x in (-2.0, -1.0, 0.0, 1.0, 2.0)
-                          for y in (-2.0, 0.0, 2.0)])
-        if params.n == 2:
-            sites = np.concatenate([sites, np.zeros_like(sites)], axis=1)
-        order = np.argsort(np.linalg.norm(sites, axis=1), kind="stable")
-        sites = sites[order][:40]
-        for draw in range(combos):
-            count = min(6, len(sites))
-            idx = rng.choice(len(sites), size=count, replace=False)
-            terms = []
-            for rank, i in enumerate(idx):
-                c = (rng.standard_normal() + 1j * rng.standard_normal()) / (1.0 + rank) ** 2
-                terms.append(
-                    KernelTerm(center=tuple(sites[i]), coeff=complex(c), normalized=True)
-                )
-            out.append((f"combo[{draw}]", KernelCombo(n=params.n, terms=tuple(terms))))
+    out += [(f"monomial{beta}", polynomial({beta: 1.0}, params.n))
+            for beta in _multi_indices(params.n, monomial_degree)]
+    rng = np.random.default_rng(seed)
+    sites = np.array([[complex(x, y)] for x in (-2.0, -1.0, 0.0, 1.0, 2.0)
+                      for y in (-2.0, 0.0, 2.0)])
+    if params.n == 2:
+        sites = np.concatenate([sites, np.zeros_like(sites)], axis=1)
+    sites = sites[np.argsort(np.linalg.norm(sites, axis=1), kind="stable")]
+    for draw in range(combos):
+        idx = rng.choice(len(sites), size=6, replace=False)
+        coeffs = [(rng.standard_normal() + 1j * rng.standard_normal()) / (1.0 + rank) ** 2
+                  for rank in range(len(idx))]
+        terms = tuple(KernelTerm(center=tuple(sites[i]), coeff=complex(c), normalized=True)
+                      for i, c in zip(idx, coeffs))
+        out.append((f"combo[{draw}]", KernelCombo(n=params.n, terms=terms)))
     return out

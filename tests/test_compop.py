@@ -424,9 +424,9 @@ def _per_w_profile(sym, params, radii, cells):
 @pytest.mark.parametrize("n", [1, 2])
 def test_profile_matches_per_w_integrand(n):
     """At m = 0 an affine symbol with a constant or one-kernel weight has
-    log B(w) - kappa(w) fixed on its re-centred z-grid, and the profile
-    adds kappa(w), taken for every point in one array expression, to one
-    sum per grid. It matches a sum at every w to rounding: at most 2.8e-14
+    log B(w) - kappa(w) fixed, and the profile reads kappa(w), taken for
+    every point in one array expression, plus G, summed over one cell
+    axis. It matches a sum at every w to rounding: at most 2.8e-14
     measured on these cases (the constant 3 over 2z at n = 1), tolerance
     1e-13. Every other profile sums at each w, as
     the reference does: m = 1, a degree-1 polynomial weight, and the
@@ -486,26 +486,94 @@ def test_square_profile_stops_summing_the_base_grid(monkeypatch):
     assert np.array_equal(logs, ref)
 
 
-def test_affine_profile_sums_each_grid_once(monkeypatch):
-    """An m = 0 affine profile at n = 2 builds one z-grid, of 16 cells, and
-    sums it once. Summed at every w it took 161, one per profile point."""
-    P = fs.Params(n=2, alpha=1.0, m=0, p=2.0, q=2.0)
-    real_grid, real_sum = compop.centred_grid, compop._folded_sum
-    grids, sums = [], []
+def test_rigid_profile_builds_no_grid(monkeypatch):
+    """A rigid profile (m = 0, a constant or one-kernel weight) at n = 1 and
+    n = 2 sums the cell axis alone: it builds no z-grid and makes no
+    :func:`compop._folded_sum`. Before, it built one grid, 16^4 points at
+    n = 2, and summed it once."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rigid profile summed a z-grid")
 
-    def grid_spy(radius, cells, n):
-        grids.append(cells)
-        return real_grid(radius, cells, n)
+    monkeypatch.setattr(compop, "centred_grid", refuse)
+    monkeypatch.setattr(compop, "_folded_sum", refuse)
+    for n in (1, 2):
+        P = fs.Params(n=n, alpha=1.0, m=0, p=2.0, q=2.0)
+        for u in (None, fs.kernel(np.eye(n)[0], n=n)):
+            radii, logs, z_div = fs.transform_profile(fs.affine_symbol(0.5 * np.eye(n), None, u), P)
+            assert np.all(np.isfinite(logs)) and not z_div
 
-    def sum_spy(*args, **kwargs):
-        sums.append(1)
-        return real_sum(*args, **kwargs)
 
-    monkeypatch.setattr(compop, "centred_grid", grid_spy)
-    monkeypatch.setattr(compop, "_folded_sum", sum_spy)
-    fs.transform_profile(fs.affine_symbol(0.5 * np.eye(2)), P)
-    assert grids == [16]
-    assert len(sums) == 1
+def _full_grid_log_transform(sym, params, w):
+    """log B(w) of a rigid pair as one sum over its whole z-grid re-centred
+    at A*w + c: :func:`compop.centred_grid`, the log integrand from
+    :func:`compop._w_free_terms` and one :func:`compop._logsumexp`, as the
+    transform was summed before its cell-axis factorisation."""
+    n, q = params.n, params.q
+    env = fs.norm_integrand_field(sym.u, params, q)
+    c = np.asarray(env.center or np.zeros(n), dtype=complex)
+    offs, h = compop.centred_grid(env.tail_radius, compop._Z_CELLS[n], n)
+    pts = offs + (sym.psi.adjoint(w) + c)[None, :]
+    return compop._logsumexp(_log_integrand(sym, params, q, w, pts)) + 2 * n * math.log(h)
+
+
+def _kappa(sym, params, w):
+    """kappa(w) = (q a/2)(|A*w + c|^2 - |w|^2) + q a Re<b, w>, c the weight's
+    envelope centre, in complex arithmetic."""
+    env = fs.norm_integrand_field(sym.u, params, params.q)
+    c = np.zeros(params.n) if env.center is None else np.asarray(env.center, dtype=complex)
+    v, qa = np.conj(sym.psi.matrix).T @ w + c, params.q * params.alpha
+    return qa / 2.0 * (np.vdot(v, v).real - np.vdot(w, w).real) + qa * np.vdot(w, sym.psi.offset).real
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_rigid_sum_is_the_full_grid_sum_on_the_suite(n):
+    """At w = 0 the cell-axis sum of a rigid pair, kappa(0) + G, is the sum
+    over its whole z-grid bit for bit, on every rigid pair of the suite at
+    alpha = 1, q = 2; the zero weight's is -inf on both sides."""
+    P = fs.Params(n=n, alpha=1.0, m=0, p=2.0, q=2.0)
+    w0, seen = np.zeros(n, dtype=complex), 0
+    for sc in fs.composition_suite(P):
+        sym = sc.symbol
+        env = fs.norm_integrand_field(sym.u, P, P.q)
+        if sym.is_affine and env.growth == 0.0 and env.pad == 0.0:
+            seen += 1
+            assert compop._log_transform_at(sym, P, P.q)(w0)[0] == \
+                _full_grid_log_transform(sym, P, w0), sc.name
+    assert seen == (7 if n == 1 else 8)
+
+
+def test_rigid_sum_matches_the_full_grid_on_random_pairs():
+    """On 300 seeded random rigid pairs, affine maps under constant,
+    normalised, unnormalised and sobolev_scaled one-kernel weights at
+    alpha in {0.5, 1, 1.7, 3} and q in {1, 2, 2.5, 3, 4}, kappa(w) + G
+    matches the sum over the whole z-grid re-centred at w, at w = 0 and at
+    a random w, to rounding. Both sides round terms of the size of kappa,
+    not of the result, so the error is taken relative to the largest of 1,
+    |log B(w)|, |kappa(0)| and |kappa(w)|: at most 6.7e-15 measured over
+    1,500 such pairs (five seeds), tolerance 4e-14."""
+    rng = np.random.default_rng(35)
+    kinds = ("constant", "normalized", "unnormalized", "sobolev_scaled")
+    worst = 0.0
+    for i in range(300):
+        n, alpha = 1 + i % 2, (0.5, 1.0, 1.7, 3.0)[i % 4]
+        q, kind = (1.0, 2.0, 2.5, 3.0, 4.0)[(i // 4) % 5], kinds[(i // 2) % 4]
+        P = fs.Params(n=n, alpha=alpha, m=0, p=2.0, q=q)
+        A = rng.normal(0, 0.6, (n, n)) + 1j * rng.normal(0, 0.6, (n, n))
+        b = rng.normal(0, 0.5, n) + 1j * rng.normal(0, 0.5, n)
+        coeff = rng.uniform(0.2, 3.0) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        if kind == "constant":
+            u = fs.polynomial({(0,) * n: coeff}, n)
+        else:
+            u = fs.kernel(rng.normal(0, 1, n) + 1j * rng.normal(0, 1, n), n=n, coeff=coeff,
+                          normalized=kind != "unnormalized",
+                          sobolev_scaled=kind == "sobolev_scaled")
+        sym = fs.affine_symbol(A, b, u)
+        W = np.array([np.zeros(n), rng.normal(0, 1.5, n) + 1j * rng.normal(0, 1.5, n)])
+        for w, got in zip(W, compop._log_transform_at(sym, P, q)(W)):
+            want = _full_grid_log_transform(sym, P, w)
+            scale = max(1.0, abs(want), abs(_kappa(sym, P, W[0])), abs(_kappa(sym, P, w)))
+            worst = max(worst, abs(got - want) / scale)
+    assert worst <= 4e-14
 
 
 def _profile_points(n):
@@ -518,26 +586,19 @@ def _profile_points(n):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("m", [0, 1])
 def test_batched_evaluator_matches_log_berezin_compop(n, m):
-    """One call of the z-grid evaluator on every profile point gives
-    log_berezin_compop's value at each, bit for bit, for every suite pair
-    whose integrand moves with w. A rigid pair (m = 0, a constant or
-    one-kernel weight) sums only the first point, bit for bit, and reads
-    the others as kappa(w) plus that sum's difference: within 1e-13 of a sum
-    at each, the bound test_profile_matches_per_w_integrand pins. The
-    profile is the shell maximum of the batch."""
+    """One call of the evaluator on every profile point gives
+    log_berezin_compop's value at each, bit for bit, for every suite pair:
+    a pair whose integrand moves with w sums its grid at each point, and a
+    rigid pair (m = 0, a constant or one-kernel weight) reads kappa(w) + G,
+    kappa taken row by row in one array expression. The profile is the
+    shell maximum of the batch."""
     P = fs.Params(n=n, alpha=1.0, m=m, p=2.0, q=2.0)
     W = _profile_points(n)
     for sc in fs.composition_suite(P):
         sym = sc.symbol
-        env = fs.norm_integrand_field(sym.u, P, P.q)
-        rigid = sym.is_affine and env.growth == 0.0 and env.pad == 0.0
         got = compop._log_transform_at(sym, P, P.q)(W)
         want = np.array([fs.log_berezin_compop(sym, P, w) for w in W])
-        assert got[0] == want[0], sc.name
-        if rigid:
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13, err_msg=sc.name)
-        else:
-            assert np.array_equal(got, want), sc.name
+        assert np.array_equal(got, want), sc.name
         if sym.is_affine:
             radii, logs, _ = fs.transform_profile(sym, P)
             shells = np.split(got, np.cumsum([len(directions(n)) if r > 0 else 1
