@@ -327,10 +327,10 @@ def _log_transform_at(sym: SymbolPair, params: Params, q: float, scale: float = 
 
 
 def log_berezin_compop(sym: SymbolPair, params: Params, w) -> float:
-    """log of the composition transform at w, with exponent params.q. A rigid
-    pair's is kappa(w) + G: at w = 0 the sum over its whole grid bit for bit
-    on the suite pairs, elsewhere within 6.7e-15 of the largest of 1, |log B|
-    and |kappa| at 0 and w of the sum over the grid re-centred at w."""
+    """log of the composition transform at w, with exponent params.q. For a
+    rigid pair, kappa(w) + G: the full z-grid sum at w = 0 (bit for bit on
+    the suite), and at w != 0 the grid sum re-centred at w to within 6.7e-15
+    of max(1, |log B|, |kappa(0)|, |kappa(w)|), as measured."""
     if math.isinf(params.q):
         raise ValueError("the transform needs a finite exponent q")
     return float(_log_transform_at(sym, params, params.q)(w)[0])

@@ -336,12 +336,6 @@ def _multi_indices(n: int, degree: int) -> list:
     return [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
 
 
-def _kernel_centers_grid(n: int, radius: float) -> list:
-    """Deterministic polar grid of kernel centers with |w| <= radius."""
-    return [np.zeros(n, dtype=complex)] + [r * d for r in (1.0, 2.0, 3.0, 4.0) if r <= radius
-                                           for d in eight_directions(n)]
-
-
 def probe_family(
     params: Params,
     seed: int = 0,
@@ -359,23 +353,29 @@ def probe_family(
     Returns a list of (name, EntireFunction) pairs.
     """
     out = []
-    for i, w in enumerate(_kernel_centers_grid(params.n, kernel_radius)):
+    centres = [np.zeros(params.n, dtype=complex)] + [
+        r * d for r in (1.0, 2.0, 3.0, 4.0) if r <= kernel_radius for d in eight_directions(params.n)]
+    for i, w in enumerate(centres):
         out.append((f"kernel[{i}]", kernel(w, n=params.n)))
         if params.m >= 1:
             out.append((f"damped-kernel[{i}]", kernel(w, n=params.n, sobolev_scaled=True)))
-    out += [(f"monomial{beta}", polynomial({beta: 1.0}, params.n))
-            for beta in _multi_indices(params.n, monomial_degree)]
+    for beta in _multi_indices(params.n, monomial_degree):
+        out.append((f"monomial{beta}", polynomial({beta: 1.0}, params.n)))
     rng = np.random.default_rng(seed)
     sites = np.array([[complex(x, y)] for x in (-2.0, -1.0, 0.0, 1.0, 2.0)
                       for y in (-2.0, 0.0, 2.0)])
     if params.n == 2:
         sites = np.concatenate([sites, np.zeros_like(sites)], axis=1)
-    sites = sites[np.argsort(np.linalg.norm(sites, axis=1), kind="stable")]
+    order = np.argsort(np.linalg.norm(sites, axis=1), kind="stable")
+    sites = sites[order]
     for draw in range(combos):
-        idx = rng.choice(len(sites), size=6, replace=False)
-        coeffs = [(rng.standard_normal() + 1j * rng.standard_normal()) / (1.0 + rank) ** 2
-                  for rank in range(len(idx))]
-        terms = tuple(KernelTerm(center=tuple(sites[i]), coeff=complex(c), normalized=True)
-                      for i, c in zip(idx, coeffs))
-        out.append((f"combo[{draw}]", KernelCombo(n=params.n, terms=terms)))
+        count = min(6, len(sites))
+        idx = rng.choice(len(sites), size=count, replace=False)
+        terms = []
+        for rank, i in enumerate(idx):
+            c = (rng.standard_normal() + 1j * rng.standard_normal()) / (1.0 + rank) ** 2
+            terms.append(
+                KernelTerm(center=tuple(sites[i]), coeff=complex(c), normalized=True)
+            )
+        out.append((f"combo[{draw}]", KernelCombo(n=params.n, terms=tuple(terms))))
     return out
