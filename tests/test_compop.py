@@ -489,8 +489,7 @@ def test_square_profile_stops_summing_the_base_grid(monkeypatch):
 def test_rigid_profile_builds_no_grid(monkeypatch):
     """A rigid profile (m = 0, a constant or one-kernel weight) at n = 1 and
     n = 2 sums the cell axis alone: it builds no z-grid and makes no
-    :func:`compop._folded_sum`. Before, it built one grid, 16^4 points at
-    n = 2, and summed it once."""
+    :func:`compop._folded_sum`."""
     def refuse(*args, **kwargs):
         raise AssertionError("a rigid profile summed a z-grid")
 
@@ -506,8 +505,8 @@ def test_rigid_profile_builds_no_grid(monkeypatch):
 def _full_grid_log_transform(sym, params, w):
     """log B(w) of a rigid pair as one sum over its whole z-grid re-centred
     at A*w + c: :func:`compop.centred_grid`, the log integrand from
-    :func:`compop._w_free_terms` and one :func:`compop._logsumexp`, as the
-    transform was summed before its cell-axis factorisation."""
+    :func:`compop._w_free_terms` and one :func:`compop._logsumexp`: the
+    reference the cell-axis factorisation is checked against."""
     n, q = params.n, params.q
     env = fs.norm_integrand_field(sym.u, params, q)
     c = np.asarray(env.center or np.zeros(n), dtype=complex)
